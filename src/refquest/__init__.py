@@ -11,7 +11,7 @@ benchmark harness round out the simulation apparatus.
 """
 
 from refquest.world import Entity, PropertySchema, World, load_world, serialize_world, validate_world
-from refquest.minset import compute_min_set, pairwise_clauses, solve_min_hitting_set
+from refquest.minset import compute_min_set
 from refquest.belief import Belief, PropertyDistribution, init_belief
 from refquest.dnet import (
     DecisionNetwork,
@@ -46,12 +46,10 @@ __all__ = [
     "generate_random_world",
     "init_belief",
     "load_world",
-    "pairwise_clauses",
     "run_benchmark",
     "run_episode",
     "select_question",
     "serialize_world",
-    "solve_min_hitting_set",
     "spacecraft_world",
     "validate_world",
     "welch_t",

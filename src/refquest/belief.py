@@ -38,15 +38,6 @@ class Belief:
     def candidates(self) -> tuple[Entity, ...]:
         return tuple(self.world.by_id(i) for i in self.candidate_ids)
 
-    def instruction_prior(self) -> dict[str, float]:
-        """Uniform prior over the instruction vocabulary.
-
-        Metadata only: the received instruction is fully observed, so
-        this prior never drives inference.
-        """
-        labels = self.world.labels
-        return {label: 1 / len(labels) for label in labels}
-
     def resolved(self) -> str | None:
         """The referent's id once exactly one candidate remains, else None."""
         if len(self.candidate_ids) == 1:

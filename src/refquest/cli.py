@@ -111,14 +111,18 @@ def _cmd_episode(args) -> int:
         print(f"Q: {q.surface}")
         print(f"A: {a.render()}")
 
-    record = run_episode(
-        world,
-        args.target,
-        agent,
-        oracle=oracle,
-        max_questions=args.max_questions,
-        on_turn=None if interactive else on_turn,
-    )
+    try:
+        record = run_episode(
+            world,
+            args.target,
+            agent,
+            oracle=oracle,
+            max_questions=args.max_questions,
+            on_turn=None if interactive else on_turn,
+        )
+    except EOFError:
+        print("refquest: error: input ended before the referent was resolved", file=sys.stderr)
+        return 1
     summary = {
         "instruction": record.instruction_label,
         "target": record.target_id,

@@ -54,20 +54,23 @@ class HumanOracle:
 
     def answer(self, q: Question) -> Answer:
         while True:
-            reply = self.ask(f"{q.surface} ").strip().lower()
+            reply = self.ask(f"{q.surface} ").strip()
             if q.kind == "yn":
-                if reply in ("yes", "y"):
+                if reply.lower() in ("yes", "y"):
                     return Answer(yes=True)
-                if reply in ("no", "n"):
+                if reply.lower() in ("no", "n"):
                     return Answer(yes=False)
                 self.say("please answer yes or no")
             else:
-                if reply in self.world.schema.domain(q.property):
-                    return Answer(value=reply)
-                self.say(
-                    f"unknown {q.property}; expected one of: "
-                    + ", ".join(self.world.schema.domain(q.property))
-                )
+                # an exact match wins; otherwise the reply must match one
+                # value ignoring case, and the domain's spelling is kept
+                domain = self.world.schema.domain(q.property)
+                matches = [v for v in domain if v == reply] or [
+                    v for v in domain if v.casefold() == reply.casefold()
+                ]
+                if len(matches) == 1:
+                    return Answer(value=matches[0])
+                self.say(f"unknown {q.property}; expected one of: " + ", ".join(domain))
 
 
 class ModelAgent:

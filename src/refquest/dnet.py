@@ -14,9 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
-from importlib import resources
-
-import yaml
 
 from refquest.belief import Belief, PropertyDistribution
 from refquest.minset import compute_min_set
@@ -60,19 +57,11 @@ class Question:
 
 
 @dataclass(frozen=True)
-class UtilityTable:
-    entries: dict[Question, float]
-
-    def __getitem__(self, q: Question) -> float:
-        return self.entries[q]
-
-
-@dataclass(frozen=True)
 class DecisionNetwork:
     schema: PropertySchema
     active: tuple[str, ...]  # minimum disambiguating set, schema order
     questions: tuple[Question, ...]
-    utilities: UtilityTable
+    utilities: dict[Question, float]
     policy: str
 
 
@@ -98,7 +87,7 @@ def data_driven_utilities(
     freq_table: Mapping[str, float],
     belief: Belief,
     questions: Sequence[Question],
-) -> UtilityTable:
+) -> dict[Question, float]:
     """Score questions by question-type frequency; known properties get 0.
 
     A property is known when its value distribution over the surviving
@@ -113,7 +102,7 @@ def data_driven_utilities(
             raise ValueError(f"negative frequency for {q.type_name!r}")
         known = wh_entropy(belief.distribution(q.property)) == 0
         entries[q] = 0.0 if known else freq
-    return UtilityTable(entries)
+    return entries
 
 
 def uniform_frequency_table(schema: PropertySchema, color_boost: float = 2.0) -> dict[str, float]:
@@ -129,32 +118,6 @@ def uniform_frequency_table(schema: PropertySchema, color_boost: float = 2.0) ->
         table[f"Confirm:{name}"] = weight
     total = sum(table.values())
     return {k: 100.0 * v / total for k, v in table.items()}
-
-
-def load_frequency_table(text: str) -> dict[str, float]:
-    """Parse a frequency-table document: question-type name -> number.
-
-    Weights are normalized to sum to 100 so tables with different scales
-    are interchangeable (selection only depends on the ranking anyway).
-    """
-    doc = yaml.safe_load(text)
-    if not isinstance(doc, dict):
-        raise ValueError("frequency table must be a mapping of question type to number")
-    table = {}
-    for key, value in doc.items():
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ValueError(f"frequency for {key!r} must be a non-negative number")
-        table[str(key)] = float(value)
-    total = sum(table.values())
-    if total <= 0:
-        raise ValueError("frequency table needs at least one positive weight")
-    return {k: 100.0 * v / total for k, v in table.items()}
-
-
-def default_frequency_table() -> dict[str, float]:
-    """The shipped table for the spacecraft question types."""
-    text = resources.files("refquest.data").joinpath("question_frequencies.yaml").read_text("utf-8")
-    return load_frequency_table(text)
 
 
 def modal_value(dist: PropertyDistribution, domain: Sequence[str]) -> str:
@@ -192,11 +155,10 @@ def build_network(
             )
 
     if policy == ENTROPY:
-        entries = {}
+        utilities = {}
         for q in questions:
             dist = belief.distribution(q.property)
-            entries[q] = wh_entropy(dist) if q.kind == "wh" else yn_expected_entropy(dist)
-        utilities = UtilityTable(entries)
+            utilities[q] = wh_entropy(dist) if q.kind == "wh" else yn_expected_entropy(dist)
     elif policy == DATA:
         table = freq_table if freq_table is not None else uniform_frequency_table(schema)
         utilities = data_driven_utilities(table, belief, questions)

@@ -1,16 +1,17 @@
-"""Minimum disambiguating property sets via a hitting-set formulation.
+"""Minimum disambiguating property sets by projection injectivity.
 
-Every unordered pair of entities contributes one clause: the set of
-properties on which the two differ. Any property set that intersects all
-clauses distinguishes every pair. Small universes are solved exactly by
-cardinality-ordered exhaustive search; larger ones fall back to the
-classic greedy set-cover approximation.
+A property set tells the entities apart exactly when projecting every
+entity onto it gives pairwise distinct rows. While few properties vary
+among the entities, the smallest such set is found by cardinality-ordered
+exhaustive search; beyond that, properties are added greedily, each time
+the one that most refines the partition of entities into equal rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
+from operator import itemgetter
 
 from refquest.world import Entity, PropertySchema
 
@@ -26,72 +27,45 @@ class IndistinguishablePairError(Exception):
         self.id2 = id2
 
 
-def pairwise_clauses(
-    entities: Sequence[Entity], schema: PropertySchema
-) -> list[frozenset[str]]:
-    """One clause per entity pair: the properties on which the pair differs.
-
-    Duplicate clauses are dropped; they cannot affect the solution.
-    """
-    clauses: list[frozenset[str]] = []
-    seen = set()
-    for a, b in itertools.combinations(entities, 2):
-        diff = frozenset(p for p in schema.names if a.value(p) != b.value(p))
-        if not diff:
-            raise IndistinguishablePairError(a.id, b.id)
-        if diff not in seen:
-            seen.add(diff)
-            clauses.append(diff)
-    return clauses
-
-
-def solve_min_hitting_set(
-    clauses: Sequence[frozenset[str]],
-    schema: PropertySchema,
-    exact_limit: int = EXACT_LIMIT_DEFAULT,
-) -> list[str]:
-    """Smallest property set intersecting every clause, in schema order.
-
-    Exact (cardinality-ordered subset search) while the universe of
-    mentioned properties has at most `exact_limit` members; greedy
-    set-cover beyond that. Ties break toward earlier schema properties in
-    both modes, so the result is deterministic.
-    """
-    if not clauses:
-        return []
-    universe = sorted({p for c in clauses for p in c}, key=schema.index)
-    if len(universe) <= exact_limit:
-        for r in range(1, len(universe) + 1):
-            for subset in itertools.combinations(universe, r):
-                chosen = set(subset)
-                if all(chosen & clause for clause in clauses):
-                    return list(subset)
-        raise AssertionError("the full universe always hits every clause")
-    return _greedy_cover(clauses, universe)
-
-
-def _greedy_cover(clauses: Sequence[frozenset[str]], universe: list[str]) -> list[str]:
-    uncovered = list(clauses)
-    chosen: list[str] = []
-    while uncovered:
-        # universe is schema-ordered, so max() on count alone is a
-        # deterministic first-in-order tie-break
-        best = max(universe, key=lambda p: sum(1 for c in uncovered if p in c))
-        chosen.append(best)
-        uncovered = [c for c in uncovered if best not in c]
-        universe = [p for p in universe if p != best]
-    return chosen
-
-
 def compute_min_set(
     entities: Sequence[Entity],
     schema: PropertySchema,
     exact_limit: int = EXACT_LIMIT_DEFAULT,
 ) -> list[str]:
-    """Minimum property set sufficient to tell all entities apart.
+    """Minimum property set sufficient to tell all entities apart, in schema order.
 
     A single entity (or none) needs no disambiguation and yields [].
+    Exact while at most `exact_limit` properties vary among the entities:
+    the first injective subset in cardinality order, then combinations
+    order over the schema. Greedy beyond that: repeatedly add the property
+    that most increases the number of distinct projections, ties going to
+    the earlier schema property.
     """
     if len(entities) < 2:
         return []
-    return solve_min_hitting_set(pairwise_clauses(entities, schema), schema, exact_limit)
+    names = schema.names
+    rows = [tuple(e.value(p) for p in names) for e in entities]
+    first: dict[tuple[str, ...], Entity] = {}
+    for e, row in zip(entities, rows):
+        seen = first.setdefault(row, e)
+        if seen is not e:
+            raise IndistinguishablePairError(seen.id, e.id)
+    k = len(rows)
+    varying = [i for i in range(len(names)) if len({row[i] for row in rows}) > 1]
+
+    def distinct(columns: Sequence[int]) -> int:
+        return len(set(map(itemgetter(*columns), rows)))
+
+    if len(varying) <= exact_limit:
+        for r in range(1, len(varying) + 1):
+            for subset in itertools.combinations(varying, r):
+                if distinct(subset) == k:
+                    return [names[i] for i in subset]
+        raise AssertionError("all varying properties together separate distinct rows")
+    chosen: list[int] = []
+    while not chosen or distinct(chosen) < k:
+        # varying is schema-ordered, so max() on the count alone breaks
+        # ties toward the earlier property
+        rest = [i for i in varying if i not in chosen]
+        chosen.append(max(rest, key=lambda i: distinct([*chosen, i])))
+    return [names[i] for i in sorted(chosen)]

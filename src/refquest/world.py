@@ -119,6 +119,16 @@ def validate_world(world: World) -> list[str]:
     return violations
 
 
+def _text(value, where: str) -> str:
+    """A world value as its string token; YAML booleans and nulls are refused
+    because their spelling (yes, no, on, ~) is lost once parsed."""
+    if value is None or isinstance(value, bool):
+        raise WorldFormatError(
+            f"{where}: value parsed as {value!r}; quote it to keep it as text (e.g. 'yes')"
+        )
+    return str(value)
+
+
 def load_world(text: str) -> World:
     """Parse a world-config document (YAML) and validate it.
 
@@ -138,9 +148,12 @@ def load_world(text: str) -> World:
     props = []
     for item in doc["schema"]:
         try:
-            props.append((str(item["name"]), tuple(str(v) for v in item["values"])))
+            name, values = str(item["name"]), item["values"]
         except (TypeError, KeyError) as exc:
             raise WorldFormatError(f"bad schema entry {item!r}: needs name/values") from exc
+        if not isinstance(values, list):
+            raise WorldFormatError(f"property {name!r}: values must be a list, got {values!r}")
+        props.append((name, tuple(_text(v, f"property {name!r}") for v in values)))
     schema = PropertySchema(tuple(props))
 
     if not doc["entities"]:
@@ -153,7 +166,10 @@ def load_world(text: str) -> World:
                     id=str(item["id"]),
                     label=str(item["label"]),
                     type_name=str(item["type"]),
-                    assignment={str(k): str(v) for k, v in item["assignment"].items()},
+                    assignment={
+                        str(k): _text(v, f"entity {item['id']!r}, property {k!r}")
+                        for k, v in item["assignment"].items()
+                    },
                 )
             )
         except (TypeError, KeyError, AttributeError) as exc:

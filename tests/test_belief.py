@@ -96,16 +96,6 @@ def test_distribution_normalizes():
         assert all(p >= 0 for p in d.probs.values())
 
 
-def test_instruction_prior_is_uniform_metadata():
-    w = spacecraft_world()
-    b = init_belief(w, "temporal emitter")
-    prior = b.instruction_prior()
-    assert sum(prior.values()) == pytest.approx(1.0)
-    assert len(set(prior.values())) == 1
-    # observing answers leaves the prior untouched
-    assert b.apply_wh_answer("size", "medium").instruction_prior() == prior
-
-
 def test_entropy_zero_iff_agreement():
     b = init_belief(spacecraft_world(), "sonic optimizer")
     for prop in b.world.schema.names:

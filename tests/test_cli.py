@@ -93,6 +93,17 @@ def test_episode_human_oracle(capsys, monkeypatch):
     assert summary["resolved"] == "optimizer_3"
 
 
+def test_episode_human_oracle_eof_exits_1(capsys, monkeypatch):
+    def closed_input(prompt):
+        raise EOFError
+
+    monkeypatch.setattr("builtins.input", closed_input)
+    code, _, err = run_cli(capsys, "episode", "--world", "spacecraft",
+                           "--target", "optimizer_3", "--oracle", "human")
+    assert code == 1
+    assert "input ended before the referent was resolved" in err
+
+
 def test_genworld_round_trips(capsys):
     code, out, _ = run_cli(capsys, "genworld", "--variance", "low", "--seed", "3")
     assert code == 0

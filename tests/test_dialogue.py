@@ -12,6 +12,7 @@ from refquest.dialogue import (
 from refquest.dnet import Question
 from refquest.minset import compute_min_set
 from refquest.belief import init_belief
+from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
 
 
@@ -123,6 +124,23 @@ def test_human_oracle_parses_and_reprompts():
     a = oracle.answer(Question(kind="yn", property="color", value="blue"))
     assert a.yes is False
     assert len(said) == 2  # one reprompt for each bad reply
+
+
+def test_human_oracle_matches_case_and_keeps_domain_spelling():
+    schema = PropertySchema((("color", ("Red", "Blue", "green", "GREEN")),))
+    w = World(schema, tuple(
+        Entity(id=v, label="w", type_name="w", assignment={"color": v})
+        for v in schema.domain("color")
+    ))
+    replies = iter(["blue", "RED", "Green", "GREEN"])
+    said = []
+    oracle = HumanOracle(w, ask=lambda prompt: next(replies), say=said.append)
+    q = Question(kind="wh", property="color")
+    assert oracle.answer(q).value == "Blue"
+    assert oracle.answer(q).value == "Red"
+    # "Green" matches two values ignoring case, so it is asked again
+    assert oracle.answer(q).value == "GREEN"
+    assert len(said) == 1
 
 
 def test_run_episode_with_scripted_human_oracle():

@@ -112,30 +112,6 @@ def test_uniform_frequency_table_ranks_color_highest():
     assert sum(table.values()) == pytest.approx(100.0)
 
 
-def test_load_frequency_table_normalizes():
-    from refquest.dnet import load_frequency_table
-
-    table = load_frequency_table("'Query:color': 4\n'Query:shape': 1\n")
-    assert table == {"Query:color": 80.0, "Query:shape": 20.0}
-    with pytest.raises(ValueError):
-        load_frequency_table("'Query:color': -1\n")
-    with pytest.raises(ValueError):
-        load_frequency_table("- not\n- a\n- mapping\n")
-
-
-def test_shipped_table_matches_default_ranking_on_spacecraft():
-    from refquest.dnet import default_frequency_table
-
-    w = spacecraft_world()
-    shipped = default_frequency_table()
-    assert sum(shipped.values()) == pytest.approx(100.0)
-    for label in w.labels:
-        b = init_belief(w, label)
-        via_shipped = build_network(w, b, policy="data", freq_table=shipped)
-        via_default = build_network(w, b, policy="data")
-        assert select_question(via_shipped, b) == select_question(via_default, b)
-
-
 # --- network construction and selection --------------------------------
 
 def test_question_invariants():

@@ -2,15 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from refquest.minset import (
-    IndistinguishablePairError,
-    compute_min_set,
-    pairwise_clauses,
-    solve_min_hitting_set,
-)
+from refquest.dialogue import ModelAgent, run_episode
+from refquest.minset import EXACT_LIMIT_DEFAULT, IndistinguishablePairError, compute_min_set
 from refquest.world import Entity, PropertySchema
-from refquest.worlds import spacecraft_world
+from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
 
 
 def schema_of(*props):
@@ -22,56 +19,65 @@ def ent(id, schema, *values):
                   assignment=dict(zip(schema.names, values)))
 
 
+def injective(entities, props):
+    projections = [tuple(e.value(p) for p in props) for e in entities]
+    return len(set(projections)) == len(projections)
+
+
 def brute_force_minimum(entities, schema):
-    """Independent oracle: smallest property subset under which all entity
-    projections are pairwise distinct, by exhaustive search in increasing size."""
+    """Independent oracle: the first property subset, by size and then
+    combinations order over the schema, under which all entity projections
+    are pairwise distinct."""
     for r in range(0, len(schema.names) + 1):
         for subset in itertools.combinations(schema.names, r):
-            projections = [tuple(e.value(p) for p in subset) for e in entities]
-            if len(set(projections)) == len(projections):
-                return set(subset)
+            if injective(entities, subset):
+                return list(subset)
     raise AssertionError("entities not distinguishable at all")
 
 
 def test_single_differing_property_clause():
     s = schema_of("color", "shape")
-    clauses = pairwise_clauses([ent("1", s, "a", "b"), ent("2", s, "b", "b")], s)
-    assert clauses == [frozenset({"color"})]
+    assert compute_min_set([ent("1", s, "a", "b"), ent("2", s, "b", "b")], s) == ["color"]
 
 
 def test_three_entity_clauses_enumerated_by_hand():
+    # pairs differ on {color}, {shape} and {color, shape}
     s = schema_of("color", "shape")
     es = [ent("1", s, "a", "b"), ent("2", s, "b", "b"), ent("3", s, "a", "c")]
-    clauses = pairwise_clauses(es, s)
-    assert set(clauses) == {
-        frozenset({"color"}),
-        frozenset({"shape"}),
-        frozenset({"color", "shape"}),
-    }
+    assert compute_min_set(es[:2], s) == ["color"]
+    assert compute_min_set([es[0], es[2]], s) == ["shape"]
+    assert compute_min_set(es[1:], s) == ["color"]
+    assert compute_min_set(es, s) == ["color", "shape"]
 
 
 def test_duplicate_entities_raise():
     s = schema_of("color")
     with pytest.raises(IndistinguishablePairError) as exc:
-        pairwise_clauses([ent("1", s, "a"), ent("2", s, "a")], s)
+        compute_min_set([ent("1", s, "a"), ent("2", s, "a")], s)
     assert exc.value.id1 == "1" and exc.value.id2 == "2"
+    with pytest.raises(IndistinguishablePairError) as exc:
+        compute_min_set([ent("1", s, "a"), ent("2", s, "b"), ent("3", s, "a")], s)
+    assert exc.value.id1 == "1" and exc.value.id2 == "3"
 
 
 def test_unit_clauses_force_both_properties():
-    s = schema_of("color", "shape")
-    clauses = [frozenset({"color"}), frozenset({"shape"}), frozenset({"color", "shape"})]
-    assert solve_min_hitting_set(clauses, s) == ["color", "shape"]
+    # "2" differs from "1" only in color and "3" only in shape, so both are
+    # needed even though "4" also differs in size
+    s = schema_of("color", "shape", "size")
+    es = [ent("1", s, "a", "a", "a"), ent("2", s, "b", "a", "a"),
+          ent("3", s, "a", "b", "a"), ent("4", s, "b", "b", "b")]
+    assert compute_min_set(es, s) == ["color", "shape"]
 
 
 def test_shared_property_wins():
+    # color separates every pair on its own; shape and size each miss one
     s = schema_of("color", "shape", "size")
-    clauses = [frozenset({"color", "shape"}), frozenset({"color", "size"})]
-    assert solve_min_hitting_set(clauses, s) == ["color"]
+    es = [ent("1", s, "a", "a", "a"), ent("2", s, "b", "b", "a"), ent("3", s, "c", "a", "b")]
+    assert compute_min_set(es, s) == ["color"]
 
 
 def test_empty_clause_set_gives_empty_minset():
     s = schema_of("color")
-    assert solve_min_hitting_set([], s) == []
     assert compute_min_set([ent("1", s, "a")], s) == []
     assert compute_min_set([], s) == []
 
@@ -123,21 +129,61 @@ def test_oracle_equivalence_on_random_worlds():
         )
         if len(es) < 2:
             continue
-        result = compute_min_set(es, s)
-        oracle = brute_force_minimum(es, s)
-        assert len(result) == len(oracle), (es, result, oracle)
-        # soundness: restriction to the result keeps entities distinct
-        projections = [tuple(e.value(p) for p in result) for e in es]
-        assert len(set(projections)) == len(projections)
+        assert compute_min_set(es, s) == brute_force_minimum(es, s)
 
 
 def test_greedy_mode_hits_all_clauses():
     s = schema_of(*(f"p{i}" for i in range(6)))
     rng = random.Random(9)
-    clauses = [
-        frozenset(rng.sample(s.names, rng.randint(1, 3))) for _ in range(12)
-    ]
-    greedy = solve_min_hitting_set(clauses, s, exact_limit=2)
-    assert all(set(greedy) & c for c in clauses)
-    exact = solve_min_hitting_set(clauses, s)
-    assert len(exact) <= len(greedy)
+    for _ in range(50):
+        es = _dedupe([ent(str(i), s, *(rng.choice("abcd") for _ in range(6)))
+                      for i in range(rng.randint(2, 12))], s)
+        greedy = compute_min_set(es, s, exact_limit=2)
+        assert injective(es, greedy)
+        assert len(greedy) >= len(compute_min_set(es, s))
+
+
+def test_greedy_takes_the_most_refining_property_earliest_first():
+    # 17 varying properties put the four entities past the exact limit;
+    # p0-p14 each split them in two, p15 and p16 each split them fully
+    s = schema_of(*(f"p{i}" for i in range(17)))
+    es = [ent(str(i), s, *("ab"[(i >> (j % 2)) & 1] for j in range(15)), "abcd"[i], "abcd"[i])
+          for i in range(4)]
+    assert compute_min_set(es, s) == ["p15"]
+
+
+@st.composite
+def generated_worlds(draw):
+    """Random worlds on either side of EXACT_LIMIT_DEFAULT: P in 17-20 with
+    every property varying (greedy path), or P <= 6 (exact path)."""
+    if draw(st.booleans()):
+        n_properties = draw(st.integers(EXACT_LIMIT_DEFAULT + 1, 20))
+        n_varying, values = n_properties, draw(st.integers(2, 3))
+    else:
+        n_properties = draw(st.integers(1, 6))
+        n_varying, values = draw(st.integers(1, n_properties)), draw(st.integers(2, 4))
+    n_entities = draw(st.integers(2, min(24, values ** n_varying)))
+    spec = RandomWorldSpec(
+        n_entities=n_entities,
+        n_properties=n_properties,
+        n_varying=n_varying,
+        values_per_property=values,
+        group_size=draw(st.integers(2, n_entities)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return generate_random_world(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_worlds())
+def test_minset_invariants_on_generated_worlds(w):
+    for label in w.labels:
+        candidates = w.with_label(label)
+        minset = compute_min_set(candidates, w.schema)
+        assert injective(candidates, minset)
+        if len(w.schema.names) <= EXACT_LIMIT_DEFAULT:
+            assert minset == brute_force_minimum(candidates, w.schema)
+        for e in candidates:
+            record = run_episode(w, e.id, ModelAgent())
+            assert record.resolved_id == e.id
+            assert sum(1 for q, _ in record.transcript if q.kind == "wh") <= len(minset)

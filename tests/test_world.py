@@ -80,6 +80,27 @@ def test_load_world_rejects_non_yaml():
         load_world("{unbalanced")
 
 
+def test_load_world_rejects_scalar_values():
+    with pytest.raises(WorldFormatError, match="must be a list"):
+        load_world("schema:\n  - {name: color, values: red}\n"
+                   "entities:\n  - {id: a, label: w, type: w, assignment: {color: red}}\n")
+
+
+@pytest.mark.parametrize("schema_values, assigned", [
+    ("[yes, no]", "yes"),
+    ("['yes', 'no']", "no"),
+    ("['on', ~]", "'on'"),
+])
+def test_load_world_rejects_unquoted_booleans_and_nulls(schema_values, assigned):
+    doc = (f"schema:\n  - {{name: lit, values: {schema_values}}}\n"
+           f"entities:\n  - {{id: a, label: w, type: w, assignment: {{lit: {assigned}}}}}\n")
+    with pytest.raises(WorldFormatError, match="quote it"):
+        load_world(doc)
+    quoted = load_world("schema:\n  - {name: lit, values: ['yes', 'no']}\n"
+                        "entities:\n  - {id: a, label: w, type: w, assignment: {lit: 'yes'}}\n")
+    assert quoted.schema.domain("lit") == ("yes", "no")
+
+
 def test_spacecraft_config_shape():
     w = spacecraft_world()
     assert len(w.entities) == 18
