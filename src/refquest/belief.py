@@ -33,15 +33,16 @@ class Belief:
 
     world: World
     instruction_label: str
-    candidate_ids: tuple[str, ...]
+    candidates: tuple[Entity, ...]  # surviving entities, world order
 
-    def candidates(self) -> tuple[Entity, ...]:
-        return tuple(self.world.by_id(i) for i in self.candidate_ids)
+    @property
+    def candidate_ids(self) -> tuple[str, ...]:
+        return tuple(e.id for e in self.candidates)
 
     def resolved(self) -> str | None:
         """The referent's id once exactly one candidate remains, else None."""
-        if len(self.candidate_ids) == 1:
-            return self.candidate_ids[0]
+        if len(self.candidates) == 1:
+            return self.candidates[0].id
         return None
 
     def distribution(self, prop: str) -> PropertyDistribution:
@@ -49,10 +50,10 @@ class Belief:
         if prop not in self.world.schema:
             raise KeyError(prop)
         counts: dict[str, int] = {}
-        for e in self.candidates():
+        for e in self.candidates:
             v = e.value(prop)
             counts[v] = counts.get(v, 0) + 1
-        n = len(self.candidate_ids)
+        n = len(self.candidates)
         return PropertyDistribution(
             property=prop, probs={v: c / n for v, c in counts.items()}
         )
@@ -60,29 +61,22 @@ class Belief:
     def apply_wh_answer(self, prop: str, value: str) -> "Belief":
         """Keep candidates whose `prop` equals the answered value."""
         self._check_value(prop, value)
-        kept = tuple(i for i in self.candidate_ids if self.world.by_id(i).value(prop) == value)
+        kept = tuple(e for e in self.candidates if e.value(prop) == value)
         if not kept:
             raise ContradictoryAnswerError(
                 f"no candidate has {prop}={value!r} (answer contradicts evidence)"
             )
-        return replace(self, candidate_ids=kept)
+        return replace(self, candidates=kept)
 
     def apply_yn_answer(self, prop: str, value: str, yes: bool) -> "Belief":
         """Yes keeps candidates with that value; no removes them."""
         self._check_value(prop, value)
-        if yes:
-            kept = tuple(
-                i for i in self.candidate_ids if self.world.by_id(i).value(prop) == value
-            )
-        else:
-            kept = tuple(
-                i for i in self.candidate_ids if self.world.by_id(i).value(prop) != value
-            )
+        kept = tuple(e for e in self.candidates if (e.value(prop) == value) == yes)
         if not kept:
             raise ContradictoryAnswerError(
                 f"answer {'yes' if yes else 'no'} to {prop}={value!r} eliminates all candidates"
             )
-        return replace(self, candidate_ids=kept)
+        return replace(self, candidates=kept)
 
     def _check_value(self, prop: str, value: str):
         if value not in self.world.schema.domain(prop):
@@ -94,8 +88,4 @@ def init_belief(world: World, instruction_label: str) -> Belief:
     matches = world.with_label(instruction_label)
     if not matches:
         raise UnknownReferentError(f"no entity labelled {instruction_label!r}")
-    return Belief(
-        world=world,
-        instruction_label=instruction_label,
-        candidate_ids=tuple(e.id for e in matches),
-    )
+    return Belief(world=world, instruction_label=instruction_label, candidates=matches)

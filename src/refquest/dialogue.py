@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
 
 from refquest.belief import Belief, init_belief
 from refquest.dnet import DATA, ENTROPY, Question, build_network, select_question
@@ -78,17 +77,10 @@ class ModelAgent:
     candidates before every question, so utilities always reflect the
     current evidence. Deterministic."""
 
-    def __init__(
-        self,
-        policy: str = ENTROPY,
-        yn_properties: Sequence[str] | None = None,
-        freq_table: Mapping[str, float] | None = None,
-    ):
+    def __init__(self, policy: str = ENTROPY):
         if policy not in (ENTROPY, DATA):
             raise ValueError(f"unknown model policy {policy!r}")
         self.policy = policy
-        self.yn_properties = yn_properties
-        self.freq_table = freq_table
 
     @property
     def name(self) -> str:
@@ -98,12 +90,7 @@ class ModelAgent:
         pass
 
     def choose(self, belief: Belief) -> Question:
-        yn = self.yn_properties
-        if yn is None:
-            yn = belief.world.schema.names
-        net = build_network(
-            belief.world, belief, policy=self.policy, yn_properties=yn, freq_table=self.freq_table
-        )
+        net = build_network(belief, policy=self.policy, yn_properties=belief.world.schema.names)
         return select_question(net, belief)
 
     def observe(self, q: Question, a: Answer, belief: Belief):
@@ -120,9 +107,8 @@ class BaselineAgent:
     value present among the candidates.
     """
 
-    def __init__(self, seed: int, yn_properties: Sequence[str] | None = None):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.yn_properties = yn_properties
         self.rng = random.Random(seed)
         self.known: set[str] = set()
 
@@ -135,19 +121,15 @@ class BaselineAgent:
 
     def choose(self, belief: Belief) -> Question:
         schema = belief.world.schema
-        yn = self.yn_properties if self.yn_properties is not None else schema.names
         options: list[tuple[str, str]] = []
         for prop in schema.names:
-            if prop in self.known:
-                continue
-            options.append(("wh", prop))
-            if prop in yn:
-                options.append(("yn", prop))
+            if prop not in self.known:
+                options += [("wh", prop), ("yn", prop)]
         kind, prop = self.rng.choice(options)
         if kind == "wh":
             return Question(kind="wh", property=prop)
         values = sorted(
-            {e.value(prop) for e in belief.candidates()},
+            {e.value(prop) for e in belief.candidates},
             key=schema.domain(prop).index,
         )
         return Question(kind="yn", property=prop, value=self.rng.choice(values))
@@ -157,7 +139,7 @@ class BaselineAgent:
         if q.kind == "wh" or a.yes:
             self.known.add(q.property)
         else:
-            survivors = {e.value(q.property) for e in belief.candidates()}
+            survivors = {e.value(q.property) for e in belief.candidates}
             if len(survivors) == 1:
                 self.known.add(q.property)
 

@@ -6,7 +6,8 @@ candidates, its decision node is one WH question per active property
 plus a confirm (yes/no) question per active property flagged as
 confirm-eligible, and its utility table scores questions either by
 Shannon entropy of the belief-conditioned value distributions or by a
-question-type frequency table with known properties zeroed.
+question-type frequency table. Every active property varies among the
+candidates, so no question is about a property already known.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from collections.abc import Mapping, Sequence
 
 from refquest.belief import Belief, PropertyDistribution
 from refquest.minset import compute_min_set
-from refquest.world import PropertySchema, World
+from refquest.world import PropertySchema
 
 ENTROPY = "entropy"
 DATA = "data"
+COLOR_BOOST = 2.0  # weight of color in the default frequency table; others 1
 
 
 class MissingFrequencyError(Exception):
@@ -84,15 +86,9 @@ def yn_expected_entropy(dist: PropertyDistribution) -> float:
 
 
 def data_driven_utilities(
-    freq_table: Mapping[str, float],
-    belief: Belief,
-    questions: Sequence[Question],
+    freq_table: Mapping[str, float], questions: Sequence[Question]
 ) -> dict[Question, float]:
-    """Score questions by question-type frequency; known properties get 0.
-
-    A property is known when its value distribution over the surviving
-    candidates is degenerate (zero entropy).
-    """
+    """Score questions by question-type frequency."""
     entries = {}
     for q in questions:
         if q.type_name not in freq_table:
@@ -100,12 +96,11 @@ def data_driven_utilities(
         freq = freq_table[q.type_name]
         if freq < 0:
             raise ValueError(f"negative frequency for {q.type_name!r}")
-        known = wh_entropy(belief.distribution(q.property)) == 0
-        entries[q] = 0.0 if known else freq
+        entries[q] = freq
     return entries
 
 
-def uniform_frequency_table(schema: PropertySchema, color_boost: float = 2.0) -> dict[str, float]:
+def uniform_frequency_table(schema: PropertySchema) -> dict[str, float]:
     """Default frequency table: uniform, with color (when present) ranked highest.
 
     The values are reconstructed placeholders, not corpus measurements;
@@ -113,7 +108,7 @@ def uniform_frequency_table(schema: PropertySchema, color_boost: float = 2.0) ->
     """
     table = {}
     for name in schema.names:
-        weight = color_boost if name == "color" else 1.0
+        weight = COLOR_BOOST if name == "color" else 1.0
         table[f"Query:{name}"] = weight
         table[f"Confirm:{name}"] = weight
     total = sum(table.values())
@@ -130,7 +125,6 @@ def modal_value(dist: PropertyDistribution, domain: Sequence[str]) -> str:
 
 
 def build_network(
-    world: World,
     belief: Belief,
     policy: str = ENTROPY,
     yn_properties: Sequence[str] = (),
@@ -142,26 +136,23 @@ def build_network(
     surviving candidates, so constant and already-learned properties
     never enter the question list.
     """
-    schema = world.schema
-    active = tuple(compute_min_set(belief.candidates(), schema))
-    questions: list[Question] = []
-    for prop in active:
-        questions.append(Question(kind="wh", property=prop))
+    schema = belief.world.schema
+    active = tuple(compute_min_set(belief.candidates, schema))
+    dists = {prop: belief.distribution(prop) for prop in active}
+    questions = [Question(kind="wh", property=prop) for prop in active]
     for prop in active:
         if prop in yn_properties:
-            dist = belief.distribution(prop)
-            questions.append(
-                Question(kind="yn", property=prop, value=modal_value(dist, schema.domain(prop)))
-            )
+            value = modal_value(dists[prop], schema.domain(prop))
+            questions.append(Question(kind="yn", property=prop, value=value))
 
     if policy == ENTROPY:
         utilities = {}
         for q in questions:
-            dist = belief.distribution(q.property)
+            dist = dists[q.property]
             utilities[q] = wh_entropy(dist) if q.kind == "wh" else yn_expected_entropy(dist)
     elif policy == DATA:
         table = freq_table if freq_table is not None else uniform_frequency_table(schema)
-        utilities = data_driven_utilities(table, belief, questions)
+        utilities = data_driven_utilities(table, questions)
     else:
         raise ValueError(f"unknown utility policy {policy!r}")
 

@@ -120,11 +120,11 @@ def validate_world(world: World) -> list[str]:
 
 
 def _text(value, where: str) -> str:
-    """A world value as its string token; YAML booleans and nulls are refused
-    because their spelling (yes, no, on, ~) is lost once parsed."""
+    """A world name or value as its string token; YAML booleans and nulls are
+    refused because their spelling (yes, no, on, ~) is lost once parsed."""
     if value is None or isinstance(value, bool):
         raise WorldFormatError(
-            f"{where}: value parsed as {value!r}; quote it to keep it as text (e.g. 'yes')"
+            f"{where}: parsed as {value!r}; quote it to keep it as text (e.g. 'yes')"
         )
     return str(value)
 
@@ -148,7 +148,7 @@ def load_world(text: str) -> World:
     props = []
     for item in doc["schema"]:
         try:
-            name, values = str(item["name"]), item["values"]
+            name, values = _text(item["name"], "property name"), item["values"]
         except (TypeError, KeyError) as exc:
             raise WorldFormatError(f"bad schema entry {item!r}: needs name/values") from exc
         if not isinstance(values, list):
@@ -161,13 +161,15 @@ def load_world(text: str) -> World:
     entities = []
     for item in doc["entities"]:
         try:
+            entity_id = _text(item["id"], "entity id")
+            where = f"entity {entity_id!r}"
             entities.append(
                 Entity(
-                    id=str(item["id"]),
-                    label=str(item["label"]),
-                    type_name=str(item["type"]),
+                    id=entity_id,
+                    label=_text(item["label"], f"{where} label"),
+                    type_name=_text(item["type"], f"{where} type"),
                     assignment={
-                        str(k): _text(v, f"entity {item['id']!r}, property {k!r}")
+                        _text(k, f"{where} property name"): _text(v, f"{where}, property {k!r}")
                         for k, v in item["assignment"].items()
                     },
                 )

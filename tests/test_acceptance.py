@@ -200,7 +200,7 @@ def test_criterion_8_episode_safety():
             else:
                 agent = BaselineAgent(seed=rng.getrandbits(32))
             belief = init_belief(world, e.label)
-            bound = len(compute_min_set(belief.candidates(), world.schema))
+            bound = len(compute_min_set(belief.candidates, world.schema))
             # raises on any contradiction or budget overrun
             record = run_episode(world, e.id, agent)
             episodes += 1

@@ -99,5 +99,5 @@ def test_distribution_normalizes():
 def test_entropy_zero_iff_agreement():
     b = init_belief(spacecraft_world(), "sonic optimizer")
     for prop in b.world.schema.names:
-        values = {e.value(prop) for e in b.candidates()}
+        values = {e.value(prop) for e in b.candidates}
         assert (wh_entropy(b.distribution(prop)) == 0) == (len(values) == 1)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from refquest.bench import (
@@ -74,6 +76,22 @@ def test_reproducible_structured_report():
     assert a == b
     c = emit_report(run_benchmark(small_spec(base_seed=12)), "structured")
     assert a != c
+
+
+# sha256 of the structured report at iterations=10, seed 7; a refactor that
+# keeps behaviour keeps these bytes
+REPORT_SHA256 = {
+    "spacecraft": "2eaa1114ccd3ed539d0fd9490f852a1afff6528f7e9fd73705ad35f6e4bce2fc",
+    "random-low": "0843a74fe02e621149bff0ae8f8e766df250369f340186b33be5c9e985c46644",
+    "random-high": "5c81ee9271f137d788a90fed2fa3e52bbff15ddb113e6cac76a6676cc7b21038",
+}
+
+
+@pytest.mark.parametrize("environment", sorted(REPORT_SHA256))
+def test_structured_report_bytes_are_pinned(environment):
+    spec = BenchmarkSpec(environment=environment, iterations=10, base_seed=7)
+    report = emit_report(run_benchmark(spec), "structured")
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256[environment]
 
 
 def test_structured_round_trip():

@@ -89,21 +89,14 @@ def pair_world():
 
 
 def test_data_utilities_unknown_property_gets_frequency():
-    w = pair_world()
-    b = init_belief(w, "w")
     q_color = Question(kind="wh", property="color")
-    q_shape = Question(kind="wh", property="shape")
     table = {"Query:color": 20.0, "Query:shape": 20.0}
-    ut = data_driven_utilities(table, b, [q_color, q_shape])
-    assert ut[q_color] == 20.0
-    assert ut[q_shape] == 0.0  # shape is known (all candidates tall)
+    assert data_driven_utilities(table, [q_color]) == {q_color: 20.0}
 
 
 def test_data_utilities_missing_frequency():
-    w = pair_world()
-    b = init_belief(w, "w")
     with pytest.raises(MissingFrequencyError):
-        data_driven_utilities({}, b, [Question(kind="wh", property="color")])
+        data_driven_utilities({}, [Question(kind="wh", property="color")])
 
 
 def test_uniform_frequency_table_ranks_color_highest():
@@ -126,7 +119,7 @@ def test_question_invariants():
 def test_build_network_single_candidate_is_empty():
     w = pair_world()
     b = init_belief(w, "w").apply_wh_answer("color", "red")
-    net = build_network(w, b)
+    net = build_network(b)
     assert net.active == ()
     assert net.questions == ()
 
@@ -134,7 +127,7 @@ def test_build_network_single_candidate_is_empty():
 def test_build_network_spacecraft_emitters():
     w = spacecraft_world()
     b = init_belief(w, "temporal emitter")
-    net = build_network(w, b)
+    net = build_network(b)
     varying = {"size", "symbol", "pattern"}
     assert set(net.active) <= varying
     for q in net.questions:
@@ -157,7 +150,7 @@ def test_twelve_question_configuration():
         ents.append(Entity(f"e{len(ents)}", "w", "w", assignment))
     w = World(schema, tuple(ents))
     b = init_belief(w, "w")
-    net = build_network(w, b, yn_properties=("p0", "p1", "p2"))
+    net = build_network(b, yn_properties=("p0", "p1", "p2"))
     wh = [q for q in net.questions if q.kind == "wh"]
     yn = [q for q in net.questions if q.kind == "yn"]
     assert len(wh) == len(net.active)
@@ -167,7 +160,7 @@ def test_twelve_question_configuration():
 def test_select_question_color_only_difference():
     w = pair_world()
     b = init_belief(w, "w")
-    q = select_question(build_network(w, b), b)
+    q = select_question(build_network(b), b)
     assert q == Question(kind="wh", property="color")
 
 
@@ -180,7 +173,7 @@ def test_select_question_argmax_by_entropy():
     )
     w = World(schema, ents)
     b = init_belief(w, "w")
-    net = build_network(w, b)
+    net = build_network(b)
     # color entropy log2(3) = 1.58 beats shape 0.92
     assert select_question(net, b).property == "color"
 
@@ -188,7 +181,7 @@ def test_select_question_argmax_by_entropy():
 def test_select_question_no_informative():
     w = pair_world()
     b = init_belief(w, "w").apply_wh_answer("color", "red")
-    net = build_network(w, b)
+    net = build_network(b)
     with pytest.raises(NoInformativeQuestionError):
         select_question(net, b)
 
@@ -196,9 +189,9 @@ def test_select_question_no_informative():
 def test_select_question_deterministic():
     w = spacecraft_world()
     b = init_belief(w, "megaband module")
-    net = build_network(w, b)
+    net = build_network(b)
     first = select_question(net, b)
-    assert all(select_question(build_network(w, b), b) == first for _ in range(5))
+    assert all(select_question(build_network(b), b) == first for _ in range(5))
 
 
 def test_argmax_invariant_under_frequency_scaling():
@@ -207,8 +200,8 @@ def test_argmax_invariant_under_frequency_scaling():
         b = init_belief(w, label)
         table = uniform_frequency_table(w.schema)
         scaled = {k: 7.5 * v for k, v in table.items()}
-        net1 = build_network(w, b, policy="data", freq_table=table)
-        net2 = build_network(w, b, policy="data", freq_table=scaled)
+        net1 = build_network(b, policy="data", freq_table=table)
+        net2 = build_network(b, policy="data", freq_table=scaled)
         assert select_question(net1, b) == select_question(net2, b)
 
 
@@ -227,11 +220,11 @@ def test_rebuild_shrinks_active_set():
     w = spacecraft_world()
     for label in w.labels:
         b = init_belief(w, label)
-        prev = set(build_network(w, b).active)
+        prev = set(build_network(b).active)
         while b.resolved() is None:
-            net = build_network(w, b)
+            net = build_network(b)
             assert set(net.active) <= prev or prev == set()
             prev = set(net.active)
             q = select_question(net, b)
-            target = b.candidates()[0]
+            target = b.candidates[0]
             b = b.apply_wh_answer(q.property, target.value(q.property))

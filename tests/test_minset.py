@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refquest.dialogue import ModelAgent, run_episode
+from refquest.dnet import build_network
 from refquest.minset import EXACT_LIMIT_DEFAULT, IndistinguishablePairError, compute_min_set
 from refquest.world import Entity, PropertySchema
 from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
@@ -187,3 +188,22 @@ def test_minset_invariants_on_generated_worlds(w):
             record = run_episode(w, e.id, ModelAgent())
             assert record.resolved_id == e.id
             assert sum(1 for q, _ in record.transcript if q.kind == "wh") <= len(minset)
+
+
+class ActiveSetCheckingAgent(ModelAgent):
+    """A model agent that checks, before every question, that each active
+    property of its network takes more than one value among the candidates."""
+
+    def choose(self, belief):
+        net = build_network(belief, policy=self.policy, yn_properties=belief.world.schema.names)
+        for prop in net.active:
+            assert len({e.value(prop) for e in belief.candidates}) > 1, prop
+        return super().choose(belief)
+
+
+@settings(max_examples=40, deadline=None)
+@given(generated_worlds())
+def test_active_properties_vary_every_turn_on_generated_worlds(w):
+    for policy in ("entropy", "data"):
+        for e in w.entities:
+            assert run_episode(w, e.id, ActiveSetCheckingAgent(policy)).resolved_id == e.id

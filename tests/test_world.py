@@ -101,6 +101,32 @@ def test_load_world_rejects_unquoted_booleans_and_nulls(schema_values, assigned)
     assert quoted.schema.domain("lit") == ("yes", "no")
 
 
+def _one_entity_doc(name="lit", id="a", label="w", type="w", key=None):
+    return (f"schema:\n  - {{name: {name}, values: [x, y]}}\n"
+            f"entities:\n  - {{id: {id}, label: {label}, type: {type}, "
+            f"assignment: {{{key or name}: x}}}}\n")
+
+
+@pytest.mark.parametrize("field, fields", [
+    ("^property name", {"name": "on", "key": "'on'"}),
+    ("^entity id", {"id": "no"}),
+    ("entity 'a' label", {"label": "yes"}),
+    ("entity 'a' type", {"type": "~"}),
+    ("entity 'a' property name", {"key": "on", "name": "'on'"}),
+], ids=["name", "id", "label", "type", "key"])
+def test_load_world_rejects_unquoted_booleans_and_nulls_in_names(field, fields):
+    with pytest.raises(WorldFormatError, match=f"{field}: parsed as .*quote it"):
+        load_world(_one_entity_doc(**fields))
+
+
+def test_load_world_keeps_quoted_names_as_text():
+    w = load_world(_one_entity_doc(name="'on'", id="'no'", label="'yes'", type="'~'"))
+    assert w.schema.names == ("on",)
+    e = w.entities[0]
+    assert (e.id, e.label, e.type_name, e.assignment) == ("no", "yes", "~", {"on": "x"})
+    assert load_world(serialize_world(w)) == w
+
+
 def test_spacecraft_config_shape():
     w = spacecraft_world()
     assert len(w.entities) == 18

@@ -16,8 +16,7 @@ from refquest.belief import Belief
 
 
 def entity_level_entropy(world, prop):
-    ids = tuple(e.id for e in world.entities)
-    b = Belief(world=world, instruction_label="*", candidate_ids=ids)
+    b = Belief(world=world, instruction_label="*", candidates=world.entities)
     return wh_entropy(b.distribution(prop))
 
 
@@ -66,7 +65,7 @@ def test_minset_never_includes_constant_properties():
             b = init_belief(w, label)
             if len(b.candidate_ids) < 2:
                 continue
-            assert not (set(compute_min_set(b.candidates(), w.schema)) & constants)
+            assert not (set(compute_min_set(b.candidates, w.schema)) & constants)
 
 
 def test_group_labels_shared():
