@@ -91,7 +91,7 @@ class ModelAgent:
 
     def choose(self, belief: Belief) -> Question:
         net = build_network(belief, policy=self.policy, yn_properties=belief.world.schema.names)
-        return select_question(net, belief)
+        return select_question(net)
 
     def observe(self, q: Question, a: Answer, belief: Belief):
         pass

@@ -165,7 +165,7 @@ def build_network(
     )
 
 
-def select_question(net: DecisionNetwork, belief: Belief) -> Question:
+def select_question(net: DecisionNetwork) -> Question:
     """Maximum-expected-utility question.
 
     Ties break deterministically: earlier schema property first, WH

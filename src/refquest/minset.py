@@ -44,22 +44,33 @@ def compute_min_set(
     if len(entities) < 2:
         return []
     names = schema.names
-    rows = [tuple(e.value(p) for p in names) for e in entities]
-    first: dict[tuple[str, ...], Entity] = {}
-    for e, row in zip(entities, rows):
-        seen = first.setdefault(row, e)
-        if seen is not e:
-            raise IndistinguishablePairError(seen.id, e.id)
+    rows = [schema.row(e) for e in entities]
     k = len(rows)
-    varying = [i for i in range(len(names)) if len({row[i] for row in rows}) > 1]
+    if len(set(rows)) < k:
+        first: dict[tuple, Entity] = {}
+        for e, row in zip(entities, rows):
+            seen = first.setdefault(row, e)
+            if seen is not e:
+                raise IndistinguishablePairError(seen.id, e.id)
+    varying = [i for i in range(len(names)) if len(set(map(itemgetter(i), rows))) > 1]
 
     def distinct(columns: Sequence[int]) -> int:
         return len(set(map(itemgetter(*columns), rows)))
 
+    def injective(columns: Sequence[int]) -> bool:
+        # most subsets repeat a projection within the first few dozen rows
+        seen: set = set()
+        add = seen.add
+        for projection in map(itemgetter(*columns), rows):
+            if projection in seen:
+                return False
+            add(projection)
+        return True
+
     if len(varying) <= exact_limit:
         for r in range(1, len(varying) + 1):
             for subset in itertools.combinations(varying, r):
-                if distinct(subset) == k:
+                if injective(subset):
                     return [names[i] for i in subset]
         raise AssertionError("all varying properties together separate distinct rows")
     chosen: list[int] = []

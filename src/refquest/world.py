@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 
 import yaml
 
+# libyaml's parser when PyYAML was built with it; both resolve the same types
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 
 class WorldFormatError(Exception):
     """The world-config document is malformed or fails validation."""
@@ -23,36 +26,47 @@ class PropertySchema:
     """Ordered list of (property name, ordered value domain).
 
     Ordering is stable and significant: it drives deterministic
-    tie-breaking throughout the question-selection pipeline.
+    tie-breaking throughout the question-selection pipeline. Names,
+    domains and positions are tabled once at construction, and each
+    entity's value row is built on first use and kept with the schema.
     """
 
     properties: tuple[tuple[str, tuple[str, ...]], ...]
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _domains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _rows: dict["Entity", tuple[str | None, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
-        names = [name for name, _ in self.properties]
+        names = tuple(name for name, _ in self.properties)
         if len(set(names)) != len(names):
-            raise WorldFormatError(f"duplicate property names in schema: {names}")
+            raise WorldFormatError(f"duplicate property names in schema: {list(names)}")
         for name, values in self.properties:
             if not values:
                 raise WorldFormatError(f"property {name!r} has an empty domain")
             if len(set(values)) != len(values):
                 raise WorldFormatError(f"property {name!r} has duplicate values")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.properties)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_domains", dict(self.properties))
+        object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
 
     def domain(self, name: str) -> tuple[str, ...]:
-        for prop, values in self.properties:
-            if prop == name:
-                return values
-        raise KeyError(name)
+        return self._domains[name]
 
     def index(self, name: str) -> int:
-        return self.names.index(name)
+        return self._index[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self.names
+        return name in self._index
+
+    def row(self, entity: "Entity") -> tuple[str | None, ...]:
+        """The entity's values in schema order, None where it has none."""
+        row = self._rows.get(entity)
+        if row is None:
+            row = self._rows[entity] = tuple(map(entity.assignment.get, self.names))
+        return row
 
 
 @dataclass(frozen=True)
@@ -109,13 +123,16 @@ def validate_world(world: World) -> list[str]:
                 violations.append(
                     f"entity {e.id!r}: value {value!r} not in domain of property {prop!r}"
                 )
-    names = world.schema.names
-    for i, a in enumerate(world.entities):
-        for b in world.entities[i + 1:]:
-            if all(a.assignment.get(p) == b.assignment.get(p) for p in names):
-                violations.append(
-                    f"entities {a.id!r} and {b.id!r} share an identical assignment"
-                )
+    # entities with equal rows, each group in world order; every pair is
+    # reported in (earlier, later) world order
+    groups: dict[tuple, list[Entity]] = {}
+    for e in world.entities:
+        groups.setdefault(world.schema.row(e), []).append(e)
+    for a in world.entities:
+        group = groups[world.schema.row(a)]
+        group.pop(0)
+        for b in group:
+            violations.append(f"entities {a.id!r} and {b.id!r} share an identical assignment")
     return violations
 
 
@@ -136,7 +153,7 @@ def load_world(text: str) -> World:
     (list of {id, label, type, assignment}).
     """
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise WorldFormatError(f"world config does not parse: {exc}") from exc
     if not isinstance(doc, dict):

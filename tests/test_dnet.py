@@ -160,7 +160,7 @@ def test_twelve_question_configuration():
 def test_select_question_color_only_difference():
     w = pair_world()
     b = init_belief(w, "w")
-    q = select_question(build_network(b), b)
+    q = select_question(build_network(b))
     assert q == Question(kind="wh", property="color")
 
 
@@ -175,7 +175,7 @@ def test_select_question_argmax_by_entropy():
     b = init_belief(w, "w")
     net = build_network(b)
     # color entropy log2(3) = 1.58 beats shape 0.92
-    assert select_question(net, b).property == "color"
+    assert select_question(net).property == "color"
 
 
 def test_select_question_no_informative():
@@ -183,15 +183,15 @@ def test_select_question_no_informative():
     b = init_belief(w, "w").apply_wh_answer("color", "red")
     net = build_network(b)
     with pytest.raises(NoInformativeQuestionError):
-        select_question(net, b)
+        select_question(net)
 
 
 def test_select_question_deterministic():
     w = spacecraft_world()
     b = init_belief(w, "megaband module")
     net = build_network(b)
-    first = select_question(net, b)
-    assert all(select_question(build_network(b), b) == first for _ in range(5))
+    first = select_question(net)
+    assert all(select_question(build_network(b)) == first for _ in range(5))
 
 
 def test_argmax_invariant_under_frequency_scaling():
@@ -202,7 +202,7 @@ def test_argmax_invariant_under_frequency_scaling():
         scaled = {k: 7.5 * v for k, v in table.items()}
         net1 = build_network(b, policy="data", freq_table=table)
         net2 = build_network(b, policy="data", freq_table=scaled)
-        assert select_question(net1, b) == select_question(net2, b)
+        assert select_question(net1) == select_question(net2)
 
 
 def test_argmax_invariant_under_log_base():
@@ -225,6 +225,6 @@ def test_rebuild_shrinks_active_set():
             net = build_network(b)
             assert set(net.active) <= prev or prev == set()
             prev = set(net.active)
-            q = select_question(net, b)
+            q = select_question(net)
             target = b.candidates[0]
             b = b.apply_wh_answer(q.property, target.value(q.property))

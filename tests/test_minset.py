@@ -207,3 +207,26 @@ def test_active_properties_vary_every_turn_on_generated_worlds(w):
     for policy in ("entropy", "data"):
         for e in w.entities:
             assert run_episode(w, e.id, ActiveSetCheckingAgent(policy)).resolved_id == e.id
+
+
+def unique_world(n_entities, n_props, seed):
+    """`n_entities` entities with distinct random rows over `n_props`
+    properties of four values each, in the order they were drawn."""
+    rng = random.Random(seed)
+    s = schema_of(*(f"p{i:02d}" for i in range(n_props)))
+    rows: dict[tuple, None] = {}
+    while len(rows) < n_entities:
+        rows.setdefault(tuple(rng.choice("abcd") for _ in range(n_props)))
+    return s, [ent(str(i), s, *row) for i, row in enumerate(rows)]
+
+
+def test_exact_minset_pinned_on_200_entities():
+    s, es = unique_world(200, 10, seed=2024)
+    expected = ["p00", "p01", "p03", "p04", "p06", "p09"]
+    assert compute_min_set(es, s) == expected
+    assert brute_force_minimum(es, s) == expected
+
+
+def test_greedy_minset_pinned_on_100_entities_and_20_properties():
+    s, es = unique_world(100, 20, seed=2024)
+    assert compute_min_set(es, s) == ["p00", "p01", "p04", "p05", "p10", "p13"]

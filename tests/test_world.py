@@ -31,6 +31,28 @@ def test_duplicate_assignment_names_both_ids():
     assert "'a'" in violations[0] and "'b'" in violations[0]
 
 
+def test_duplicate_assignments_reported_pairwise_in_world_order():
+    # a, c and e are identical, b and d are identical, f is unique
+    w = World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall"),
+                       ent("c", "red", "tall"), ent("d", "blue", "tall"),
+                       ent("e", "red", "tall"), ent("f", "red", "short")))
+    assert validate_world(w) == [
+        f"entities {x!r} and {y!r} share an identical assignment"
+        for x, y in (("a", "c"), ("a", "e"), ("b", "d"), ("c", "e"))
+    ]
+
+
+def test_schema_lookups():
+    assert SCHEMA.names == ("color", "shape")
+    assert SCHEMA.index("shape") == 1
+    assert SCHEMA.domain("color") == ("red", "blue")
+    assert "shape" in SCHEMA and "size" not in SCHEMA
+    with pytest.raises(KeyError):
+        SCHEMA.domain("size")
+    assert SCHEMA.row(ent("a", "blue", "tall")) == ("blue", "tall")
+    assert SCHEMA.row(Entity("b", "w", "w", {"shape": "short"})) == (None, "short")
+
+
 def test_incomplete_assignment_flagged():
     e = Entity(id="a", label="w", type_name="w", assignment={"color": "red"})
     w = World(SCHEMA, (e, ent("b", "blue", "tall")))
