@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from refquest.dialogue import BaselineAgent, ModelAgent, run_episode
 from refquest.worlds import (
-    RandomWorldSpec,
     generate_random_world,
     high_variance_spec,
     low_variance_spec,
@@ -114,14 +113,7 @@ def _world_for(spec: BenchmarkSpec, iteration_seed: int):
     else:
         template = high_variance_spec(iteration_seed)
     if spec.trials != template.n_entities:
-        template = RandomWorldSpec(
-            n_entities=spec.trials,
-            n_properties=template.n_properties,
-            n_varying=template.n_varying,
-            values_per_property=template.values_per_property,
-            group_size=template.group_size,
-            seed=iteration_seed,
-        )
+        template = replace(template, n_entities=spec.trials)
     return generate_random_world(template)
 
 

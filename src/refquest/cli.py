@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from refquest.bench import (
@@ -26,7 +27,11 @@ from refquest.worlds import (
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("REFQUEST_SEED", "0"))
+    raw = os.environ.get("REFQUEST_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"REFQUEST_SEED must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,14 +146,7 @@ def _cmd_genworld(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     spec = low_variance_spec(seed) if args.variance == "low" else high_variance_spec(seed)
     if args.entities is not None:
-        spec = type(spec)(
-            n_entities=args.entities,
-            n_properties=spec.n_properties,
-            n_varying=spec.n_varying,
-            values_per_property=spec.values_per_property,
-            group_size=spec.group_size,
-            seed=seed,
-        )
+        spec = replace(spec, n_entities=args.entities)
     world = generate_random_world(spec)
     _write(serialize_world(world), args.out)
     return 0

@@ -90,8 +90,7 @@ class ModelAgent:
         pass
 
     def choose(self, belief: Belief) -> Question:
-        net = build_network(belief, policy=self.policy, yn_properties=belief.world.schema.names)
-        return select_question(net)
+        return select_question(build_network(belief, policy=self.policy))
 
     def observe(self, q: Question, a: Answer, belief: Belief):
         pass
@@ -108,7 +107,6 @@ class BaselineAgent:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed
         self.rng = random.Random(seed)
         self.known: set[str] = set()
 

@@ -138,11 +138,14 @@ def validate_world(world: World) -> list[str]:
 
 def _text(value, where: str) -> str:
     """A world name or value as its string token; YAML booleans and nulls are
-    refused because their spelling (yes, no, on, ~) is lost once parsed."""
+    refused because their spelling (yes, no, on, ~) is lost once parsed, and
+    lists and mappings because they are not one token."""
     if value is None or isinstance(value, bool):
         raise WorldFormatError(
             f"{where}: parsed as {value!r}; quote it to keep it as text (e.g. 'yes')"
         )
+    if isinstance(value, (list, dict)):
+        raise WorldFormatError(f"{where}: expected a single value, got {value!r}")
     return str(value)
 
 
@@ -161,6 +164,8 @@ def load_world(text: str) -> World:
     for key in ("schema", "entities"):
         if key not in doc:
             raise WorldFormatError(f"world config missing top-level key {key!r}")
+        if not isinstance(doc[key], list):
+            raise WorldFormatError(f"world config key {key!r} must be a list, got {doc[key]!r}")
 
     props = []
     for item in doc["schema"]:

@@ -140,6 +140,13 @@ def test_genworld_seed_env_var(capsys, monkeypatch):
     assert out_env == out_flag
 
 
+def test_non_integer_seed_env_var_exits_1(capsys, monkeypatch):
+    monkeypatch.setenv("REFQUEST_SEED", "abc")
+    code, _, err = run_cli(capsys, "genworld", "--variance", "low")
+    assert code == 1
+    assert "REFQUEST_SEED must be an integer, got 'abc'" in err
+
+
 def test_help_available(capsys):
     for sub in ("bench", "episode", "genworld"):
         with pytest.raises(SystemExit) as exc:

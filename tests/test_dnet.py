@@ -6,13 +6,10 @@ from hypothesis import given, strategies as st
 
 from refquest.belief import PropertyDistribution, init_belief
 from refquest.dnet import (
-    MissingFrequencyError,
     NoInformativeQuestionError,
     Question,
     build_network,
-    data_driven_utilities,
     select_question,
-    uniform_frequency_table,
     wh_entropy,
     yn_expected_entropy,
 )
@@ -77,7 +74,7 @@ def test_wh_entropy_bounded_by_log_support():
         assert -1e-12 <= h <= math.log2(len(d.probs)) + 1e-12
 
 
-# --- data-driven utilities ---------------------------------------------
+# --- worlds ------------------------------------------------------------
 
 def pair_world():
     schema = PropertySchema((("color", ("red", "blue")), ("shape", ("tall", "short"))))
@@ -88,21 +85,18 @@ def pair_world():
     return World(schema, ents)
 
 
-def test_data_utilities_unknown_property_gets_frequency():
-    q_color = Question(kind="wh", property="color")
-    table = {"Query:color": 20.0, "Query:shape": 20.0}
-    assert data_driven_utilities(table, [q_color]) == {q_color: 20.0}
-
-
-def test_data_utilities_missing_frequency():
-    with pytest.raises(MissingFrequencyError):
-        data_driven_utilities({}, [Question(kind="wh", property="color")])
-
-
-def test_uniform_frequency_table_ranks_color_highest():
-    table = uniform_frequency_table(spacecraft_world().schema)
-    assert table["Query:color"] == max(table.values())
-    assert sum(table.values()) == pytest.approx(100.0)
+def grid_world(*names, constant=()):
+    """Four entities, one per value pair of the two varying properties
+    `names`; each property in `constant` takes the same value everywhere."""
+    schema = PropertySchema(
+        tuple((p, ("x",)) for p in constant) + tuple((p, ("a", "b")) for p in names)
+    )
+    fixed = {p: "x" for p in constant}
+    ents = tuple(
+        Entity(f"e{u}{v}", "w", "w", {**fixed, names[0]: u, names[1]: v})
+        for u in "ab" for v in "ab"
+    )
+    return World(schema, ents)
 
 
 # --- network construction and selection --------------------------------
@@ -134,8 +128,15 @@ def test_build_network_spacecraft_emitters():
         assert net.utilities[q] > 0
 
 
-def test_twelve_question_configuration():
-    # 9 WH-eligible properties plus 3 confirm-eligible ones -> 12 questions
+def expected_modal_value(belief, prop):
+    counts = {}
+    for e in belief.candidates:
+        counts[e.value(prop)] = counts.get(e.value(prop), 0) + 1
+    return next(v for v in belief.world.schema.domain(prop)
+                if counts.get(v) == max(counts.values()))
+
+
+def test_one_wh_and_one_modal_confirm_per_active_property():
     props = tuple((f"p{i}", ("a", "b", "c")) for i in range(9))
     schema = PropertySchema(props)
     ents = []
@@ -148,13 +149,41 @@ def test_twelve_question_configuration():
             continue
         seen.add(key)
         ents.append(Entity(f"e{len(ents)}", "w", "w", assignment))
-    w = World(schema, tuple(ents))
-    b = init_belief(w, "w")
-    net = build_network(b, yn_properties=("p0", "p1", "p2"))
-    wh = [q for q in net.questions if q.kind == "wh"]
-    yn = [q for q in net.questions if q.kind == "yn"]
-    assert len(wh) == len(net.active)
-    assert all(q.property in ("p0", "p1", "p2") for q in yn)
+    random_world = World(schema, tuple(ents))
+    sc = spacecraft_world()
+    beliefs = [init_belief(random_world, "w")] + [init_belief(sc, label) for label in sc.labels]
+    for b in beliefs:
+        for policy in ("entropy", "data"):
+            net = build_network(b, policy=policy)
+            assert net.active
+            for prop in net.active:
+                about = [q for q in net.questions if q.property == prop]
+                assert [q.kind for q in about] == ["wh", "yn"]
+                assert about[1].value == expected_modal_value(b, prop)
+            assert len(net.questions) == 2 * len(net.active)
+            assert set(net.utilities) == set(net.questions)
+
+
+def test_ties_break_by_schema_order_then_wh():
+    def wh(prop):
+        return Question(kind="wh", property=prop)
+
+    # every question of a 2x2 world scores 1 bit under entropy
+    b = init_belief(grid_world("shape", "color"), "w")
+    net = build_network(b)
+    assert set(net.utilities.values()) == {1.0}
+    assert select_question(net) == wh("shape")
+    # the data policy prefers color over every other question type
+    net = build_network(b, policy="data")
+    assert all(net.utilities[wh("color")] > u
+               for q, u in net.utilities.items() if q.property != "color")
+    assert select_question(net) == wh("color")
+    # without color, data ties too and picks the first active property
+    b = init_belief(grid_world("shape", "size", constant=("weight",)), "w")
+    for policy in ("entropy", "data"):
+        net = build_network(b, policy=policy)
+        assert net.active == ("shape", "size")
+        assert select_question(net) == wh("shape")
 
 
 def test_select_question_color_only_difference():
@@ -192,17 +221,6 @@ def test_select_question_deterministic():
     net = build_network(b)
     first = select_question(net)
     assert all(select_question(build_network(b)) == first for _ in range(5))
-
-
-def test_argmax_invariant_under_frequency_scaling():
-    w = spacecraft_world()
-    for label in w.labels:
-        b = init_belief(w, label)
-        table = uniform_frequency_table(w.schema)
-        scaled = {k: 7.5 * v for k, v in table.items()}
-        net1 = build_network(b, policy="data", freq_table=table)
-        net2 = build_network(b, policy="data", freq_table=scaled)
-        assert select_question(net1) == select_question(net2)
 
 
 def test_argmax_invariant_under_log_base():

@@ -195,7 +195,7 @@ class ActiveSetCheckingAgent(ModelAgent):
     property of its network takes more than one value among the candidates."""
 
     def choose(self, belief):
-        net = build_network(belief, policy=self.policy, yn_properties=belief.world.schema.names)
+        net = build_network(belief, policy=self.policy)
         for prop in net.active:
             assert len({e.value(prop) for e in belief.candidates}) > 1, prop
         return super().choose(belief)

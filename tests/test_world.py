@@ -108,6 +108,24 @@ def test_load_world_rejects_scalar_values():
                    "entities:\n  - {id: a, label: w, type: w, assignment: {color: red}}\n")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ("schema: 5\nentities: []\n", "'schema' must be a list, got 5"),
+    ("schema: []\nentities: abc\n", "'entities' must be a list, got 'abc'"),
+], ids=["schema", "entities"])
+def test_load_world_rejects_non_list_sections(doc, message):
+    with pytest.raises(WorldFormatError, match=message):
+        load_world(doc)
+
+
+def test_load_world_rejects_nested_values():
+    with pytest.raises(WorldFormatError, match=r"expected a single value, got \['x'\]"):
+        load_world("schema:\n  - {name: color, values: [r, [x]]}\n"
+                   "entities:\n  - {id: a, label: w, type: w, assignment: {color: r}}\n")
+    with pytest.raises(WorldFormatError, match="entity 'a' label: expected a single value"):
+        load_world("schema:\n  - {name: color, values: [r]}\n"
+                   "entities:\n  - {id: a, label: {w: 1}, type: w, assignment: {color: r}}\n")
+
+
 @pytest.mark.parametrize("schema_values, assigned", [
     ("[yes, no]", "yes"),
     ("['yes', 'no']", "no"),
