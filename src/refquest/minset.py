@@ -1,17 +1,21 @@
 """Minimum disambiguating property sets by projection injectivity.
 
 A property set tells the entities apart exactly when projecting every
-entity onto it gives pairwise distinct rows. While few properties vary
-among the entities, the smallest such set is found by cardinality-ordered
-exhaustive search; beyond that, properties are added greedily, each time
-the one that most refines the partition of entities into equal rows.
+entity onto it gives pairwise distinct rows. Entities are read as their
+packed schema codes (see `PropertySchema`), so a projection is
+`code & mask` for the OR of the set's field masks. While few properties
+vary among the entities, the smallest such set is found by
+cardinality-ordered exhaustive search; beyond that, properties are added
+greedily by partition refinement: every entity carries the id of its class
+of equal projections, and each step adds the property that splits those
+classes into the most new ones.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from operator import itemgetter
+from operator import add, rshift
 
 from refquest.world import Entity, PropertySchema
 
@@ -43,40 +47,54 @@ def compute_min_set(
     """
     if len(entities) < 2:
         return []
-    names = schema.names
-    rows = [schema.row(e) for e in entities]
-    k = len(rows)
-    if len(set(rows)) < k:
-        first: dict[tuple, Entity] = {}
-        for e, row in zip(entities, rows):
-            seen = first.setdefault(row, e)
-            if seen is not e:
-                raise IndistinguishablePairError(seen.id, e.id)
-    varying = [i for i in range(len(names)) if len(set(map(itemgetter(i), rows))) > 1]
-
-    def distinct(columns: Sequence[int]) -> int:
-        return len(set(map(itemgetter(*columns), rows)))
-
-    def injective(columns: Sequence[int]) -> bool:
-        # most subsets repeat a projection within the first few dozen rows
-        seen: set = set()
-        add = seen.add
-        for projection in map(itemgetter(*columns), rows):
-            if projection in seen:
-                return False
-            add(projection)
-        return True
+    names, masks = schema.names, schema.masks
+    codes = list(map(schema.code, entities))
+    k = len(codes)
+    if len(set(codes)) < k:
+        by_code: dict[int, Entity] = {}
+        for e, code in zip(entities, codes):
+            other = by_code.setdefault(code, e)
+            if other is not e:
+                raise IndistinguishablePairError(other.id, e.id)
+    # a property varies exactly where some code's field differs from the first's
+    differ, first = 0, codes[0]
+    for code in codes:
+        differ |= code ^ first
+    varying = [i for i, m in enumerate(masks) if differ & m]
 
     if len(varying) <= exact_limit:
         for r in range(1, len(varying) + 1):
-            for subset in itertools.combinations(varying, r):
-                if injective(subset):
+            subset_masks = map(sum, itertools.combinations([masks[i] for i in varying], r))
+            for subset, mask in zip(itertools.combinations(varying, r), subset_masks):
+                # most subsets repeat a projection within the first few dozen rows
+                seen: set[int] = set()
+                add_seen = seen.add
+                for code in codes:
+                    projection = code & mask
+                    if projection in seen:
+                        break
+                    add_seen(projection)
+                else:
                     return [names[i] for i in subset]
-        raise AssertionError("all varying properties together separate distinct rows")
-    chosen: list[int] = []
-    while not chosen or distinct(chosen) < k:
-        # varying is schema-ordered, so max() on the count alone breaks
+        raise AssertionError("all varying properties together separate distinct codes")
+
+    # one column per varying property: its field shifted down to
+    # 0..2**width - 1, so class id << width plus a field value is distinct
+    # per (class, value)
+    width = schema.width
+    columns = {
+        i: list(map(rshift, map(masks[i].__and__, codes), itertools.repeat(i * width)))
+        for i in varying
+    }
+    base = [0] * k  # class id << width, one per entity; all in one class at first
+    n_classes, chosen = 1, []
+    while n_classes < k:
+        # columns is schema-ordered, so max() on the count alone breaks
         # ties toward the earlier property
-        rest = [i for i in varying if i not in chosen]
-        chosen.append(max(rest, key=lambda i: distinct([*chosen, i])))
+        pick = max(columns, key=lambda i: len(set(map(add, base, columns[i]))))
+        relabel: dict[int, int] = {}
+        base = [relabel.setdefault(key, len(relabel)) << width
+                for key in map(add, base, columns.pop(pick))]
+        n_classes = len(relabel)
+        chosen.append(pick)
     return [names[i] for i in sorted(chosen)]

@@ -18,7 +18,7 @@ _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class WorldFormatError(Exception):
-    """The world-config document is malformed or fails validation."""
+    """A world config or entity is malformed or fails validation."""
 
 
 @dataclass(frozen=True)
@@ -27,15 +27,24 @@ class PropertySchema:
 
     Ordering is stable and significant: it drives deterministic
     tie-breaking throughout the question-selection pipeline. Names,
-    domains and positions are tabled once at construction, and each
-    entity's value row is built on first use and kept with the schema.
+    domains and positions are tabled once at construction.
+
+    Each entity compiles, on first use, to one packed int kept with the
+    schema: property i owns the bit field of `width` bits starting at bit
+    i * width, which holds the entity's value's domain index + 1, or 0 where
+    it has no value. `masks[i]` selects that field, so two entities agree
+    on a property set exactly when their codes agree under the OR of its
+    masks.
     """
 
     properties: tuple[tuple[str, tuple[str, ...]], ...]
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    width: int = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _domains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _rows: dict["Entity", tuple[str | None, ...]] = field(
+    _fields: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    _codes: dict["Entity", int] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -48,9 +57,19 @@ class PropertySchema:
                 raise WorldFormatError(f"property {name!r} has an empty domain")
             if len(set(values)) != len(values):
                 raise WorldFormatError(f"property {name!r} has duplicate values")
+        width = max((len(values) for _, values in self.properties), default=0).bit_length()
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(
+            self, "masks", tuple(((1 << width) - 1) << (i * width) for i in range(len(names)))
+        )
         object.__setattr__(self, "_domains", dict(self.properties))
         object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
+        object.__setattr__(self, "_fields", {
+            (name, value): (j + 1) << (i * width)
+            for i, (name, values) in enumerate(self.properties)
+            for j, value in enumerate(values)
+        })
 
     def domain(self, name: str) -> tuple[str, ...]:
         return self._domains[name]
@@ -61,12 +80,23 @@ class PropertySchema:
     def __contains__(self, name: str) -> bool:
         return name in self._index
 
-    def row(self, entity: "Entity") -> tuple[str | None, ...]:
-        """The entity's values in schema order, None where it has none."""
-        row = self._rows.get(entity)
-        if row is None:
-            row = self._rows[entity] = tuple(map(entity.assignment.get, self.names))
-        return row
+    def code(self, entity: "Entity") -> int:
+        """The entity's packed code; raises WorldFormatError for a property
+        the schema lacks or a value outside its property's domain."""
+        code = self._codes.get(entity)
+        if code is None:
+            try:
+                code = sum(map(self._fields.__getitem__, entity.assignment.items()))
+            except KeyError as exc:
+                prop, value = exc.args[0]
+                problem = (
+                    f"value {value!r} not in domain of property {prop!r}"
+                    if prop in self
+                    else f"unknown property {prop!r} (value {value!r})"
+                )
+                raise WorldFormatError(f"entity {entity.id!r}: {problem}") from None
+            self._codes[entity] = code
+        return code
 
 
 @dataclass(frozen=True)
@@ -123,13 +153,14 @@ def validate_world(world: World) -> list[str]:
                 violations.append(
                     f"entity {e.id!r}: value {value!r} not in domain of property {prop!r}"
                 )
-    # entities with equal rows, each group in world order; every pair is
+    # entities with equal values, each group in world order; every pair is
     # reported in (earlier, later) world order
+    names = world.schema.names
     groups: dict[tuple, list[Entity]] = {}
     for e in world.entities:
-        groups.setdefault(world.schema.row(e), []).append(e)
+        groups.setdefault(tuple(map(e.assignment.get, names)), []).append(e)
     for a in world.entities:
-        group = groups[world.schema.row(a)]
+        group = groups[tuple(map(a.assignment.get, names))]
         group.pop(0)
         for b in group:
             violations.append(f"entities {a.id!r} and {b.id!r} share an identical assignment")

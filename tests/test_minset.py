@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from refquest.dialogue import ModelAgent, run_episode
 from refquest.dnet import build_network
 from refquest.minset import EXACT_LIMIT_DEFAULT, IndistinguishablePairError, compute_min_set
-from refquest.world import Entity, PropertySchema
+from refquest.world import Entity, PropertySchema, WorldFormatError
 from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
 
 
@@ -34,6 +34,35 @@ def brute_force_minimum(entities, schema):
             if injective(entities, subset):
                 return list(subset)
     raise AssertionError("entities not distinguishable at all")
+
+
+def reference_min_set(entities, schema, exact_limit):
+    """Tuple-projection reference for both paths of compute_min_set: each
+    entity is its row of values in schema order (None where it has none).
+    Exact: the first subset of the varying properties, by size and then
+    combinations order, with pairwise distinct projections. Greedy: add the
+    property that gives the most distinct projections, ties to the earlier
+    schema property, until all are distinct; schema order."""
+    names = schema.names
+    rows = [tuple(e.assignment.get(p) for p in names) for e in entities]
+    if len(rows) < 2:
+        return []
+
+    def distinct(columns):
+        return len({tuple(row[i] for i in columns) for row in rows})
+
+    varying = [i for i in range(len(names)) if distinct([i]) > 1]
+    if len(varying) <= exact_limit:
+        for r in range(1, len(varying) + 1):
+            for subset in itertools.combinations(varying, r):
+                if distinct(subset) == len(rows):
+                    return [names[i] for i in subset]
+        raise AssertionError("rows not distinguishable at all")
+    chosen = []
+    while not chosen or distinct(chosen) < len(rows):
+        rest = [i for i in varying if i not in chosen]
+        chosen.append(max(rest, key=lambda i: distinct([*chosen, i])))
+    return [names[i] for i in sorted(chosen)]
 
 
 def test_single_differing_property_clause():
@@ -75,6 +104,22 @@ def test_shared_property_wins():
     s = schema_of("color", "shape", "size")
     es = [ent("1", s, "a", "a", "a"), ent("2", s, "b", "b", "a"), ent("3", s, "c", "a", "b")]
     assert compute_min_set(es, s) == ["color"]
+
+
+def test_value_outside_the_domain_is_named():
+    s = schema_of("color", "shape")
+    stray = Entity("x", "w", "w", {"color": "purple", "shape": "a"})
+    with pytest.raises(WorldFormatError,
+                       match=r"entity 'x': value 'purple' not in domain of property 'color'"):
+        compute_min_set([ent("1", s, "a", "a"), stray], s)
+
+
+def test_property_outside_the_schema_is_named():
+    s = schema_of("color", "shape")
+    stray = Entity("x", "w", "w", {"color": "b", "shape": "a", "size": "big"})
+    with pytest.raises(WorldFormatError,
+                       match=r"entity 'x': unknown property 'size' \(value 'big'\)"):
+        compute_min_set([ent("1", s, "a", "a"), stray], s)
 
 
 def test_empty_clause_set_gives_empty_minset():
@@ -188,6 +233,39 @@ def test_minset_invariants_on_generated_worlds(w):
             record = run_episode(w, e.id, ModelAgent())
             assert record.resolved_id == e.id
             assert sum(1 for q, _ in record.transcript if q.kind == "wh") <= len(minset)
+
+
+# domain sizes on both sides of each field-width step (1 | 2-3 | 4-7 | 8-15
+# values); the largest domain sets the width of every field
+BIT_WIDTH_EDGES = (1, 2, 3, 4, 7, 8, 9)
+
+
+@st.composite
+def hand_built_entities(draw):
+    """(schema, distinct entities, exact_limit): up to 8 properties with
+    domain sizes from BIT_WIDTH_EDGES, values drawn per entity (some left
+    missing), and an exact_limit low enough to send many cases greedy."""
+    sizes = draw(st.lists(st.sampled_from(BIT_WIDTH_EDGES), min_size=1, max_size=8))
+    schema = PropertySchema(tuple(
+        (f"p{i}", tuple(f"v{j}" for j in range(n))) for i, n in enumerate(sizes)
+    ))
+    # -1 leaves the property out of the entity's assignment
+    rows = draw(st.lists(st.tuples(*(st.integers(-1, n - 1) for n in sizes)),
+                         min_size=2, max_size=24, unique=True))
+    entities = [
+        Entity(str(i), "w", "w",
+               {p: schema.domain(p)[v] for p, v in zip(schema.names, row) if v >= 0})
+        for i, row in enumerate(rows)
+    ]
+    return schema, entities, draw(st.integers(0, len(sizes)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_entities())
+def test_both_paths_match_the_tuple_reference(case):
+    schema, entities, exact_limit = case
+    assert (compute_min_set(entities, schema, exact_limit)
+            == reference_min_set(entities, schema, exact_limit))
 
 
 class ActiveSetCheckingAgent(ModelAgent):

@@ -49,8 +49,14 @@ def test_schema_lookups():
     assert "shape" in SCHEMA and "size" not in SCHEMA
     with pytest.raises(KeyError):
         SCHEMA.domain("size")
-    assert SCHEMA.row(ent("a", "blue", "tall")) == ("blue", "tall")
-    assert SCHEMA.row(Entity("b", "w", "w", {"shape": "short"})) == (None, "short")
+    # a missing property differs from every domain value; equal assignments
+    # give equal codes, whatever the entity
+    color = SCHEMA.masks[SCHEMA.index("color")]
+    no_color = SCHEMA.code(Entity("b", "w", "w", {"shape": "short"}))
+    assert all(SCHEMA.code(ent(c, c, "short")) & color != no_color & color
+               for c in ("red", "blue"))
+    assert SCHEMA.code(ent("a", "blue", "tall")) == SCHEMA.code(ent("z", "blue", "tall", "gadget"))
+    assert SCHEMA.code(ent("a", "blue", "tall")) != SCHEMA.code(ent("a", "red", "tall"))
 
 
 def test_incomplete_assignment_flagged():
