@@ -14,7 +14,7 @@ from refquest.world import Entity, World
 
 
 class UnknownReferentError(Exception):
-    """No entity in the world matches the instruction label."""
+    """No entity in the world matches the instruction label or target id."""
 
 
 class ContradictoryAnswerError(Exception):
@@ -32,7 +32,6 @@ class Belief:
     """Immutable evidence state; updates return a new Belief."""
 
     world: World
-    instruction_label: str
     candidates: tuple[Entity, ...]  # surviving entities, world order
 
     @property
@@ -47,8 +46,6 @@ class Belief:
 
     def distribution(self, prop: str) -> PropertyDistribution:
         """Empirical value frequencies of `prop` among surviving candidates."""
-        if prop not in self.world.schema:
-            raise KeyError(prop)
         counts: dict[str, int] = {}
         for e in self.candidates:
             v = e.value(prop)
@@ -88,4 +85,4 @@ def init_belief(world: World, instruction_label: str) -> Belief:
     matches = world.with_label(instruction_label)
     if not matches:
         raise UnknownReferentError(f"no entity labelled {instruction_label!r}")
-    return Belief(world=world, instruction_label=instruction_label, candidates=matches)
+    return Belief(world=world, candidates=matches)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from refquest.belief import Belief, init_belief
+from refquest.belief import Belief, UnknownReferentError, init_belief
 from refquest.dnet import DATA, ENTROPY, Question, build_network, select_question
 from refquest.world import World
 
@@ -174,7 +174,12 @@ def run_episode(
     `on_turn(question, answer)` is an optional observer hook (used by the
     interactive mode to echo the exchange).
     """
-    target = world.by_id(target_id)
+    if max_questions < 0:
+        raise ValueError(f"max_questions must be 0 or more, got {max_questions}")
+    try:
+        target = world.by_id(target_id)
+    except KeyError:
+        raise UnknownReferentError(f"no entity with id {target_id!r}") from None
     if oracle is None:
         oracle = SimOracle(world, target_id)
     belief = init_belief(world, target.label)

@@ -4,12 +4,15 @@ A world is a property schema (ordered properties, each with an ordered
 value domain) plus a list of entities. Property values are opaque string
 tokens; only equality matters. Several entities may share a `label` (the
 instruction-facing name) -- that is what creates referential ambiguity --
-but every entity's full assignment must be unique.
+but every entity's full assignment must be unique. A World checks this
+when it is constructed, whether it is built by hand, generated or loaded
+from a config document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import yaml
 
@@ -114,8 +117,35 @@ class Entity:
 
 @dataclass(frozen=True)
 class World:
+    """A schema and its entities, checked at construction: ids are unique,
+    every entity assigns each property one value of its domain, and no two
+    entities share an assignment. Otherwise WorldFormatError lists every
+    violation."""
+
     schema: PropertySchema
     entities: tuple[Entity, ...]
+
+    def __post_init__(self):
+        violations = []
+        ids = set()
+        groups: dict[int, list[int]] = {}  # code -> entity indices, world order
+        for i, e in enumerate(self.entities):
+            if e.id in ids:
+                violations.append(f"duplicate entity id {e.id!r}")
+            ids.add(e.id)
+            missing = [p for p in self.schema.names if p not in e.assignment]
+            if missing:
+                violations.append(f"entity {e.id!r}: incomplete assignment, missing {missing}")
+            try:
+                groups.setdefault(self.schema.code(e), []).append(i)
+            except WorldFormatError as exc:
+                violations.append(str(exc))
+        # every identical pair, in (earlier, later) world order
+        for i, j in sorted(pair for group in groups.values() for pair in combinations(group, 2)):
+            a, b = self.entities[i].id, self.entities[j].id
+            violations.append(f"entities {a!r} and {b!r} share an identical assignment")
+        if violations:
+            raise WorldFormatError("invalid world: " + "; ".join(violations))
 
     def by_id(self, entity_id: str) -> Entity:
         for e in self.entities:
@@ -135,38 +165,6 @@ class World:
         return tuple(seen)
 
 
-def validate_world(world: World) -> list[str]:
-    """Check all world invariants. Returns a list of violations (empty = ok)."""
-    violations = []
-    seen_ids = set()
-    for e in world.entities:
-        if e.id in seen_ids:
-            violations.append(f"duplicate entity id {e.id!r}")
-        seen_ids.add(e.id)
-        missing = [p for p in world.schema.names if p not in e.assignment]
-        if missing:
-            violations.append(f"entity {e.id!r}: incomplete assignment, missing {missing}")
-        for prop, value in e.assignment.items():
-            if prop not in world.schema:
-                violations.append(f"entity {e.id!r}: unknown property {prop!r}")
-            elif value not in world.schema.domain(prop):
-                violations.append(
-                    f"entity {e.id!r}: value {value!r} not in domain of property {prop!r}"
-                )
-    # entities with equal values, each group in world order; every pair is
-    # reported in (earlier, later) world order
-    names = world.schema.names
-    groups: dict[tuple, list[Entity]] = {}
-    for e in world.entities:
-        groups.setdefault(tuple(map(e.assignment.get, names)), []).append(e)
-    for a in world.entities:
-        group = groups[tuple(map(a.assignment.get, names))]
-        group.pop(0)
-        for b in group:
-            violations.append(f"entities {a.id!r} and {b.id!r} share an identical assignment")
-    return violations
-
-
 def _text(value, where: str) -> str:
     """A world name or value as its string token; YAML booleans and nulls are
     refused because their spelling (yes, no, on, ~) is lost once parsed, and
@@ -181,7 +179,7 @@ def _text(value, where: str) -> str:
 
 
 def load_world(text: str) -> World:
-    """Parse a world-config document (YAML) and validate it.
+    """Parse a world-config document (YAML) into a checked World.
 
     Top-level keys: `schema` (list of {name, values}) and `entities`
     (list of {id, label, type, assignment}).
@@ -232,11 +230,7 @@ def load_world(text: str) -> World:
                 f"bad entity entry {item!r}: needs id/label/type/assignment"
             ) from exc
 
-    world = World(schema=schema, entities=tuple(entities))
-    violations = validate_world(world)
-    if violations:
-        raise WorldFormatError("invalid world: " + "; ".join(violations))
-    return world
+    return World(schema=schema, entities=tuple(entities))
 
 
 def serialize_world(world: World) -> str:

@@ -74,7 +74,7 @@ def test_episode_unknown_target_exits_1(capsys):
     code, _, err = run_cli(capsys, "episode", "--world", "spacecraft",
                            "--target", "flux_widget_9")
     assert code == 1
-    assert "flux_widget_9" in err
+    assert "no entity with id 'flux_widget_9'" in err
 
 
 def test_episode_human_oracle(capsys, monkeypatch):

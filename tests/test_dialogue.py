@@ -105,6 +105,11 @@ def test_budget_exceeded_raises():
         run_episode(w, "emitter_1", ModelAgent(), max_questions=0)
 
 
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError, match="max_questions must be 0 or more, got -3"):
+        run_episode(spacecraft_world(), "emitter_1", ModelAgent(), max_questions=-3)
+
+
 def test_truthful_oracle_never_contradicts():
     spec = RandomWorldSpec(n_entities=12, n_varying=5, n_properties=5, group_size=6, seed=3)
     w = generate_random_world(spec)

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import refquest.world
+from refquest.dialogue import ModelAgent, run_episode
 from refquest.world import (
     Entity,
     PropertySchema,
@@ -7,7 +14,6 @@ from refquest.world import (
     WorldFormatError,
     load_world,
     serialize_world,
-    validate_world,
 )
 from refquest.worlds import spacecraft_world
 
@@ -20,26 +26,59 @@ def ent(id, color, shape, label="widget"):
 
 
 def test_valid_world_passes():
-    w = World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall")))
-    assert validate_world(w) == []
+    World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall")))
 
 
 def test_duplicate_assignment_names_both_ids():
-    w = World(SCHEMA, (ent("a", "red", "tall"), ent("b", "red", "tall")))
-    violations = validate_world(w)
-    assert len(violations) == 1
-    assert "'a'" in violations[0] and "'b'" in violations[0]
+    with pytest.raises(WorldFormatError,
+                       match="^invalid world: entities 'a' and 'b' share an identical assignment$"):
+        World(SCHEMA, (ent("a", "red", "tall"), ent("b", "red", "tall")))
 
 
 def test_duplicate_assignments_reported_pairwise_in_world_order():
     # a, c and e are identical, b and d are identical, f is unique
-    w = World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall"),
+    with pytest.raises(WorldFormatError) as exc:
+        World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall"),
                        ent("c", "red", "tall"), ent("d", "blue", "tall"),
                        ent("e", "red", "tall"), ent("f", "red", "short")))
-    assert validate_world(w) == [
+    assert str(exc.value) == "invalid world: " + "; ".join([
         f"entities {x!r} and {y!r} share an identical assignment"
         for x, y in (("a", "c"), ("a", "e"), ("b", "d"), ("c", "e"))
-    ]
+    ])
+
+
+def test_violations_listed_by_entity_then_identical_pairs():
+    # each entity reports its duplicate id, its missing properties and its
+    # first value the schema does not know; identical pairs come last
+    with pytest.raises(WorldFormatError) as exc:
+        World(SCHEMA, (ent("a", "red", "tall"), ent("a", "blue", "tall"),
+                       Entity("b", "w", "w", {"shape": "tall", "size": "big"}),
+                       ent("c", "mauve", "round"), ent("d", "red", "tall")))
+    assert str(exc.value) == "invalid world: " + "; ".join([
+        "duplicate entity id 'a'",
+        "entity 'b': incomplete assignment, missing ['color']",
+        "entity 'b': unknown property 'size' (value 'big')",
+        "entity 'c': value 'mauve' not in domain of property 'color'",
+        "entities 'a' and 'd' share an identical assignment",
+    ])
+
+
+def test_entity_missing_a_property_is_refused_at_construction():
+    # b has no color, which every episode on this world would need to read
+    entities = (ent("a", "red", "tall"), Entity("b", "widget", "widget", {"shape": "short"}),
+                ent("c", "blue", "short"))
+    with pytest.raises(WorldFormatError,
+                       match=r"entity 'b': incomplete assignment, missing \['color'\]"):
+        run_episode(World(SCHEMA, entities), "a", ModelAgent())
+
+
+def test_importing_world_loads_no_other_refquest_module():
+    code = ("import sys, refquest.world; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'refquest'))")
+    src = Path(refquest.world.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "['refquest', 'refquest.world']"
 
 
 def test_schema_lookups():
@@ -61,13 +100,13 @@ def test_schema_lookups():
 
 def test_incomplete_assignment_flagged():
     e = Entity(id="a", label="w", type_name="w", assignment={"color": "red"})
-    w = World(SCHEMA, (e, ent("b", "blue", "tall")))
-    assert any("incomplete" in v for v in validate_world(w))
+    with pytest.raises(WorldFormatError, match="incomplete"):
+        World(SCHEMA, (e, ent("b", "blue", "tall")))
 
 
 def test_unknown_value_flagged():
-    w = World(SCHEMA, (ent("a", "green", "tall"), ent("b", "blue", "tall")))
-    assert any("green" in v and "color" in v for v in validate_world(w))
+    with pytest.raises(WorldFormatError, match="'green'.*'color'"):
+        World(SCHEMA, (ent("a", "green", "tall"), ent("b", "blue", "tall")))
 
 
 def test_schema_rejects_duplicate_properties():
@@ -177,7 +216,6 @@ def test_spacecraft_config_shape():
     w = spacecraft_world()
     assert len(w.entities) == 18
     assert len(w.schema.names) == 6
-    assert validate_world(w) == []
     types = {e.type_name for e in w.entities}
     assert len(types) == 6
     for t in types:
@@ -208,7 +246,6 @@ def test_spacecraft_fixed_feature_assignments():
 
 def test_valid_world_is_pairwise_distinguishable():
     w = spacecraft_world()
-    assert validate_world(w) == []
     for i, a in enumerate(w.entities):
         for b in w.entities[i + 1:]:
             assert any(a.value(p) != b.value(p) for p in w.schema.names)

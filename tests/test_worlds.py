@@ -3,7 +3,7 @@ import pytest
 from refquest.belief import init_belief
 from refquest.dnet import wh_entropy
 from refquest.minset import compute_min_set
-from refquest.world import load_world, serialize_world, validate_world
+from refquest.world import load_world, serialize_world
 from refquest.worlds import (
     InfeasibleSpecError,
     RandomWorldSpec,
@@ -16,7 +16,7 @@ from refquest.belief import Belief
 
 
 def entity_level_entropy(world, prop):
-    b = Belief(world=world, instruction_label="*", candidates=world.entities)
+    b = Belief(world=world, candidates=world.entities)
     return wh_entropy(b.distribution(prop))
 
 
@@ -24,14 +24,12 @@ def test_low_variance_world_has_three_varying_properties():
     w = generate_random_world(low_variance_spec(3))
     varying = [p for p in w.schema.names if entity_level_entropy(w, p) > 0]
     assert len(varying) == 3
-    assert validate_world(w) == []
 
 
 def test_high_variance_world_varies_widely():
     w = generate_random_world(high_variance_spec(3))
     varying = [p for p in w.schema.names if entity_level_entropy(w, p) > 0]
     assert len(varying) >= 6  # up to all 7; a constant column is vanishingly unlikely
-    assert validate_world(w) == []
 
 
 def test_infeasible_spec_rejected():
@@ -54,7 +52,8 @@ def test_seed_determinism():
 def test_generated_worlds_always_validate():
     for seed in range(25):
         for spec in (low_variance_spec(seed), high_variance_spec(seed)):
-            assert validate_world(generate_random_world(spec)) == []
+            w = generate_random_world(spec)
+            assert load_world(serialize_world(w)) == w
 
 
 def test_minset_never_includes_constant_properties():
