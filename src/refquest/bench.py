@@ -1,11 +1,11 @@
 """Benchmark harness: systems x environments x iterations, with reports.
 
-Each iteration runs one episode per entity in the world (fresh random
-world per iteration in the random regimes; the fixed spacecraft layout
-otherwise) and records the mean question count. Reported mean/SD are
-over the per-iteration means. Everything derives deterministically from
-the base seed via a counter-based split, so runs are reproducible and
-iterations are order-independent.
+Each iteration builds one world (a fresh random world in the random
+regimes; the fixed spacecraft layout otherwise), and every system runs
+one episode per entity on that same world and records its mean question
+count. Reported mean/SD are over the per-iteration means. Everything
+derives deterministically from the base seed via a counter-based split,
+so runs are reproducible and iterations are order-independent.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import json
 import statistics
 from dataclasses import dataclass, field, replace
 
-from refquest.dialogue import BaselineAgent, ModelAgent, run_episode
+from refquest.dialogue import MAX_QUESTIONS_DEFAULT, BaselineAgent, ModelAgent, run_episode
+from refquest.world import World
 from refquest.worlds import (
+    RandomWorldSpec,
     generate_random_world,
     high_variance_spec,
     low_variance_spec,
@@ -34,18 +36,15 @@ HUMAN_REFERENCE = {"mean": 1.72, "sd": 0.40}
 _SPLIT = 1_000_003  # prime multiplier for the counter-based seed split
 
 
-class InsufficientSampleError(Exception):
-    """Too few observations (or zero variance throughout) for a t statistic."""
-
-
 @dataclass(frozen=True)
 class BenchmarkSpec:
     systems: tuple[str, ...] = SYSTEMS
     environment: str = "spacecraft"
     iterations: int = 100
-    trials: int = 20  # entity count for random worlds; spacecraft uses all 18 tools
+    # entity count for random worlds; spacecraft uses all 18 tools
+    trials: int = RandomWorldSpec.n_entities
     base_seed: int = 0
-    max_questions: int = 50
+    max_questions: int = MAX_QUESTIONS_DEFAULT
 
     def validate(self):
         if not self.systems:
@@ -53,6 +52,8 @@ class BenchmarkSpec:
         for s in self.systems:
             if s not in SYSTEMS:
                 raise ValueError(f"unknown system {s!r}; expected one of {SYSTEMS}")
+        if len(set(self.systems)) != len(self.systems):
+            raise ValueError(f"duplicate systems in {self.systems}")
         if self.environment not in ENVIRONMENTS:
             raise ValueError(
                 f"unknown environment {self.environment!r}; expected one of {ENVIRONMENTS}"
@@ -95,71 +96,51 @@ def _iteration_seed(base_seed: int, iteration: int) -> int:
     return base_seed * _SPLIT + iteration
 
 
-def _make_agent(system: str, episode_seed: int):
+def make_agent(system: str, seed: int):
+    """A fresh agent for a system; only the baseline reads `seed`."""
     if system == "model-entropy":
         return ModelAgent(policy="entropy")
     if system == "model-data":
         return ModelAgent(policy="data")
     if system == "baseline":
-        return BaselineAgent(seed=episode_seed)
+        return BaselineAgent(seed=seed)
     raise ValueError(f"unknown system {system!r}")
 
 
-def _world_for(spec: BenchmarkSpec, iteration_seed: int):
-    if spec.environment == "spacecraft":
+def world_for(environment: str, seed: int, n_entities: int) -> World:
+    """The world an environment presents at a seed: the fixed spacecraft
+    layout, or a random world of `n_entities` entities."""
+    if environment == "spacecraft":
         return spacecraft_world()
-    if spec.environment == "random-low":
-        template = low_variance_spec(iteration_seed)
+    if environment == "random-low":
+        template = low_variance_spec(seed)
+    elif environment == "random-high":
+        template = high_variance_spec(seed)
     else:
-        template = high_variance_spec(iteration_seed)
-    if spec.trials != template.n_entities:
-        template = replace(template, n_entities=spec.trials)
-    return generate_random_world(template)
+        raise ValueError(f"unknown environment {environment!r}; expected one of {ENVIRONMENTS}")
+    return generate_random_world(replace(template, n_entities=n_entities))
 
 
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
     spec.validate()
-    results = []
+    means: dict[str, list[float]] = {system: [] for system in spec.systems}
     total = 0
-    for system in spec.systems:
-        iteration_means = []
-        for it in range(spec.iterations):
-            it_seed = _iteration_seed(spec.base_seed, it)
-            world = _world_for(spec, it_seed)
+    for it in range(spec.iterations):
+        it_seed = _iteration_seed(spec.base_seed, it)
+        world = world_for(spec.environment, it_seed, spec.trials)
+        for system, iteration_means in means.items():
             counts = []
             for t, entity in enumerate(world.entities):
-                agent = _make_agent(system, it_seed * _SPLIT + t)
-                record = run_episode(
-                    world, entity.id, agent, max_questions=spec.max_questions
-                )
+                agent = make_agent(system, it_seed * _SPLIT + t)
+                record = run_episode(world, entity.id, agent, max_questions=spec.max_questions)
                 counts.append(record.question_count)
-                total += 1
+            total += len(counts)
             iteration_means.append(statistics.fmean(counts))
-        results.append(
-            SystemResult(
-                system=system,
-                environment=spec.environment,
-                iteration_means=tuple(iteration_means),
-            )
-        )
-    return BenchmarkReport(spec=spec, results=tuple(results), total_episodes=total)
-
-
-def welch_t(sample_a, sample_b) -> tuple[float, float]:
-    """Welch's t statistic and degrees of freedom for two samples."""
-    if len(sample_a) < 2 or len(sample_b) < 2:
-        raise InsufficientSampleError("need at least 2 observations per sample")
-    ma, mb = statistics.fmean(sample_a), statistics.fmean(sample_b)
-    va, vb = statistics.variance(sample_a), statistics.variance(sample_b)
-    na, nb = len(sample_a), len(sample_b)
-    if va == 0 and vb == 0:
-        if ma == mb:
-            return 0.0, float(na + nb - 2)
-        raise InsufficientSampleError("zero variance in both samples with unequal means")
-    se2 = va / na + vb / nb
-    t = (ma - mb) / se2 ** 0.5
-    df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    return t, df
+    results = tuple(
+        SystemResult(system, spec.environment, tuple(iteration_means))
+        for system, iteration_means in means.items()
+    )
+    return BenchmarkReport(spec=spec, results=results, total_episodes=total)
 
 
 def emit_report(report: BenchmarkReport, fmt: str = "table") -> str:
@@ -231,25 +212,3 @@ def _emit_structured(report: BenchmarkReport) -> str:
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def load_structured_report(text: str) -> BenchmarkReport:
-    """Rebuild a BenchmarkReport from its structured (JSON) form."""
-    doc = json.loads(text)
-    spec = BenchmarkSpec(
-        systems=tuple(doc["spec"]["systems"]),
-        environment=doc["spec"]["environment"],
-        iterations=doc["spec"]["iterations"],
-        trials=doc["spec"]["trials"],
-        base_seed=doc["spec"]["base_seed"],
-        max_questions=doc["spec"]["max_questions"],
-    )
-    results = tuple(
-        SystemResult(
-            system=r["system"],
-            environment=r["environment"],
-            iteration_means=tuple(r["iteration_means"]),
-        )
-        for r in doc["results"]
-    )
-    return BenchmarkReport(spec=spec, results=results, total_episodes=doc["total_episodes"])

@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from refquest.bench import (
@@ -14,16 +13,13 @@ from refquest.bench import (
     SYSTEMS,
     BenchmarkSpec,
     emit_report,
+    make_agent,
     run_benchmark,
+    world_for,
 )
-from refquest.dialogue import BaselineAgent, HumanOracle, ModelAgent, run_episode
+from refquest.dialogue import MAX_QUESTIONS_DEFAULT, HumanOracle, run_episode
 from refquest.world import load_world, serialize_world
-from refquest.worlds import (
-    generate_random_world,
-    high_variance_spec,
-    low_variance_spec,
-    spacecraft_world,
-)
+from refquest.worlds import spacecraft_world
 
 
 def _default_seed() -> int:
@@ -48,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(SYSTEMS),
         help="comma-separated subset of: " + ", ".join(SYSTEMS),
     )
-    bench.add_argument("--iterations", type=int, default=100)
-    bench.add_argument("--trials", type=int, default=20,
+    bench.add_argument("--iterations", type=int, default=BenchmarkSpec.iterations)
+    bench.add_argument("--trials", type=int, default=BenchmarkSpec.trials,
                        help="entities per random world (spacecraft always uses its 18 tools)")
     bench.add_argument("--seed", type=int, default=None, help="base seed (default REFQUEST_SEED or 0)")
     bench.add_argument("--format", choices=("table", "delimited", "structured"), default="table")
@@ -62,12 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
     episode.add_argument("--agent", default="model-entropy", choices=SYSTEMS)
     episode.add_argument("--oracle", default="sim", choices=("sim", "human"))
     episode.add_argument("--seed", type=int, default=None)
-    episode.add_argument("--max-questions", type=int, default=50)
+    episode.add_argument("--max-questions", type=int, default=MAX_QUESTIONS_DEFAULT)
 
     genworld = sub.add_parser("genworld", help="generate a random world config")
     genworld.add_argument("--variance", required=True, choices=("low", "high"))
     genworld.add_argument("--seed", type=int, default=None)
-    genworld.add_argument("--entities", type=int, default=None)
+    genworld.add_argument("--entities", type=int, default=BenchmarkSpec.trials)
     genworld.add_argument("--out", type=Path, default=None)
 
     return parser
@@ -105,10 +101,7 @@ def _load_world_arg(name: str):
 def _cmd_episode(args) -> int:
     world = _load_world_arg(args.world)
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.agent == "baseline":
-        agent = BaselineAgent(seed=seed)
-    else:
-        agent = ModelAgent(policy=args.agent.removeprefix("model-"))
+    agent = make_agent(args.agent, seed)
     oracle = HumanOracle(world) if args.oracle == "human" else None
     interactive = args.oracle == "human"
 
@@ -144,10 +137,7 @@ def _cmd_episode(args) -> int:
 
 def _cmd_genworld(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    spec = low_variance_spec(seed) if args.variance == "low" else high_variance_spec(seed)
-    if args.entities is not None:
-        spec = replace(spec, n_entities=args.entities)
-    world = generate_random_world(spec)
+    world = world_for(f"random-{args.variance}", seed, args.entities)
     _write(serialize_world(world), args.out)
     return 0
 

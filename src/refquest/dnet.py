@@ -35,6 +35,8 @@ class Question:
     value: str | None = None  # required for yn, absent for wh
 
     def __post_init__(self):
+        if self.kind not in ("wh", "yn"):
+            raise ValueError(f"unknown question kind {self.kind!r}; expected 'wh' or 'yn'")
         if self.kind == "yn" and self.value is None:
             raise ValueError("yn questions need a value")
         if self.kind == "wh" and self.value is not None:

@@ -16,12 +16,30 @@ from itertools import combinations
 
 import yaml
 
-# libyaml's parser when PyYAML was built with it; both resolve the same types
-_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-
-
 class WorldFormatError(Exception):
     """A world config or entity is malformed or fails validation."""
+
+
+# libyaml's parser when PyYAML was built with it; both resolve the same types
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """The safe loader, except that a mapping may not repeat a key (YAML's
+    own loaders keep the last value). A merge key (<<) may be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        # flatten_mapping deletes merge keys from this list and puts any merged
+        # pairs first in a new one, so `written` keeps the keys as written
+        written = node.value
+        mapping = yaml.constructor.SafeConstructor.construct_mapping(self, node, deep=deep)
+        if len(mapping) != len(node.value):  # a repeated key or an overridden merged one
+            seen = set()
+            for key_node, _ in written:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise WorldFormatError(
+                        f"duplicate key {key!r} on line {key_node.start_mark.line + 1}"
+                    )
+                seen.add(key)
+        return mapping
 
 
 @dataclass(frozen=True)
@@ -185,7 +203,7 @@ def load_world(text: str) -> World:
     (list of {id, label, type, assignment}).
     """
     try:
-        doc = yaml.load(text, Loader=_LOADER)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise WorldFormatError(f"world config does not parse: {exc}") from exc
     if not isinstance(doc, dict):

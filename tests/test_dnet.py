@@ -106,6 +106,8 @@ def test_question_invariants():
         Question(kind="yn", property="color")
     with pytest.raises(ValueError):
         Question(kind="wh", property="color", value="red")
+    with pytest.raises(ValueError, match="unknown question kind 'maybe'"):
+        Question(kind="maybe", property="color")
     assert Question(kind="wh", property="color").surface == "What color is it?"
     assert Question(kind="yn", property="color", value="red").surface == "Is it red?"
 

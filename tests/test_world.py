@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import refquest.world
 from refquest.dialogue import ModelAgent, run_episode
@@ -210,6 +211,45 @@ def test_load_world_keeps_quoted_names_as_text():
     e = w.entities[0]
     assert (e.id, e.label, e.type_name, e.assignment) == ("no", "yes", "~", {"on": "x"})
     assert load_world(serialize_world(w)) == w
+
+
+@pytest.fixture(params=["SafeLoader", "CSafeLoader"])
+def yaml_parser(request, monkeypatch):
+    """Load worlds with the pure-Python parser, then with libyaml's."""
+    base = getattr(yaml, request.param, None)
+    if base is None:
+        pytest.skip("PyYAML was built without libyaml")
+    loader = type(request.param, (base,),
+                  {"construct_mapping": refquest.world._Loader.construct_mapping})
+    monkeypatch.setattr(refquest.world, "_Loader", loader)
+
+
+TWO_ENTITY_SCHEMA = ("schema:\n  - {name: color, values: [red, blue]}\n"
+                     "  - {name: shape, values: [tall, short]}\n")
+
+
+@pytest.mark.parametrize("doc, message", [
+    (TWO_ENTITY_SCHEMA
+     + "entities:\n  - {id: a, label: w, type: w, assignment: {color: red, shape: tall}}\n"
+     + "entities:\n  - {id: b, label: w, type: w, assignment: {color: blue, shape: tall}}\n",
+     "duplicate key 'entities' on line 6"),
+    (TWO_ENTITY_SCHEMA
+     + "entities:\n  - {id: a, label: w, type: w,\n"
+     + "     assignment: {color: red, shape: tall, color: blue}}\n",
+     "duplicate key 'color' on line 6"),
+], ids=["section", "assignment"])
+def test_load_world_rejects_repeated_keys(yaml_parser, doc, message):
+    with pytest.raises(WorldFormatError, match=message):
+        load_world(doc)
+
+
+def test_load_world_lets_a_key_override_a_merged_one(yaml_parser):
+    w = load_world("tall_red: &tall_red {color: red, shape: tall}\n" + TWO_ENTITY_SCHEMA
+                   + "entities:\n  - {id: a, label: w, type: w, assignment: *tall_red}\n"
+                   + "  - {id: b, label: w, type: w, assignment: {<<: *tall_red, color: blue}}\n")
+    assert [e.assignment for e in w.entities] == [
+        {"color": "red", "shape": "tall"}, {"color": "blue", "shape": "tall"},
+    ]
 
 
 def test_spacecraft_config_shape():
