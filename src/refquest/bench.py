@@ -44,7 +44,6 @@ class BenchmarkSpec:
     # entity count for random worlds; spacecraft uses all 18 tools
     trials: int = RandomWorldSpec.n_entities
     base_seed: int = 0
-    max_questions: int = MAX_QUESTIONS_DEFAULT
 
     def validate(self):
         if not self.systems:
@@ -132,7 +131,7 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
             counts = []
             for t, entity in enumerate(world.entities):
                 agent = make_agent(system, it_seed * _SPLIT + t)
-                record = run_episode(world, entity.id, agent, max_questions=spec.max_questions)
+                record = run_episode(world, entity.id, agent)
                 counts.append(record.question_count)
             total += len(counts)
             iteration_means.append(statistics.fmean(counts))
@@ -192,7 +191,7 @@ def _emit_structured(report: BenchmarkReport) -> str:
             "iterations": report.spec.iterations,
             "trials": report.spec.trials,
             "base_seed": report.spec.base_seed,
-            "max_questions": report.spec.max_questions,
+            "max_questions": MAX_QUESTIONS_DEFAULT,
         },
         "sd_convention": "sample SD over per-iteration means",
         "human_reference": HUMAN_REFERENCE,

@@ -85,7 +85,7 @@ def _cmd_bench(args) -> int:
         environment=args.env,
         iterations=args.iterations,
         trials=args.trials,
-        base_seed=args.seed if args.seed is not None else _default_seed(),
+        base_seed=args.seed,
     )
     report = run_benchmark(spec)
     _write(emit_report(report, args.format), args.out)
@@ -100,8 +100,7 @@ def _load_world_arg(name: str):
 
 def _cmd_episode(args) -> int:
     world = _load_world_arg(args.world)
-    seed = args.seed if args.seed is not None else _default_seed()
-    agent = make_agent(args.agent, seed)
+    agent = make_agent(args.agent, args.seed)
     oracle = HumanOracle(world) if args.oracle == "human" else None
     interactive = args.oracle == "human"
 
@@ -136,8 +135,7 @@ def _cmd_episode(args) -> int:
 
 
 def _cmd_genworld(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    world = world_for(f"random-{args.variance}", seed, args.entities)
+    world = world_for(f"random-{args.variance}", args.seed, args.entities)
     _write(serialize_world(world), args.out)
     return 0
 
@@ -147,6 +145,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"bench": _cmd_bench, "episode": _cmd_episode, "genworld": _cmd_genworld}
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return handlers[args.command](args)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

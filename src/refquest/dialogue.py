@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from refquest.belief import Belief, UnknownReferentError, init_belief
 from refquest.dnet import DATA, ENTROPY, Question, build_network, select_question
-from refquest.world import World
+from refquest.world import Entity, World
 
 MAX_QUESTIONS_DEFAULT = 50
 
@@ -32,8 +32,8 @@ class Answer:
 class SimOracle:
     """Answers truthfully from the ground-truth assignment of the target."""
 
-    def __init__(self, world: World, target_id: str):
-        self.target = world.by_id(target_id)
+    def __init__(self, target: Entity):
+        self.target = target
 
     def answer(self, q: Question) -> Answer:
         actual = self.target.value(q.property)
@@ -86,44 +86,40 @@ class ModelAgent:
     def name(self) -> str:
         return f"model-{self.policy}"
 
-    def start_episode(self, world: World):
-        pass
-
     def choose(self, belief: Belief) -> Question:
         return select_question(build_network(belief, policy=self.policy))
-
-    def observe(self, q: Question, a: Answer, belief: Belief):
-        pass
 
 
 class BaselineAgent:
     """Slot-filling baseline: uniformly random question about any property
     it has not yet learned, ignoring informativeness.
 
-    A property counts as learned after a WH answer, after a confirmed
-    yes, or once no answers have eliminated every value but one among the
-    surviving candidates. Confirm questions target a uniformly random
-    value present among the candidates.
+    The property asked last counts as learned once only one of its values
+    survives among the candidates, which every WH answer and every yes
+    ensure. Confirm questions target a uniformly random value present
+    among the candidates. Learned properties persist, so each episode needs
+    a fresh agent; every caller makes one per episode.
     """
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
         self.known: set[str] = set()
+        self.asked: str | None = None
 
     @property
     def name(self) -> str:
         return "baseline"
 
-    def start_episode(self, world: World):
-        self.known = set()
-
     def choose(self, belief: Belief) -> Question:
+        if self.asked is not None and len({e.value(self.asked) for e in belief.candidates}) == 1:
+            self.known.add(self.asked)
         schema = belief.world.schema
         options: list[tuple[str, str]] = []
         for prop in schema.names:
             if prop not in self.known:
                 options += [("wh", prop), ("yn", prop)]
         kind, prop = self.rng.choice(options)
+        self.asked = prop
         if kind == "wh":
             return Question(kind="wh", property=prop)
         values = sorted(
@@ -131,15 +127,6 @@ class BaselineAgent:
             key=schema.domain(prop).index,
         )
         return Question(kind="yn", property=prop, value=self.rng.choice(values))
-
-    def observe(self, q: Question, a: Answer, belief: Belief):
-        # belief is the post-update state
-        if q.kind == "wh" or a.yes:
-            self.known.add(q.property)
-        else:
-            survivors = {e.value(q.property) for e in belief.candidates}
-            if len(survivors) == 1:
-                self.known.add(q.property)
 
 
 @dataclass(frozen=True)
@@ -170,9 +157,10 @@ def run_episode(
 ) -> EpisodeRecord:
     """Ask-answer-filter loop until exactly one candidate remains.
 
-    `oracle` defaults to a truthful simulated oracle for the target.
-    `on_turn(question, answer)` is an optional observer hook (used by the
-    interactive mode to echo the exchange).
+    The agent is only asked to choose each question from the current
+    belief. `oracle` defaults to a truthful simulated oracle for the
+    target. `on_turn(question, answer)`, when given, is the loop's one
+    per-turn observer, called after each answer is applied.
     """
     if max_questions < 0:
         raise ValueError(f"max_questions must be 0 or more, got {max_questions}")
@@ -181,9 +169,8 @@ def run_episode(
     except KeyError:
         raise UnknownReferentError(f"no entity with id {target_id!r}") from None
     if oracle is None:
-        oracle = SimOracle(world, target_id)
+        oracle = SimOracle(target)
     belief = init_belief(world, target.label)
-    agent.start_episode(world)
     transcript: list[tuple[Question, Answer]] = []
     while belief.resolved() is None:
         if len(transcript) >= max_questions:
@@ -193,7 +180,6 @@ def run_episode(
         q = agent.choose(belief)
         a = oracle.answer(q)
         belief = apply_answer(belief, q, a)
-        agent.observe(q, a, belief)
         transcript.append((q, a))
         if on_turn is not None:
             on_turn(q, a)

@@ -47,8 +47,8 @@ class PropertySchema:
     """Ordered list of (property name, ordered value domain).
 
     Ordering is stable and significant: it drives deterministic
-    tie-breaking throughout the question-selection pipeline. Names,
-    domains and positions are tabled once at construction.
+    tie-breaking throughout the question-selection pipeline. Names and
+    domains are tabled once at construction.
 
     Each entity compiles, on first use, to one packed int kept with the
     schema: property i owns the bit field of `width` bits starting at bit
@@ -63,7 +63,6 @@ class PropertySchema:
     width: int = field(init=False, repr=False, compare=False)
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _domains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
     _fields: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     _codes: dict["Entity", int] = field(
         init=False, repr=False, compare=False, default_factory=dict
@@ -85,7 +84,6 @@ class PropertySchema:
             self, "masks", tuple(((1 << width) - 1) << (i * width) for i in range(len(names)))
         )
         object.__setattr__(self, "_domains", dict(self.properties))
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
         object.__setattr__(self, "_fields", {
             (name, value): (j + 1) << (i * width)
             for i, (name, values) in enumerate(self.properties)
@@ -94,12 +92,6 @@ class PropertySchema:
 
     def domain(self, name: str) -> tuple[str, ...]:
         return self._domains[name]
-
-    def index(self, name: str) -> int:
-        return self._index[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
     def code(self, entity: "Entity") -> int:
         """The entity's packed code; raises WorldFormatError for a property
@@ -112,7 +104,7 @@ class PropertySchema:
                 prop, value = exc.args[0]
                 problem = (
                     f"value {value!r} not in domain of property {prop!r}"
-                    if prop in self
+                    if prop in self._domains
                     else f"unknown property {prop!r} (value {value!r})"
                 )
                 raise WorldFormatError(f"entity {entity.id!r}: {problem}") from None
@@ -138,19 +130,23 @@ class World:
     """A schema and its entities, checked at construction: ids are unique,
     every entity assigns each property one value of its domain, and no two
     entities share an assignment. Otherwise WorldFormatError lists every
-    violation."""
+    violation. A checked World tables its entities by id and by label."""
 
     schema: PropertySchema
     entities: tuple[Entity, ...]
+    _by_id: dict[str, Entity] = field(init=False, repr=False, compare=False)
+    _by_label: dict[str, tuple[Entity, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         violations = []
-        ids = set()
+        by_id: dict[str, Entity] = {}
+        by_label: dict[str, list[Entity]] = {}  # world order
         groups: dict[int, list[int]] = {}  # code -> entity indices, world order
         for i, e in enumerate(self.entities):
-            if e.id in ids:
+            if e.id in by_id:
                 violations.append(f"duplicate entity id {e.id!r}")
-            ids.add(e.id)
+            by_id[e.id] = e
+            by_label.setdefault(e.label, []).append(e)
             missing = [p for p in self.schema.names if p not in e.assignment]
             if missing:
                 violations.append(f"entity {e.id!r}: incomplete assignment, missing {missing}")
@@ -164,23 +160,14 @@ class World:
             violations.append(f"entities {a!r} and {b!r} share an identical assignment")
         if violations:
             raise WorldFormatError("invalid world: " + "; ".join(violations))
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_by_label", {k: tuple(v) for k, v in by_label.items()})
 
     def by_id(self, entity_id: str) -> Entity:
-        for e in self.entities:
-            if e.id == entity_id:
-                return e
-        raise KeyError(entity_id)
+        return self._by_id[entity_id]
 
     def with_label(self, label: str) -> tuple[Entity, ...]:
-        return tuple(e for e in self.entities if e.label == label)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        seen = []
-        for e in self.entities:
-            if e.label not in seen:
-                seen.append(e.label)
-        return tuple(seen)
+        return self._by_label.get(label, ())
 
 
 def _text(value, where: str) -> str:

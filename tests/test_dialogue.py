@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from refquest.dialogue import (
@@ -18,14 +20,14 @@ from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_w
 
 def test_oracle_wh_answer_is_ground_truth():
     w = spacecraft_world()
-    oracle = SimOracle(w, "optimizer_1")
+    oracle = SimOracle(w.by_id("optimizer_1"))
     a = oracle.answer(Question(kind="wh", property="color"))
     assert a.value == "red"
 
 
 def test_oracle_yn_answers():
     w = spacecraft_world()
-    oracle = SimOracle(w, "optimizer_1")
+    oracle = SimOracle(w.by_id("optimizer_1"))
     assert oracle.answer(Question(kind="yn", property="color", value="red")).yes is True
     assert oracle.answer(Question(kind="yn", property="color", value="blue")).yes is False
 
@@ -88,10 +90,32 @@ def test_baseline_never_repeats_wh_property():
             assert len(wh_props) == len(set(wh_props))
 
 
+# sha256 over every transcript's (kind, property, value, answer) tuples of
+# BaselineAgent(seed=i) for the i-th entity, on spacecraft and 20 generated
+# worlds; a change to how the baseline learns or draws moves it
+BASELINE_TRANSCRIPTS_SHA256 = "f025fbd94a73e9770754ad73753938c4b04f9e484cb85bccb62ca13da13b7558"
+
+
+def test_baseline_transcripts_are_pinned():
+    worlds = [spacecraft_world()] + [
+        generate_random_world(RandomWorldSpec(n_varying=v, seed=s))
+        for v in (3, 7) for s in range(10)
+    ]
+    digest = hashlib.sha256()
+    episodes = 0
+    for w in worlds:
+        for i, e in enumerate(w.entities):
+            record = run_episode(w, e.id, BaselineAgent(seed=i))
+            turns = [(q.kind, q.property, q.value, a.render()) for q, a in record.transcript]
+            digest.update(repr(turns).encode())
+            episodes += 1
+    assert episodes == 418
+    assert digest.hexdigest() == BASELINE_TRANSCRIPTS_SHA256
+
+
 def test_baseline_skips_learned_property():
     w = spacecraft_world()
     agent = BaselineAgent(seed=0)
-    agent.start_episode(w)
     agent.known = set(w.schema.names) - {"pattern"}
     belief = init_belief(w, "megaband module")
     for _ in range(10):

@@ -223,7 +223,7 @@ def generated_worlds(draw):
 @settings(max_examples=40, deadline=None)
 @given(generated_worlds())
 def test_minset_invariants_on_generated_worlds(w):
-    for label in w.labels:
+    for label in dict.fromkeys(e.label for e in w.entities):
         candidates = w.with_label(label)
         minset = compute_min_set(candidates, w.schema)
         assert injective(candidates, minset)

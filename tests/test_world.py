@@ -27,7 +27,18 @@ def ent(id, color, shape, label="widget"):
 
 
 def test_valid_world_passes():
-    World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall")))
+    w = World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall")))
+    assert w.by_id("b") is w.entities[1]
+    assert w.with_label("widget") == w.entities
+    assert w.with_label("gadget") == ()
+    with pytest.raises(KeyError):
+        w.by_id("z")
+
+
+def test_same_entity_listed_twice_is_refused():
+    a = ent("a", "red", "tall")
+    with pytest.raises(WorldFormatError, match="duplicate entity id 'a'"):
+        World(SCHEMA, (a, ent("b", "blue", "tall"), a))
 
 
 def test_duplicate_assignment_names_both_ids():
@@ -84,14 +95,12 @@ def test_importing_world_loads_no_other_refquest_module():
 
 def test_schema_lookups():
     assert SCHEMA.names == ("color", "shape")
-    assert SCHEMA.index("shape") == 1
     assert SCHEMA.domain("color") == ("red", "blue")
-    assert "shape" in SCHEMA and "size" not in SCHEMA
     with pytest.raises(KeyError):
         SCHEMA.domain("size")
     # a missing property differs from every domain value; equal assignments
     # give equal codes, whatever the entity
-    color = SCHEMA.masks[SCHEMA.index("color")]
+    color = SCHEMA.masks[SCHEMA.names.index("color")]
     no_color = SCHEMA.code(Entity("b", "w", "w", {"shape": "short"}))
     assert all(SCHEMA.code(ent(c, c, "short")) & color != no_color & color
                for c in ("red", "blue"))
