@@ -8,7 +8,7 @@ empirical value frequency among them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from refquest.world import Entity, World
 
@@ -63,7 +63,7 @@ class Belief:
             raise ContradictoryAnswerError(
                 f"no candidate has {prop}={value!r} (answer contradicts evidence)"
             )
-        return replace(self, candidates=kept)
+        return Belief(self.world, kept)
 
     def apply_yn_answer(self, prop: str, value: str, yes: bool) -> "Belief":
         """Yes keeps candidates with that value; no removes them."""
@@ -73,7 +73,7 @@ class Belief:
             raise ContradictoryAnswerError(
                 f"answer {'yes' if yes else 'no'} to {prop}={value!r} eliminates all candidates"
             )
-        return replace(self, candidates=kept)
+        return Belief(self.world, kept)
 
     def _check_value(self, prop: str, value: str):
         if value not in self.world.schema.domain(prop):

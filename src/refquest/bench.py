@@ -6,6 +6,10 @@ one episode per entity on that same world and records its mean question
 count. Reported mean/SD are over the per-iteration means. Everything
 derives deterministically from the base seed via a counter-based split,
 so runs are reproducible and iterations are order-independent.
+
+Each model system plays all its episodes of one `run_benchmark` call
+with one agent, which scores each distinct candidate set of a world
+once; the baseline gets a freshly seeded agent per episode.
 """
 
 from __future__ import annotations
@@ -123,14 +127,16 @@ def world_for(environment: str, seed: int, n_entities: int) -> World:
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
     spec.validate()
     means: dict[str, list[float]] = {system: [] for system in spec.systems}
+    models = {system: make_agent(system, 0) for system in spec.systems if system != "baseline"}
     total = 0
     for it in range(spec.iterations):
         it_seed = _iteration_seed(spec.base_seed, it)
         world = world_for(spec.environment, it_seed, spec.trials)
         for system, iteration_means in means.items():
+            model = models.get(system)
             counts = []
             for t, entity in enumerate(world.entities):
-                agent = make_agent(system, it_seed * _SPLIT + t)
+                agent = model if model is not None else make_agent(system, it_seed * _SPLIT + t)
                 record = run_episode(world, entity.id, agent)
                 counts.append(record.question_count)
             total += len(counts)

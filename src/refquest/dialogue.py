@@ -73,21 +73,35 @@ class HumanOracle:
 
 
 class ModelAgent:
-    """Decision-network agent; rebuilds the network over the surviving
-    candidates before every question, so utilities always reflect the
-    current evidence. Deterministic."""
+    """Decision-network agent; builds the network over the surviving
+    candidates, so utilities always reflect the current evidence.
+
+    The question depends only on the world, the policy and the candidates,
+    so the agent memoises it per candidate set of the world it last served;
+    a belief about another world clears the memo. Deterministic.
+    """
 
     def __init__(self, policy: str = ENTROPY):
         if policy not in (ENTROPY, DATA):
             raise ValueError(f"unknown model policy {policy!r}")
         self.policy = policy
+        self._world: World | None = None
+        # keyed by candidate ids, unique in a world: an id's str hash is
+        # cached, an Entity's is recomputed in Python on every lookup
+        self._memo: dict[tuple[str, ...], Question] = {}
 
     @property
     def name(self) -> str:
         return f"model-{self.policy}"
 
     def choose(self, belief: Belief) -> Question:
-        return select_question(build_network(belief, policy=self.policy))
+        if belief.world is not self._world:
+            self._world, self._memo = belief.world, {}
+        key = belief.candidate_ids
+        q = self._memo.get(key)
+        if q is None:
+            q = self._memo[key] = select_question(build_network(belief, policy=self.policy))
+        return q
 
 
 class BaselineAgent:

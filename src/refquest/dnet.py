@@ -1,7 +1,7 @@
 """Question alphabet, utility scoring, and maximum-expected-utility selection.
 
-The network is rebuilt from the current belief every turn: its active
-properties are the minimum disambiguating set over the surviving
+The network is built from the current belief for each new candidate
+set: its active properties are the minimum disambiguating set over the surviving
 candidates, and its decision node holds one WH question and one confirm
 (yes/no) question about the modal value for each active property. Its
 utilities score questions either by Shannon entropy of the

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import refquest.bench
+import refquest.dialogue
 from refquest.bench import BenchmarkSpec, emit_report, run_benchmark
 
 
@@ -112,3 +113,38 @@ def test_every_system_shares_each_iteration_world(monkeypatch):
     assert len(generated) == 3
     assert len(set(generated)) == 3
     assert report.total_episodes == 3 * 3 * 20
+
+
+@pytest.fixture
+def networks(monkeypatch):
+    """Every (world, policy, candidates) a model agent builds a network for;
+    holding the worlds keeps their ids distinct."""
+    built = []
+    real = refquest.dialogue.build_network
+
+    def recording(belief, policy):
+        built.append((belief.world, policy, belief.candidates))
+        return real(belief, policy)
+
+    monkeypatch.setattr(refquest.dialogue, "build_network", recording)
+    return built
+
+
+def test_each_network_is_built_once_per_call(networks):
+    run_benchmark(BenchmarkSpec(environment="random-high", iterations=3, base_seed=7))
+    assert len(networks) == len({(id(w), policy, c) for w, policy, c in networks})
+
+
+def test_spacecraft_networks_do_not_grow_with_iterations(networks):
+    run_benchmark(small_spec(iterations=1))
+    once = len(networks)
+    networks.clear()
+    run_benchmark(small_spec(iterations=10))
+    assert once == len(networks) == 24  # both model systems together
+
+
+def test_no_memo_outlives_a_benchmark_call(networks):
+    run_benchmark(small_spec())
+    first = len(networks)
+    run_benchmark(small_spec())
+    assert len(networks) == 2 * first == 48

@@ -64,6 +64,20 @@ def test_model_wh_count_bounded_by_initial_minset():
         assert wh <= bound
 
 
+def test_model_agent_asks_each_world_its_own_first_question():
+    entities = tuple(
+        Entity(id=c + s, label="block", type_name="block", assignment={"color": c, "shape": s})
+        for c, s in (("red", "round"), ("blue", "square"))
+    )
+    colors, shapes = ("color", ("red", "blue")), ("shape", ("round", "square"))
+    by_color = World(PropertySchema((colors, shapes)), entities)
+    by_shape = World(PropertySchema((shapes, colors)), entities)
+    agent = ModelAgent()
+    # both beliefs hold the same candidates; only the schema order differs
+    for world, prop in ((by_color, "color"), (by_shape, "shape"), (by_color, "color")):
+        assert agent.choose(init_belief(world, "block")) == Question(kind="wh", property=prop)
+
+
 def test_baseline_resolves_and_reproduces_under_seed():
     w = spacecraft_world()
     r1 = run_episode(w, "capacitor_2", BaselineAgent(seed=99))

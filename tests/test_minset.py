@@ -235,6 +235,15 @@ def test_minset_invariants_on_generated_worlds(w):
             assert sum(1 for q, _ in record.transcript if q.kind == "wh") <= len(minset)
 
 
+@settings(max_examples=40, deadline=None)
+@given(generated_worlds())
+def test_one_model_agent_plays_every_target_like_fresh_agents(w):
+    for policy in ("entropy", "data"):
+        shared = ModelAgent(policy)
+        for e in w.entities:
+            assert run_episode(w, e.id, shared) == run_episode(w, e.id, ModelAgent(policy))
+
+
 # domain sizes on both sides of each field-width step (1 | 2-3 | 4-7 | 8-15
 # values); the largest domain sets the width of every field
 BIT_WIDTH_EDGES = (1, 2, 3, 4, 7, 8, 9)
