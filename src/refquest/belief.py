@@ -9,6 +9,8 @@ empirical value frequency among them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 from refquest.world import Entity, World
 
@@ -29,10 +31,21 @@ class PropertyDistribution:
 
 @dataclass(frozen=True)
 class Belief:
-    """Immutable evidence state; updates return a new Belief."""
+    """Immutable evidence state; updates return a new Belief.
+
+    The surviving candidates are one int over the world's entities, bit i
+    standing for `world.entities[i]`, so an answer is an AND with one of
+    the world's value masks and a count is a popcount.
+    """
 
     world: World
-    candidates: tuple[Entity, ...]  # surviving entities, world order
+    mask: int  # surviving candidates
+
+    @cached_property
+    def candidates(self) -> tuple[Entity, ...]:
+        """The surviving entities, world order."""
+        bits = bin(self.mask)[:1:-1]  # least significant first
+        return tuple(compress(self.world.entities, map("1".__eq__, bits)))
 
     @property
     def candidate_ids(self) -> tuple[str, ...]:
@@ -40,25 +53,35 @@ class Belief:
 
     def resolved(self) -> str | None:
         """The referent's id once exactly one candidate remains, else None."""
-        if len(self.candidates) == 1:
-            return self.candidates[0].id
+        mask = self.mask
+        if mask and not mask & (mask - 1):
+            return self.world.entities[mask.bit_length() - 1].id
         return None
 
+    def values(self, prop: str) -> tuple[str, ...]:
+        """The values of `prop` among surviving candidates, domain order."""
+        mask, value_masks = self.mask, self.world.value_masks
+        return tuple(v for v in self.world.schema.domain(prop) if mask & value_masks[prop, v])
+
     def distribution(self, prop: str) -> PropertyDistribution:
-        """Empirical value frequencies of `prop` among surviving candidates."""
-        counts: dict[str, int] = {}
-        for e in self.candidates:
-            v = e.value(prop)
-            counts[v] = counts.get(v, 0) + 1
-        n = len(self.candidates)
-        return PropertyDistribution(
-            property=prop, probs={v: c / n for v, c in counts.items()}
-        )
+        """Empirical value frequencies of `prop` among surviving candidates.
+
+        Values are ordered by their first candidate in world order, which
+        fixes the order in which the entropy utilities add their terms.
+        """
+        mask, value_masks = self.mask, self.world.value_masks
+        n = mask.bit_count()
+        hits = []  # (lowest bit, value, count); values' masks are disjoint
+        for v in self.world.schema.domain(prop):
+            kept = mask & value_masks[prop, v]
+            if kept:
+                hits.append((kept & -kept, v, kept.bit_count()))
+        hits.sort()
+        return PropertyDistribution(property=prop, probs={v: c / n for _, v, c in hits})
 
     def apply_wh_answer(self, prop: str, value: str) -> "Belief":
         """Keep candidates whose `prop` equals the answered value."""
-        self._check_value(prop, value)
-        kept = tuple(e for e in self.candidates if e.value(prop) == value)
+        kept = self.mask & self._value_mask(prop, value)
         if not kept:
             raise ContradictoryAnswerError(
                 f"no candidate has {prop}={value!r} (answer contradicts evidence)"
@@ -67,22 +90,26 @@ class Belief:
 
     def apply_yn_answer(self, prop: str, value: str, yes: bool) -> "Belief":
         """Yes keeps candidates with that value; no removes them."""
-        self._check_value(prop, value)
-        kept = tuple(e for e in self.candidates if (e.value(prop) == value) == yes)
+        value_mask = self._value_mask(prop, value)
+        kept = self.mask & (value_mask if yes else ~value_mask)
         if not kept:
             raise ContradictoryAnswerError(
                 f"answer {'yes' if yes else 'no'} to {prop}={value!r} eliminates all candidates"
             )
         return Belief(self.world, kept)
 
-    def _check_value(self, prop: str, value: str):
-        if value not in self.world.schema.domain(prop):
+    def _value_mask(self, prop: str, value: str) -> int:
+        value_mask = self.world.value_masks.get((prop, value))
+        if value_mask is None:
+            if prop not in self.world.schema.names:
+                raise KeyError(f"unknown property {prop!r}")
             raise KeyError(f"value {value!r} not in domain of property {prop!r}")
+        return value_mask
 
 
 def init_belief(world: World, instruction_label: str) -> Belief:
     """Start an episode: candidates are all entities carrying the label."""
-    matches = world.with_label(instruction_label)
-    if not matches:
+    mask = world.label_masks.get(instruction_label)
+    if mask is None:
         raise UnknownReferentError(f"no entity labelled {instruction_label!r}")
-    return Belief(world=world, candidates=matches)
+    return Belief(world, mask)

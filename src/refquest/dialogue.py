@@ -86,9 +86,9 @@ class ModelAgent:
             raise ValueError(f"unknown model policy {policy!r}")
         self.policy = policy
         self._world: World | None = None
-        # keyed by candidate ids, unique in a world: an id's str hash is
-        # cached, an Entity's is recomputed in Python on every lookup
-        self._memo: dict[tuple[str, ...], Question] = {}
+        # keyed by the belief's candidate mask, which names one candidate
+        # set of the world the memo serves
+        self._memo: dict[int, Question] = {}
 
     @property
     def name(self) -> str:
@@ -97,7 +97,7 @@ class ModelAgent:
     def choose(self, belief: Belief) -> Question:
         if belief.world is not self._world:
             self._world, self._memo = belief.world, {}
-        key = belief.candidate_ids
+        key = belief.mask
         q = self._memo.get(key)
         if q is None:
             q = self._memo[key] = select_question(build_network(belief, policy=self.policy))
@@ -125,22 +125,17 @@ class BaselineAgent:
         return "baseline"
 
     def choose(self, belief: Belief) -> Question:
-        if self.asked is not None and len({e.value(self.asked) for e in belief.candidates}) == 1:
+        if self.asked is not None and len(belief.values(self.asked)) == 1:
             self.known.add(self.asked)
-        schema = belief.world.schema
         options: list[tuple[str, str]] = []
-        for prop in schema.names:
+        for prop in belief.world.schema.names:
             if prop not in self.known:
                 options += [("wh", prop), ("yn", prop)]
         kind, prop = self.rng.choice(options)
         self.asked = prop
         if kind == "wh":
             return Question(kind="wh", property=prop)
-        values = sorted(
-            {e.value(prop) for e in belief.candidates},
-            key=schema.domain(prop).index,
-        )
-        return Question(kind="yn", property=prop, value=self.rng.choice(values))
+        return Question(kind="yn", property=prop, value=self.rng.choice(belief.values(prop)))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,10 @@ from a config document.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
+from types import MappingProxyType
 
 import yaml
 
@@ -114,12 +116,17 @@ class PropertySchema:
 
 @dataclass(frozen=True)
 class Entity:
-    """One object in the world, with a total property assignment."""
+    """One object in the world, with a total property assignment. The
+    assignment is a read-only copy, so a World's tables built from it
+    cannot go stale."""
 
     id: str
     label: str
     type_name: str
-    assignment: dict[str, str] = field(hash=False)
+    assignment: Mapping[str, str] = field(hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
 
     def value(self, prop: str) -> str:
         return self.assignment[prop]
@@ -130,23 +137,34 @@ class World:
     """A schema and its entities, checked at construction: ids are unique,
     every entity assigns each property one value of its domain, and no two
     entities share an assignment. Otherwise WorldFormatError lists every
-    violation. A checked World tables its entities by id and by label."""
+    violation.
+
+    A checked World tables its entities by id, and as entity bitmasks, bit
+    i standing for `entities[i]`: `value_masks` holds one per (property,
+    value) of the schema, 0 where no entity has the value, and
+    `label_masks` one per label. Both tables are read-only."""
 
     schema: PropertySchema
     entities: tuple[Entity, ...]
+    value_masks: Mapping[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    label_masks: Mapping[str, int] = field(init=False, repr=False, compare=False)
     _by_id: dict[str, Entity] = field(init=False, repr=False, compare=False)
-    _by_label: dict[str, tuple[Entity, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         violations = []
         by_id: dict[str, Entity] = {}
-        by_label: dict[str, list[Entity]] = {}  # world order
+        value_masks = {(p, v): 0 for p, values in self.schema.properties for v in values}
+        label_masks: dict[str, int] = {}
         groups: dict[int, list[int]] = {}  # code -> entity indices, world order
         for i, e in enumerate(self.entities):
             if e.id in by_id:
                 violations.append(f"duplicate entity id {e.id!r}")
             by_id[e.id] = e
-            by_label.setdefault(e.label, []).append(e)
+            bit = 1 << i
+            label_masks[e.label] = label_masks.get(e.label, 0) | bit
+            for key in e.assignment.items():
+                if key in value_masks:  # code() below reports any other key
+                    value_masks[key] |= bit
             missing = [p for p in self.schema.names if p not in e.assignment]
             if missing:
                 violations.append(f"entity {e.id!r}: incomplete assignment, missing {missing}")
@@ -160,14 +178,12 @@ class World:
             violations.append(f"entities {a!r} and {b!r} share an identical assignment")
         if violations:
             raise WorldFormatError("invalid world: " + "; ".join(violations))
+        object.__setattr__(self, "value_masks", MappingProxyType(value_masks))
+        object.__setattr__(self, "label_masks", MappingProxyType(label_masks))
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_by_label", {k: tuple(v) for k, v in by_label.items()})
 
     def by_id(self, entity_id: str) -> Entity:
         return self._by_id[entity_id]
-
-    def with_label(self, label: str) -> tuple[Entity, ...]:
-        return self._by_label.get(label, ())
 
 
 def _text(value, where: str) -> str:

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from refquest.belief import init_belief
 from refquest.dialogue import ModelAgent, run_episode
 from refquest.dnet import build_network
 from refquest.minset import EXACT_LIMIT_DEFAULT, IndistinguishablePairError, compute_min_set
@@ -224,7 +225,7 @@ def generated_worlds(draw):
 @given(generated_worlds())
 def test_minset_invariants_on_generated_worlds(w):
     for label in dict.fromkeys(e.label for e in w.entities):
-        candidates = w.with_label(label)
+        candidates = init_belief(w, label).candidates
         minset = compute_min_set(candidates, w.schema)
         assert injective(candidates, minset)
         if len(w.schema.names) <= EXACT_LIMIT_DEFAULT:

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 import refquest.world
+from refquest.belief import init_belief
 from refquest.dialogue import ModelAgent, run_episode
 from refquest.world import (
     Entity,
@@ -29,10 +30,28 @@ def ent(id, color, shape, label="widget"):
 def test_valid_world_passes():
     w = World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall")))
     assert w.by_id("b") is w.entities[1]
-    assert w.with_label("widget") == w.entities
-    assert w.with_label("gadget") == ()
+    assert w.label_masks == {"widget": 0b11}  # no entry for "gadget"
+    assert init_belief(w, "widget").candidates == w.entities
+    assert w.value_masks == {("color", "red"): 0b01, ("color", "blue"): 0b10,
+                             ("shape", "tall"): 0b11, ("shape", "short"): 0}
+    with pytest.raises(TypeError):
+        w.label_masks["widget"] = 0b01
+    with pytest.raises(TypeError):
+        w.value_masks["color", "red"] = 0b11
     with pytest.raises(KeyError):
         w.by_id("z")
+
+
+def test_entity_assignment_is_a_read_only_copy():
+    given = {"color": "red", "shape": "tall"}
+    e = Entity("a", "widget", "widget", given)
+    with pytest.raises(TypeError):
+        e.assignment["color"] = "blue"
+    given["color"] = "blue"
+    assert e.value("color") == "red"
+    # a cached world's entity cannot be edited into a twin of another
+    with pytest.raises(TypeError):
+        spacecraft_world().by_id("emitter_2").assignment["size"] = "large"
 
 
 def test_same_entity_listed_twice_is_refused():

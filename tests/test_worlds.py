@@ -16,7 +16,7 @@ from refquest.belief import Belief
 
 
 def entity_level_entropy(world, prop):
-    b = Belief(world=world, candidates=world.entities)
+    b = Belief(world, mask=(1 << len(world.entities)) - 1)
     return wh_entropy(b.distribution(prop))
 
 
