@@ -44,6 +44,8 @@ class Belief:
     @cached_property
     def candidates(self) -> tuple[Entity, ...]:
         """The surviving entities, world order."""
+        if self.mask >> len(self.world.entities):
+            raise self._out_of_range()
         bits = bin(self.mask)[:1:-1]  # least significant first
         return tuple(compress(self.world.entities, map("1".__eq__, bits)))
 
@@ -55,8 +57,17 @@ class Belief:
         """The referent's id once exactly one candidate remains, else None."""
         mask = self.mask
         if mask and not mask & (mask - 1):
-            return self.world.entities[mask.bit_length() - 1].id
+            try:
+                return self.world.entities[mask.bit_length() - 1].id
+            except IndexError:
+                raise self._out_of_range() from None
         return None
+
+    def _out_of_range(self) -> ValueError:
+        return ValueError(
+            f"candidate mask {self.mask:#x} has bits beyond the world's "
+            f"{len(self.world.entities)} entities"
+        )
 
     def values(self, prop: str) -> tuple[str, ...]:
         """The values of `prop` among surviving candidates, domain order."""

@@ -99,7 +99,7 @@ def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
     if policy not in (ENTROPY, DATA):
         raise ValueError(f"unknown utility policy {policy!r}")
     schema = belief.world.schema
-    active = tuple(compute_min_set(belief.candidates, schema))
+    active = tuple(compute_min_set(belief.world, belief.mask))
     questions = []
     utilities = {}
     for prop in active:

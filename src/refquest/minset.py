@@ -1,61 +1,45 @@
-"""Minimum disambiguating property sets by projection injectivity.
+"""Minimum disambiguating property sets over a World's candidate masks.
 
-A property set tells the entities apart exactly when projecting every
-entity onto it gives pairwise distinct rows. Entities are read as their
-packed schema codes (see `PropertySchema`), so a projection is
-`code & mask` for the OR of the set's field masks. While few properties
-vary among the entities, the smallest such set is found by
-cardinality-ordered exhaustive search; beyond that, properties are added
-greedily by partition refinement: every entity carries the id of its class
-of equal projections, and each step adds the property that splits those
-classes into the most new ones.
+A property set tells candidates apart exactly when projecting each one
+onto it gives pairwise distinct rows. The candidates are an entity
+bitmask over a World, bit i standing for `world.entities[i]`. The exact
+path reads their packed codes from `world.codes` (see `PropertySchema`),
+so a projection is `code & mask` for the OR of the set's field masks.
+While few properties vary among the candidates, the smallest such set is
+found by cardinality-ordered exhaustive search; beyond that, properties
+are added greedily by partition refinement over `world.value_masks`:
+the classes of equal projections are entity bitmasks, a property splits
+a class into its nonzero ANDs with the property's value masks, and each
+step adds the property that splits the classes into the most new ones.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
-from operator import add, rshift
+from operator import and_, countOf
 
-from refquest.world import Entity, PropertySchema
+from refquest.world import World
 
 EXACT_LIMIT_DEFAULT = 16
 
 
-class IndistinguishablePairError(Exception):
-    """Two entities share an identical assignment; no question can split them."""
+def compute_min_set(world: World, mask: int, exact_limit: int = EXACT_LIMIT_DEFAULT) -> list[str]:
+    """Minimum property set sufficient to tell the candidates in `mask`
+    apart, in schema order.
 
-    def __init__(self, id1: str, id2: str):
-        super().__init__(f"entities {id1!r} and {id2!r} are indistinguishable")
-        self.id1 = id1
-        self.id2 = id2
-
-
-def compute_min_set(
-    entities: Sequence[Entity],
-    schema: PropertySchema,
-    exact_limit: int = EXACT_LIMIT_DEFAULT,
-) -> list[str]:
-    """Minimum property set sufficient to tell all entities apart, in schema order.
-
-    A single entity (or none) needs no disambiguation and yields [].
-    Exact while at most `exact_limit` properties vary among the entities:
-    the first injective subset in cardinality order, then combinations
-    order over the schema. Greedy beyond that: repeatedly add the property
-    that most increases the number of distinct projections, ties going to
-    the earlier schema property.
+    A single candidate (or none) needs no disambiguation and yields [].
+    Exact while at most `exact_limit` properties vary among the
+    candidates: the first injective subset in cardinality order, then
+    combinations order over the schema. Greedy beyond that: repeatedly add
+    the property that most increases the number of distinct projections,
+    ties going to the earlier schema property.
     """
-    if len(entities) < 2:
+    if not mask & (mask - 1):
         return []
+    schema = world.schema
     names, masks = schema.names, schema.masks
-    codes = list(map(schema.code, entities))
-    k = len(codes)
-    if len(set(codes)) < k:
-        by_code: dict[int, Entity] = {}
-        for e, code in zip(entities, codes):
-            other = by_code.setdefault(code, e)
-            if other is not e:
-                raise IndistinguishablePairError(other.id, e.id)
+    bits = bin(mask)[:1:-1]  # least significant first
+    codes = list(itertools.compress(world.codes, map("1".__eq__, bits)))
     # a property varies exactly where some code's field differs from the first's
     differ, first = 0, codes[0]
     for code in codes:
@@ -65,12 +49,12 @@ def compute_min_set(
     if len(varying) <= exact_limit:
         for r in range(1, len(varying) + 1):
             subset_masks = map(sum, itertools.combinations([masks[i] for i in varying], r))
-            for subset, mask in zip(itertools.combinations(varying, r), subset_masks):
+            for subset, field_mask in zip(itertools.combinations(varying, r), subset_masks):
                 # most subsets repeat a projection within the first few dozen rows
                 seen: set[int] = set()
                 add_seen = seen.add
                 for code in codes:
-                    projection = code & mask
+                    projection = code & field_mask
                     if projection in seen:
                         break
                     add_seen(projection)
@@ -78,23 +62,24 @@ def compute_min_set(
                     return [names[i] for i in subset]
         raise AssertionError("all varying properties together separate distinct codes")
 
-    # one column per varying property: its field shifted down to
-    # 0..2**width - 1, so class id << width plus a field value is distinct
-    # per (class, value)
-    width = schema.width
-    columns = {
-        i: list(map(rshift, map(masks[i].__and__, codes), itertools.repeat(i * width)))
-        for i in varying
-    }
-    base = [0] * k  # class id << width, one per entity; all in one class at first
-    n_classes, chosen = 1, []
-    while n_classes < k:
-        # columns is schema-ordered, so max() on the count alone breaks
-        # ties toward the earlier property
-        pick = max(columns, key=lambda i: len(set(map(add, base, columns[i]))))
-        relabel: dict[int, int] = {}
-        base = [relabel.setdefault(key, len(relabel)) << width
-                for key in map(add, base, columns.pop(pick))]
-        n_classes = len(relabel)
+    # each varying property's parts: the candidates with each of its values
+    value_masks = world.value_masks
+    parts = {}
+    for i in varying:
+        name = names[i]
+        parts[i] = [p for v in schema.domain(name) if (p := mask & value_masks[name, v])]
+    classes, chosen = [mask], []  # only classes of two or more candidates
+
+    def splits(i: int) -> int:
+        """The nonzero class & part intersections of property i: the number
+        of distinct projections it gives, less the fixed count of singletons."""
+        pairs = itertools.product(classes, parts[i])
+        return len(classes) * len(parts[i]) - countOf(itertools.starmap(and_, pairs), 0)
+
+    while classes:
+        # parts is schema-ordered, so max() breaks ties toward the earlier property
+        pick = max(parts, key=splits)
         chosen.append(pick)
+        pairs = itertools.product(classes, parts.pop(pick))
+        classes = [c for c in itertools.starmap(and_, pairs) if c & (c - 1)]
     return [names[i] for i in sorted(chosen)]

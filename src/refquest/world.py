@@ -52,12 +52,12 @@ class PropertySchema:
     tie-breaking throughout the question-selection pipeline. Names and
     domains are tabled once at construction.
 
-    Each entity compiles, on first use, to one packed int kept with the
-    schema: property i owns the bit field of `width` bits starting at bit
-    i * width, which holds the entity's value's domain index + 1, or 0 where
-    it has no value. `masks[i]` selects that field, so two entities agree
-    on a property set exactly when their codes agree under the OR of its
-    masks.
+    `code(entity)` packs an entity into one int: property i owns the bit
+    field of `width` bits starting at bit i * width, which holds the
+    entity's value's domain index + 1, or 0 where it has no value.
+    `masks[i]` selects that field, so two entities agree on a property set
+    exactly when their codes agree under the OR of its masks. A schema
+    holds no per-entity state; each World tables its entities' codes.
     """
 
     properties: tuple[tuple[str, tuple[str, ...]], ...]
@@ -66,9 +66,6 @@ class PropertySchema:
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _domains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _fields: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
-    _codes: dict["Entity", int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self):
         names = tuple(name for name, _ in self.properties)
@@ -98,20 +95,16 @@ class PropertySchema:
     def code(self, entity: "Entity") -> int:
         """The entity's packed code; raises WorldFormatError for a property
         the schema lacks or a value outside its property's domain."""
-        code = self._codes.get(entity)
-        if code is None:
-            try:
-                code = sum(map(self._fields.__getitem__, entity.assignment.items()))
-            except KeyError as exc:
-                prop, value = exc.args[0]
-                problem = (
-                    f"value {value!r} not in domain of property {prop!r}"
-                    if prop in self._domains
-                    else f"unknown property {prop!r} (value {value!r})"
-                )
-                raise WorldFormatError(f"entity {entity.id!r}: {problem}") from None
-            self._codes[entity] = code
-        return code
+        try:
+            return sum(map(self._fields.__getitem__, entity.assignment.items()))
+        except KeyError as exc:
+            prop, value = exc.args[0]
+            problem = (
+                f"value {value!r} not in domain of property {prop!r}"
+                if prop in self._domains
+                else f"unknown property {prop!r} (value {value!r})"
+            )
+            raise WorldFormatError(f"entity {entity.id!r}: {problem}") from None
 
 
 @dataclass(frozen=True)
@@ -139,13 +132,15 @@ class World:
     entities share an assignment. Otherwise WorldFormatError lists every
     violation.
 
-    A checked World tables its entities by id, and as entity bitmasks, bit
+    A checked World tables its entities by id, their packed schema codes
+    as `codes` (a tuple aligned with `entities`), and entity bitmasks, bit
     i standing for `entities[i]`: `value_masks` holds one per (property,
     value) of the schema, 0 where no entity has the value, and
-    `label_masks` one per label. Both tables are read-only."""
+    `label_masks` one per label. All these tables are read-only."""
 
     schema: PropertySchema
     entities: tuple[Entity, ...]
+    codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     value_masks: Mapping[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     label_masks: Mapping[str, int] = field(init=False, repr=False, compare=False)
     _by_id: dict[str, Entity] = field(init=False, repr=False, compare=False)
@@ -156,6 +151,7 @@ class World:
         value_masks = {(p, v): 0 for p, values in self.schema.properties for v in values}
         label_masks: dict[str, int] = {}
         groups: dict[int, list[int]] = {}  # code -> entity indices, world order
+        codes = []
         for i, e in enumerate(self.entities):
             if e.id in by_id:
                 violations.append(f"duplicate entity id {e.id!r}")
@@ -169,15 +165,19 @@ class World:
             if missing:
                 violations.append(f"entity {e.id!r}: incomplete assignment, missing {missing}")
             try:
-                groups.setdefault(self.schema.code(e), []).append(i)
+                code = self.schema.code(e)
             except WorldFormatError as exc:
                 violations.append(str(exc))
+                continue
+            codes.append(code)
+            groups.setdefault(code, []).append(i)
         # every identical pair, in (earlier, later) world order
         for i, j in sorted(pair for group in groups.values() for pair in combinations(group, 2)):
             a, b = self.entities[i].id, self.entities[j].id
             violations.append(f"entities {a!r} and {b!r} share an identical assignment")
         if violations:
             raise WorldFormatError("invalid world: " + "; ".join(violations))
+        object.__setattr__(self, "codes", tuple(codes))
         object.__setattr__(self, "value_masks", MappingProxyType(value_masks))
         object.__setattr__(self, "label_masks", MappingProxyType(label_masks))
         object.__setattr__(self, "_by_id", by_id)

@@ -12,7 +12,7 @@ from refquest.bench import BenchmarkSpec, emit_report, run_benchmark
 from refquest.dialogue import BaselineAgent, ModelAgent, run_episode
 from refquest.dnet import PropertyDistribution, wh_entropy, yn_expected_entropy
 from refquest.minset import compute_min_set
-from refquest.world import Entity, PropertySchema
+from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import RandomWorldSpec, generate_random_world
 
 BASE_SEED = 7
@@ -137,7 +137,7 @@ def test_criterion_6_minset_oracle_equivalence():
         if len(ents) < 2:
             continue
         total += 1
-        result = compute_min_set(ents, schema)
+        result = compute_min_set(World(schema, tuple(ents)), (1 << len(ents)) - 1)
         if len(result) == brute_force_min_size(ents, schema.names):
             agree += 1
     elapsed = time.time() - t0
@@ -200,7 +200,7 @@ def test_criterion_8_episode_safety():
             else:
                 agent = BaselineAgent(seed=rng.getrandbits(32))
             belief = init_belief(world, e.label)
-            bound = len(compute_min_set(belief.candidates, world.schema))
+            bound = len(compute_min_set(world, belief.mask))
             # raises on any contradiction or budget overrun
             record = run_episode(world, e.id, agent)
             episodes += 1

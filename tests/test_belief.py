@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refquest.belief import ContradictoryAnswerError, UnknownReferentError, init_belief
+from refquest.belief import Belief, ContradictoryAnswerError, UnknownReferentError, init_belief
 from refquest.dnet import wh_entropy
 from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
@@ -27,6 +27,17 @@ def test_init_belief_spacecraft_emitter():
 def test_init_belief_unique_label_already_resolved():
     b = init_belief(small_world(), "gadget")
     assert b.resolved() == "d"
+
+
+def test_mask_beyond_the_world_is_named():
+    w = spacecraft_world()
+    b = Belief(w, 1 << 18)
+    message = r"^candidate mask 0x40000 has bits beyond the world's 18 entities$"
+    with pytest.raises(ValueError, match=message):
+        b.resolved()
+    with pytest.raises(ValueError, match=message):
+        b.candidates
+    assert Belief(w, 1 << 17).resolved() == w.entities[17].id
 
 
 def test_init_belief_unknown_label():

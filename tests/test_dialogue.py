@@ -58,7 +58,7 @@ def test_model_wh_count_bounded_by_initial_minset():
     w = spacecraft_world()
     for e in w.entities:
         belief = init_belief(w, e.label)
-        bound = len(compute_min_set(belief.candidates, w.schema))
+        bound = len(compute_min_set(w, belief.mask))
         record = run_episode(w, e.id, ModelAgent())
         wh = sum(1 for q, _ in record.transcript if q.kind == "wh")
         assert wh <= bound

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from refquest.belief import init_belief
 from refquest.dialogue import ModelAgent, run_episode
 from refquest.dnet import build_network
-from refquest.minset import EXACT_LIMIT_DEFAULT, IndistinguishablePairError, compute_min_set
-from refquest.world import Entity, PropertySchema, WorldFormatError
+from refquest.minset import EXACT_LIMIT_DEFAULT, compute_min_set
+from refquest.world import Entity, PropertySchema, World, WorldFormatError
 from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
 
 
@@ -19,6 +19,16 @@ def schema_of(*props):
 def ent(id, schema, *values):
     return Entity(id=id, label="w", type_name="w",
                   assignment=dict(zip(schema.names, values)))
+
+
+def min_set(schema, entities, exact_limit=EXACT_LIMIT_DEFAULT):
+    """compute_min_set over all of `entities`, wrapped in one World."""
+    return compute_min_set(World(schema, tuple(entities)), (1 << len(entities)) - 1, exact_limit)
+
+
+def members(world, mask):
+    """The entities of `world` whose bits are set in `mask`, world order."""
+    return [e for i, e in enumerate(world.entities) if mask >> i & 1]
 
 
 def injective(entities, props):
@@ -39,13 +49,13 @@ def brute_force_minimum(entities, schema):
 
 def reference_min_set(entities, schema, exact_limit):
     """Tuple-projection reference for both paths of compute_min_set: each
-    entity is its row of values in schema order (None where it has none).
+    entity is its row of values in schema order.
     Exact: the first subset of the varying properties, by size and then
     combinations order, with pairwise distinct projections. Greedy: add the
     property that gives the most distinct projections, ties to the earlier
     schema property, until all are distinct; schema order."""
     names = schema.names
-    rows = [tuple(e.assignment.get(p) for p in names) for e in entities]
+    rows = [tuple(e.value(p) for p in names) for e in entities]
     if len(rows) < 2:
         return []
 
@@ -68,27 +78,28 @@ def reference_min_set(entities, schema, exact_limit):
 
 def test_single_differing_property_clause():
     s = schema_of("color", "shape")
-    assert compute_min_set([ent("1", s, "a", "b"), ent("2", s, "b", "b")], s) == ["color"]
+    assert min_set(s, [ent("1", s, "a", "b"), ent("2", s, "b", "b")]) == ["color"]
 
 
 def test_three_entity_clauses_enumerated_by_hand():
     # pairs differ on {color}, {shape} and {color, shape}
     s = schema_of("color", "shape")
-    es = [ent("1", s, "a", "b"), ent("2", s, "b", "b"), ent("3", s, "a", "c")]
-    assert compute_min_set(es[:2], s) == ["color"]
-    assert compute_min_set([es[0], es[2]], s) == ["shape"]
-    assert compute_min_set(es[1:], s) == ["color"]
-    assert compute_min_set(es, s) == ["color", "shape"]
+    w = World(s, (ent("1", s, "a", "b"), ent("2", s, "b", "b"), ent("3", s, "a", "c")))
+    assert compute_min_set(w, 0b011) == ["color"]
+    assert compute_min_set(w, 0b101) == ["shape"]
+    assert compute_min_set(w, 0b110) == ["color"]
+    assert compute_min_set(w, 0b111) == ["color", "shape"]
 
 
 def test_duplicate_entities_raise():
+    # no question can split identical entities, so no World holds them
     s = schema_of("color")
-    with pytest.raises(IndistinguishablePairError) as exc:
-        compute_min_set([ent("1", s, "a"), ent("2", s, "a")], s)
-    assert exc.value.id1 == "1" and exc.value.id2 == "2"
-    with pytest.raises(IndistinguishablePairError) as exc:
-        compute_min_set([ent("1", s, "a"), ent("2", s, "b"), ent("3", s, "a")], s)
-    assert exc.value.id1 == "1" and exc.value.id2 == "3"
+    with pytest.raises(WorldFormatError,
+                       match="^invalid world: entities '1' and '2' share an identical assignment$"):
+        World(s, (ent("1", s, "a"), ent("2", s, "a")))
+    with pytest.raises(WorldFormatError,
+                       match="^invalid world: entities '1' and '3' share an identical assignment$"):
+        World(s, (ent("1", s, "a"), ent("2", s, "b"), ent("3", s, "a")))
 
 
 def test_unit_clauses_force_both_properties():
@@ -97,14 +108,14 @@ def test_unit_clauses_force_both_properties():
     s = schema_of("color", "shape", "size")
     es = [ent("1", s, "a", "a", "a"), ent("2", s, "b", "a", "a"),
           ent("3", s, "a", "b", "a"), ent("4", s, "b", "b", "b")]
-    assert compute_min_set(es, s) == ["color", "shape"]
+    assert min_set(s, es) == ["color", "shape"]
 
 
 def test_shared_property_wins():
     # color separates every pair on its own; shape and size each miss one
     s = schema_of("color", "shape", "size")
     es = [ent("1", s, "a", "a", "a"), ent("2", s, "b", "b", "a"), ent("3", s, "c", "a", "b")]
-    assert compute_min_set(es, s) == ["color"]
+    assert min_set(s, es) == ["color"]
 
 
 def test_value_outside_the_domain_is_named():
@@ -112,7 +123,7 @@ def test_value_outside_the_domain_is_named():
     stray = Entity("x", "w", "w", {"color": "purple", "shape": "a"})
     with pytest.raises(WorldFormatError,
                        match=r"entity 'x': value 'purple' not in domain of property 'color'"):
-        compute_min_set([ent("1", s, "a", "a"), stray], s)
+        World(s, (ent("1", s, "a", "a"), stray))
 
 
 def test_property_outside_the_schema_is_named():
@@ -120,26 +131,28 @@ def test_property_outside_the_schema_is_named():
     stray = Entity("x", "w", "w", {"color": "b", "shape": "a", "size": "big"})
     with pytest.raises(WorldFormatError,
                        match=r"entity 'x': unknown property 'size' \(value 'big'\)"):
-        compute_min_set([ent("1", s, "a", "a"), stray], s)
+        World(s, (ent("1", s, "a", "a"), stray))
 
 
 def test_empty_clause_set_gives_empty_minset():
     s = schema_of("color")
-    assert compute_min_set([ent("1", s, "a")], s) == []
-    assert compute_min_set([], s) == []
+    w = World(s, (ent("1", s, "a"), ent("2", s, "b")))
+    assert compute_min_set(w, 0b01) == compute_min_set(w, 0b10) == []
+    assert compute_min_set(w, 0) == []
 
 
 def test_color_only_difference():
     # two objects with the same shape and size but different colors
     s = schema_of("color", "shape", "size")
     es = [ent("1", s, "a", "b", "c"), ent("2", s, "d", "b", "c")]
-    assert compute_min_set(es, s) == ["color"]
+    assert min_set(s, es) == ["color"]
 
 
 def test_spacecraft_synthesizers_within_varying_features():
     w = spacecraft_world()
-    instances = [e for e in w.entities if e.type_name == "synthesizer"]
-    result = set(compute_min_set(instances, w.schema))
+    mask = sum(1 << i for i, e in enumerate(w.entities) if e.type_name == "synthesizer")
+    assert mask.bit_count() == 3
+    result = set(compute_min_set(w, mask))
     assert result <= {"color", "size", "shape"}
     assert result
 
@@ -149,8 +162,8 @@ def test_determinism():
     s = schema_of("p1", "p2", "p3", "p4")
     es = [ent(str(i), s, *(rng.choice("abcd") for _ in range(4))) for i in range(5)]
     es = _dedupe(es, s)
-    first = compute_min_set(es, s)
-    assert all(compute_min_set(es, s) == first for _ in range(5))
+    first = min_set(s, es)
+    assert all(min_set(s, es) == first for _ in range(5))
 
 
 def _dedupe(entities, schema):
@@ -176,7 +189,7 @@ def test_oracle_equivalence_on_random_worlds():
         )
         if len(es) < 2:
             continue
-        assert compute_min_set(es, s) == brute_force_minimum(es, s)
+        assert min_set(s, es) == brute_force_minimum(es, s)
 
 
 def test_greedy_mode_hits_all_clauses():
@@ -185,9 +198,9 @@ def test_greedy_mode_hits_all_clauses():
     for _ in range(50):
         es = _dedupe([ent(str(i), s, *(rng.choice("abcd") for _ in range(6)))
                       for i in range(rng.randint(2, 12))], s)
-        greedy = compute_min_set(es, s, exact_limit=2)
+        greedy = min_set(s, es, exact_limit=2)
         assert injective(es, greedy)
-        assert len(greedy) >= len(compute_min_set(es, s))
+        assert len(greedy) >= len(min_set(s, es))
 
 
 def test_greedy_takes_the_most_refining_property_earliest_first():
@@ -196,7 +209,7 @@ def test_greedy_takes_the_most_refining_property_earliest_first():
     s = schema_of(*(f"p{i}" for i in range(17)))
     es = [ent(str(i), s, *("ab"[(i >> (j % 2)) & 1] for j in range(15)), "abcd"[i], "abcd"[i])
           for i in range(4)]
-    assert compute_min_set(es, s) == ["p15"]
+    assert min_set(s, es) == ["p15"]
 
 
 @st.composite
@@ -225,8 +238,9 @@ def generated_worlds(draw):
 @given(generated_worlds())
 def test_minset_invariants_on_generated_worlds(w):
     for label in dict.fromkeys(e.label for e in w.entities):
-        candidates = init_belief(w, label).candidates
-        minset = compute_min_set(candidates, w.schema)
+        belief = init_belief(w, label)
+        candidates = belief.candidates
+        minset = compute_min_set(w, belief.mask)
         assert injective(candidates, minset)
         if len(w.schema.names) <= EXACT_LIMIT_DEFAULT:
             assert minset == brute_force_minimum(candidates, w.schema)
@@ -253,18 +267,16 @@ BIT_WIDTH_EDGES = (1, 2, 3, 4, 7, 8, 9)
 @st.composite
 def hand_built_entities(draw):
     """(schema, distinct entities, exact_limit): up to 8 properties with
-    domain sizes from BIT_WIDTH_EDGES, values drawn per entity (some left
-    missing), and an exact_limit low enough to send many cases greedy."""
+    domain sizes from BIT_WIDTH_EDGES, values drawn per entity, and an
+    exact_limit low enough to send many cases greedy."""
     sizes = draw(st.lists(st.sampled_from(BIT_WIDTH_EDGES), min_size=1, max_size=8))
     schema = PropertySchema(tuple(
         (f"p{i}", tuple(f"v{j}" for j in range(n))) for i, n in enumerate(sizes)
     ))
-    # -1 leaves the property out of the entity's assignment
-    rows = draw(st.lists(st.tuples(*(st.integers(-1, n - 1) for n in sizes)),
+    rows = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in sizes)),
                          min_size=2, max_size=24, unique=True))
     entities = [
-        Entity(str(i), "w", "w",
-               {p: schema.domain(p)[v] for p, v in zip(schema.names, row) if v >= 0})
+        Entity(str(i), "w", "w", {p: schema.domain(p)[v] for p, v in zip(schema.names, row)})
         for i, row in enumerate(rows)
     ]
     return schema, entities, draw(st.integers(0, len(sizes)))
@@ -274,8 +286,48 @@ def hand_built_entities(draw):
 @given(hand_built_entities())
 def test_both_paths_match_the_tuple_reference(case):
     schema, entities, exact_limit = case
-    assert (compute_min_set(entities, schema, exact_limit)
+    assert (min_set(schema, entities, exact_limit)
             == reference_min_set(entities, schema, exact_limit))
+
+
+@st.composite
+def worlds_and_submasks(draw):
+    """(world, non-empty candidate mask, exact_limit). About a third of the
+    worlds hold 65-130 entities, past one machine word; a third have 17-20
+    properties, all varying, past EXACT_LIMIT_DEFAULT. The mask is any
+    subset of the entities, not only a label group."""
+    kind = draw(st.sampled_from(("large", "wide", "small")))
+    if kind == "large":
+        n_properties = draw(st.integers(4, 7))
+        n_varying, values = draw(st.integers(4, n_properties)), 4
+        n_entities = draw(st.integers(65, 130))
+    elif kind == "wide":
+        n_properties = draw(st.integers(EXACT_LIMIT_DEFAULT + 1, 20))
+        n_varying, values = n_properties, draw(st.integers(2, 3))
+        n_entities = draw(st.integers(2, 40))
+    else:
+        n_properties = draw(st.integers(1, 6))
+        n_varying, values = draw(st.integers(1, n_properties)), draw(st.integers(2, 4))
+        n_entities = draw(st.integers(1, min(24, values ** n_varying)))
+    w = generate_random_world(RandomWorldSpec(
+        n_entities=n_entities,
+        n_properties=n_properties,
+        n_varying=n_varying,
+        values_per_property=values,
+        group_size=n_entities,
+        seed=draw(st.integers(0, 2**32)),
+    ))
+    bits = draw(st.lists(st.booleans(), min_size=n_entities, max_size=n_entities).filter(any))
+    mask = sum(1 << i for i, bit in enumerate(bits) if bit)
+    return w, mask, draw(st.sampled_from((0, 3, EXACT_LIMIT_DEFAULT)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(worlds_and_submasks())
+def test_candidate_masks_match_the_tuple_reference(case):
+    w, mask, exact_limit = case
+    assert (compute_min_set(w, mask, exact_limit)
+            == reference_min_set(members(w, mask), w.schema, exact_limit))
 
 
 class ActiveSetCheckingAgent(ModelAgent):
@@ -298,23 +350,23 @@ def test_active_properties_vary_every_turn_on_generated_worlds(w):
 
 
 def unique_world(n_entities, n_props, seed):
-    """`n_entities` entities with distinct random rows over `n_props`
-    properties of four values each, in the order they were drawn."""
+    """A World of `n_entities` entities with distinct random rows over
+    `n_props` properties of four values each, in the order they were drawn."""
     rng = random.Random(seed)
     s = schema_of(*(f"p{i:02d}" for i in range(n_props)))
     rows: dict[tuple, None] = {}
     while len(rows) < n_entities:
         rows.setdefault(tuple(rng.choice("abcd") for _ in range(n_props)))
-    return s, [ent(str(i), s, *row) for i, row in enumerate(rows)]
+    return World(s, tuple(ent(str(i), s, *row) for i, row in enumerate(rows)))
 
 
 def test_exact_minset_pinned_on_200_entities():
-    s, es = unique_world(200, 10, seed=2024)
+    w = unique_world(200, 10, seed=2024)
     expected = ["p00", "p01", "p03", "p04", "p06", "p09"]
-    assert compute_min_set(es, s) == expected
-    assert brute_force_minimum(es, s) == expected
+    assert compute_min_set(w, (1 << 200) - 1) == expected
+    assert brute_force_minimum(w.entities, w.schema) == expected
 
 
 def test_greedy_minset_pinned_on_100_entities_and_20_properties():
-    s, es = unique_world(100, 20, seed=2024)
-    assert compute_min_set(es, s) == ["p00", "p01", "p04", "p05", "p10", "p13"]
+    w = unique_world(100, 20, seed=2024)
+    assert compute_min_set(w, (1 << 100) - 1) == ["p00", "p01", "p04", "p05", "p10", "p13"]

@@ -42,6 +42,20 @@ def test_valid_world_passes():
         w.by_id("z")
 
 
+def test_world_codes_align_with_entities():
+    w = spacecraft_world()
+    assert w.codes == tuple(w.schema.code(e) for e in w.entities)
+    # one schema object, two Worlds: each tables the codes of its own
+    # entities, and the same id may stand for different assignments
+    first = World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall")))
+    second = World(SCHEMA, (ent("b", "red", "short"), ent("a", "blue", "short")))
+    for world in (first, second):
+        assert len(world.codes) == len(world.entities)
+        for i, e in enumerate(world.entities):
+            assert world.codes[i] == SCHEMA.code(e)
+    assert len(set(first.codes + second.codes)) == 4
+
+
 def test_entity_assignment_is_a_read_only_copy():
     given = {"color": "red", "shape": "tall"}
     e = Entity("a", "widget", "widget", given)

@@ -64,7 +64,7 @@ def test_minset_never_includes_constant_properties():
             b = init_belief(w, label)
             if len(b.candidate_ids) < 2:
                 continue
-            assert not (set(compute_min_set(b.candidates, w.schema)) & constants)
+            assert not (set(compute_min_set(w, b.mask)) & constants)
 
 
 def test_group_labels_shared():
