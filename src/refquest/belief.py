@@ -2,17 +2,16 @@
 
 With a truthful oracle, hard filtering of the candidate set is exact
 Bayesian updating from a uniform prior, so the posterior over referents
-is uniform over survivors and each property's value distribution is the
-empirical value frequency among them.
+is uniform over survivors and each property's value distribution is
+given by how many survivors carry each value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 
-from refquest.world import Entity, World
+from refquest.world import World
 
 
 class UnknownReferentError(Exception):
@@ -26,7 +25,7 @@ class ContradictoryAnswerError(Exception):
 @dataclass(frozen=True)
 class PropertyDistribution:
     property: str
-    probs: dict[str, float]  # value -> probability, sums to 1
+    counts: dict[str, float]  # value -> candidates carrying it (any positive weights)
 
 
 @dataclass(frozen=True)
@@ -41,26 +40,21 @@ class Belief:
     world: World
     mask: int  # surviving candidates
 
-    @cached_property
-    def candidates(self) -> tuple[Entity, ...]:
-        """The surviving entities, world order."""
+    @property
+    def candidate_ids(self) -> tuple[str, ...]:
+        """The surviving entities' ids, world order."""
         if self.mask >> len(self.world.entities):
             raise self._out_of_range()
         bits = bin(self.mask)[:1:-1]  # least significant first
-        return tuple(compress(self.world.entities, map("1".__eq__, bits)))
-
-    @property
-    def candidate_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.candidates)
+        return tuple(e.id for e in compress(self.world.entities, map("1".__eq__, bits)))
 
     def resolved(self) -> str | None:
         """The referent's id once exactly one candidate remains, else None."""
         mask = self.mask
+        if mask >> len(self.world.entities):
+            raise self._out_of_range()
         if mask and not mask & (mask - 1):
-            try:
-                return self.world.entities[mask.bit_length() - 1].id
-            except IndexError:
-                raise self._out_of_range() from None
+            return self.world.entities[mask.bit_length() - 1].id
         return None
 
     def _out_of_range(self) -> ValueError:
@@ -69,26 +63,14 @@ class Belief:
             f"{len(self.world.entities)} entities"
         )
 
-    def values(self, prop: str) -> tuple[str, ...]:
-        """The values of `prop` among surviving candidates, domain order."""
-        mask, value_masks = self.mask, self.world.value_masks
-        return tuple(v for v in self.world.schema.domain(prop) if mask & value_masks[prop, v])
-
     def distribution(self, prop: str) -> PropertyDistribution:
-        """Empirical value frequencies of `prop` among surviving candidates.
-
-        Values are ordered by their first candidate in world order, which
-        fixes the order in which the entropy utilities add their terms.
-        """
+        """How many surviving candidates carry each value of `prop`, in
+        domain order; values no candidate carries are left out."""
         mask, value_masks = self.mask, self.world.value_masks
-        n = mask.bit_count()
-        hits = []  # (lowest bit, value, count); values' masks are disjoint
-        for v in self.world.schema.domain(prop):
-            kept = mask & value_masks[prop, v]
-            if kept:
-                hits.append((kept & -kept, v, kept.bit_count()))
-        hits.sort()
-        return PropertyDistribution(property=prop, probs={v: c / n for _, v, c in hits})
+        return PropertyDistribution(prop, {
+            v: c for v in self.world.schema.domain(prop)
+            if (c := (mask & value_masks[prop, v]).bit_count())
+        })
 
     def apply_wh_answer(self, prop: str, value: str) -> "Belief":
         """Keep candidates whose `prop` equals the answered value."""

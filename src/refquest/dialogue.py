@@ -125,7 +125,7 @@ class BaselineAgent:
         return "baseline"
 
     def choose(self, belief: Belief) -> Question:
-        if self.asked is not None and len(belief.values(self.asked)) == 1:
+        if self.asked is not None and len(belief.distribution(self.asked).counts) == 1:
             self.known.add(self.asked)
         options: list[tuple[str, str]] = []
         for prop in belief.world.schema.names:
@@ -135,7 +135,8 @@ class BaselineAgent:
         self.asked = prop
         if kind == "wh":
             return Question(kind="wh", property=prop)
-        return Question(kind="yn", property=prop, value=self.rng.choice(belief.values(prop)))
+        values = tuple(belief.distribution(prop).counts)  # domain order
+        return Question(kind="yn", property=prop, value=self.rng.choice(values))
 
 
 @dataclass(frozen=True)

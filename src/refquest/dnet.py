@@ -8,13 +8,17 @@ utilities score questions either by Shannon entropy of the
 belief-conditioned value distributions or by question-type preference,
 a fixed weight per property. Every active property varies among the
 candidates, so no question is about a property already known.
+
+The entropy utilities read only a property's value counts and sum their
+terms over the counts in ascending order, so a question's utility is a
+function of the count multiset alone: it does not depend on the order of
+the world's entities or of the property's domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 from refquest.belief import Belief, PropertyDistribution
 from refquest.minset import compute_min_set
@@ -63,30 +67,37 @@ class DecisionNetwork:
 
 
 def wh_entropy(dist: PropertyDistribution) -> float:
-    """Shannon entropy (bits) of the property's value distribution."""
-    return -sum(p * math.log2(p) for p in dist.probs.values() if p > 0)
+    """Shannon entropy (bits) of the value distribution with weights `dist.counts`.
+
+    (n log2 n - sum of c log2 c) / n with n the total weight; exactly 0 for
+    one value.
+    """
+    counts = sorted(dist.counts.values())
+    n = sum(counts)
+    return (n * math.log2(n) - sum(c * math.log2(c) for c in counts)) / n
 
 
 def yn_expected_entropy(dist: PropertyDistribution) -> float:
     """Expected information (bits) of a confirm question about the property.
 
-    Sum over values of p_i times the binary entropy of p_i; degenerate
-    terms (p_i of 0 or 1) contribute nothing. Always at most wh_entropy.
+    Sum over values of p_i times the binary entropy of p_i, with p_i = c_i / n.
+    With two values a confirm splits the candidates as a WH question does,
+    so it scores wh_entropy exactly; with one it scores 0. Always at most
+    wh_entropy.
     """
-    total = 0.0
-    for p in dist.probs.values():
-        if 0 < p < 1:
-            total += p * (-p * math.log2(p) - (1 - p) * math.log2(1 - p))
-    return total
+    if len(dist.counts) <= 2:
+        return wh_entropy(dist)
+    counts = sorted(dist.counts.values())
+    n = sum(counts)
+    n_log_n = n * math.log2(n)
+    return sum(
+        c * (n_log_n - c * math.log2(c) - (n - c) * math.log2(n - c)) for c in counts
+    ) / (n * n)
 
 
-def modal_value(dist: PropertyDistribution, domain: Sequence[str]) -> str:
-    """Most frequent value among candidates; ties break by domain order."""
-    best = max(dist.probs.values())
-    for v in domain:
-        if dist.probs.get(v, 0.0) == best:
-            return v
-    raise AssertionError("non-empty distribution always has a mode")
+def modal_value(dist: PropertyDistribution) -> str:
+    """Most frequent value among candidates; ties go to the earlier domain value."""
+    return max(dist.counts, key=dist.counts.__getitem__)
 
 
 def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
@@ -98,14 +109,13 @@ def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
     """
     if policy not in (ENTROPY, DATA):
         raise ValueError(f"unknown utility policy {policy!r}")
-    schema = belief.world.schema
     active = tuple(compute_min_set(belief.world, belief.mask))
     questions = []
     utilities = {}
     for prop in active:
         dist = belief.distribution(prop)
         wh = Question(kind="wh", property=prop)
-        yn = Question(kind="yn", property=prop, value=modal_value(dist, schema.domain(prop)))
+        yn = Question(kind="yn", property=prop, value=modal_value(dist))
         if policy == ENTROPY:
             utilities[wh], utilities[yn] = wh_entropy(dist), yn_expected_entropy(dist)
         else:

@@ -49,7 +49,7 @@ def test_reproducible_structured_report():
 # keeps behaviour keeps these bytes
 REPORT_SHA256 = {
     "spacecraft": "2eaa1114ccd3ed539d0fd9490f852a1afff6528f7e9fd73705ad35f6e4bce2fc",
-    "random-low": "0843a74fe02e621149bff0ae8f8e766df250369f340186b33be5c9e985c46644",
+    "random-low": "7e2eb09aa687dc7e5571f4024db00eba76e630a20e8f4b5e162277938d99e2e0",
     "random-high": "5c81ee9271f137d788a90fed2fa3e52bbff15ddb113e6cac76a6676cc7b21038",
 }
 
@@ -117,13 +117,13 @@ def test_every_system_shares_each_iteration_world(monkeypatch):
 
 @pytest.fixture
 def networks(monkeypatch):
-    """Every (world, policy, candidates) a model agent builds a network for;
+    """Every (world, policy, candidate mask) a model agent builds a network for;
     holding the worlds keeps their ids distinct."""
     built = []
     real = refquest.dialogue.build_network
 
     def recording(belief, policy):
-        built.append((belief.world, policy, belief.candidates))
+        built.append((belief.world, policy, belief.mask))
         return real(belief, policy)
 
     monkeypatch.setattr(refquest.dialogue, "build_network", recording)

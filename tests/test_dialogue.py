@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refquest.dialogue import (
     Answer,
@@ -15,7 +16,13 @@ from refquest.dnet import Question
 from refquest.minset import compute_min_set
 from refquest.belief import init_belief
 from refquest.world import Entity, PropertySchema, World
-from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
+from refquest.worlds import (
+    RandomWorldSpec,
+    generate_random_world,
+    high_variance_spec,
+    low_variance_spec,
+    spacecraft_world,
+)
 
 
 def test_oracle_wh_answer_is_ground_truth():
@@ -76,6 +83,19 @@ def test_model_agent_asks_each_world_its_own_first_question():
     # both beliefs hold the same candidates; only the schema order differs
     for world, prop in ((by_color, "color"), (by_shape, "shape"), (by_color, "color")):
         assert agent.choose(init_belief(world, "block")) == Question(kind="wh", property=prop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((low_variance_spec, high_variance_spec)), st.integers(0, 2**32), st.data())
+def test_model_transcripts_ignore_entity_order(spec, seed, data):
+    # utilities read value counts only, so listing the same entities in
+    # another order changes no question the model asks
+    w = generate_random_world(spec(seed))
+    shuffled = World(w.schema, tuple(data.draw(st.permutations(w.entities))))
+    for policy in ("entropy", "data"):
+        for e in w.entities:
+            record = run_episode(w, e.id, ModelAgent(policy))
+            assert run_episode(shuffled, e.id, ModelAgent(policy)).transcript == record.transcript
 
 
 def test_baseline_resolves_and_reproduces_under_seed():

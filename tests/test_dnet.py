@@ -17,8 +17,8 @@ from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import spacecraft_world
 
 
-def dist(**probs):
-    return PropertyDistribution(property="p", probs=probs)
+def dist(**weights):
+    return PropertyDistribution("p", weights)
 
 
 def random_dist(rng, max_support=6):
@@ -66,12 +66,25 @@ def test_yn_never_exceeds_wh(seed):
     assert yn_expected_entropy(d) <= wh_entropy(d) + 1e-12
 
 
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=8), st.data())
+def test_equal_count_multisets_score_exactly_equal(counts, data):
+    # the same counts under other values, in any order, score the same
+    # float; so do the same counts as probabilities
+    shuffled = data.draw(st.permutations(counts))
+    n = sum(counts)
+    for scale in (1, n):
+        a = PropertyDistribution("p", {f"v{i}": c / scale for i, c in enumerate(counts)})
+        b = PropertyDistribution("q", {f"w{i}": c / scale for i, c in enumerate(shuffled)})
+        assert wh_entropy(a) == wh_entropy(b)
+        assert yn_expected_entropy(a) == yn_expected_entropy(b)
+
+
 def test_wh_entropy_bounded_by_log_support():
     rng = random.Random(3)
     for _ in range(200):
         d = random_dist(rng)
         h = wh_entropy(d)
-        assert -1e-12 <= h <= math.log2(len(d.probs)) + 1e-12
+        assert -1e-12 <= h <= math.log2(len(d.counts)) + 1e-12
 
 
 # --- worlds ------------------------------------------------------------
@@ -132,7 +145,7 @@ def test_build_network_spacecraft_emitters():
 
 def expected_modal_value(belief, prop):
     counts = {}
-    for e in belief.candidates:
+    for e in map(belief.world.by_id, belief.candidate_ids):
         counts[e.value(prop)] = counts.get(e.value(prop), 0) + 1
     return next(v for v in belief.world.schema.domain(prop)
                 if counts.get(v) == max(counts.values()))
@@ -188,6 +201,27 @@ def test_ties_break_by_schema_order_then_wh():
         net = build_network(b, policy=policy)
         assert net.active == ("shape", "size")
         assert select_question(net) == wh("shape")
+
+
+def test_two_valued_confirm_scores_its_wh_question():
+    # six entities and five one-hot properties: each property splits the
+    # candidates 1:5, and e5 differs from each e_j only in p_j, so all five
+    # are active; a confirm of a 2-valued property asks what its WH asks
+    schema = PropertySchema(tuple((f"p{j}", ("a", "b")) for j in range(5)))
+    ents = tuple(
+        Entity(f"e{i}", "w", "w", {f"p{j}": "a" if i == j else "b" for j in range(5)})
+        for i in range(6)
+    )
+    net = build_network(init_belief(World(schema, ents), "w"))
+    assert len(net.active) == 5
+    for prop in net.active:
+        wh, yn = (q for q in net.questions if q.property == prop)
+        assert net.utilities[yn] == net.utilities[wh] > 0
+    assert select_question(net) == Question(kind="wh", property="p0")
+    # two values of any split, as counts or as probabilities
+    for c in range(1, 40):
+        for d in (dist(a=c, b=40 - c), dist(a=c / 40, b=(40 - c) / 40)):
+            assert yn_expected_entropy(d) == wh_entropy(d)
 
 
 def test_select_question_color_only_difference():
@@ -248,5 +282,5 @@ def test_rebuild_shrinks_active_set():
             assert set(net.active) <= prev or prev == set()
             prev = set(net.active)
             q = select_question(net)
-            target = b.candidates[0]
+            target = b.world.by_id(b.candidate_ids[0])
             b = b.apply_wh_answer(q.property, target.value(q.property))

@@ -239,7 +239,7 @@ def generated_worlds(draw):
 def test_minset_invariants_on_generated_worlds(w):
     for label in dict.fromkeys(e.label for e in w.entities):
         belief = init_belief(w, label)
-        candidates = belief.candidates
+        candidates = members(w, belief.mask)
         minset = compute_min_set(w, belief.mask)
         assert injective(candidates, minset)
         if len(w.schema.names) <= EXACT_LIMIT_DEFAULT:
@@ -337,7 +337,7 @@ class ActiveSetCheckingAgent(ModelAgent):
     def choose(self, belief):
         net = build_network(belief, policy=self.policy)
         for prop in net.active:
-            assert len({e.value(prop) for e in belief.candidates}) > 1, prop
+            assert len({e.value(prop) for e in members(belief.world, belief.mask)}) > 1, prop
         return super().choose(belief)
 
 

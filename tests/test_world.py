@@ -31,7 +31,7 @@ def test_valid_world_passes():
     w = World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall")))
     assert w.by_id("b") is w.entities[1]
     assert w.label_masks == {"widget": 0b11}  # no entry for "gadget"
-    assert init_belief(w, "widget").candidates == w.entities
+    assert init_belief(w, "widget").candidate_ids == ("a", "b")
     assert w.value_masks == {("color", "red"): 0b01, ("color", "blue"): 0b10,
                              ("shape", "tall"): 0b11, ("shape", "short"): 0}
     with pytest.raises(TypeError):
