@@ -34,34 +34,32 @@ class Belief:
 
     The surviving candidates are one int over the world's entities, bit i
     standing for `world.entities[i]`, so an answer is an AND with one of
-    the world's value masks and a count is a popcount.
+    the world's value masks and a count is a popcount. A mask with bits
+    beyond the world's entities is refused at construction.
     """
 
     world: World
     mask: int  # surviving candidates
 
+    def __post_init__(self):
+        if self.mask >> len(self.world.entities):
+            raise ValueError(
+                f"candidate mask {self.mask:#x} has bits beyond the world's "
+                f"{len(self.world.entities)} entities"
+            )
+
     @property
     def candidate_ids(self) -> tuple[str, ...]:
         """The surviving entities' ids, world order."""
-        if self.mask >> len(self.world.entities):
-            raise self._out_of_range()
         bits = bin(self.mask)[:1:-1]  # least significant first
         return tuple(e.id for e in compress(self.world.entities, map("1".__eq__, bits)))
 
     def resolved(self) -> str | None:
         """The referent's id once exactly one candidate remains, else None."""
         mask = self.mask
-        if mask >> len(self.world.entities):
-            raise self._out_of_range()
         if mask and not mask & (mask - 1):
             return self.world.entities[mask.bit_length() - 1].id
         return None
-
-    def _out_of_range(self) -> ValueError:
-        return ValueError(
-            f"candidate mask {self.mask:#x} has bits beyond the world's "
-            f"{len(self.world.entities)} entities"
-        )
 
     def distribution(self, prop: str) -> PropertyDistribution:
         """How many surviving candidates carry each value of `prop`, in

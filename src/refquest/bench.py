@@ -16,20 +16,16 @@ from __future__ import annotations
 
 import json
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from refquest.dialogue import MAX_QUESTIONS_DEFAULT, BaselineAgent, ModelAgent, run_episode
 from refquest.world import World
-from refquest.worlds import (
-    RandomWorldSpec,
-    generate_random_world,
-    high_variance_spec,
-    low_variance_spec,
-    spacecraft_world,
-)
+from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
 
 SYSTEMS = ("model-entropy", "model-data", "baseline")
 ENVIRONMENTS = ("spacecraft", "random-low", "random-high")
+# varying properties (of RandomWorldSpec.n_properties) per random environment
+_N_VARYING = {"random-low": 3, "random-high": 7}
 
 # Reference constant: mean questions per ambiguity resolution observed
 # for human interlocutors in the source dialogue corpus. Reported for
@@ -115,13 +111,11 @@ def world_for(environment: str, seed: int, n_entities: int) -> World:
     layout, or a random world of `n_entities` entities."""
     if environment == "spacecraft":
         return spacecraft_world()
-    if environment == "random-low":
-        template = low_variance_spec(seed)
-    elif environment == "random-high":
-        template = high_variance_spec(seed)
-    else:
+    if environment not in _N_VARYING:
         raise ValueError(f"unknown environment {environment!r}; expected one of {ENVIRONMENTS}")
-    return generate_random_world(replace(template, n_entities=n_entities))
+    return generate_random_world(
+        RandomWorldSpec(n_entities=n_entities, n_varying=_N_VARYING[environment], seed=seed)
+    )
 
 
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:

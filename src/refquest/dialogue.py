@@ -134,9 +134,9 @@ class BaselineAgent:
         kind, prop = self.rng.choice(options)
         self.asked = prop
         if kind == "wh":
-            return Question(kind="wh", property=prop)
+            return Question(prop)
         values = tuple(belief.distribution(prop).counts)  # domain order
-        return Question(kind="yn", property=prop, value=self.rng.choice(values))
+        return Question(prop, self.rng.choice(values))
 
 
 @dataclass(frozen=True)

@@ -34,28 +34,27 @@ class NoInformativeQuestionError(Exception):
 
 @dataclass(frozen=True)
 class Question:
-    kind: str  # "wh" | "yn"
-    property: str
-    value: str | None = None  # required for yn, absent for wh
+    """A WH question about `property` when `value` is None ("What color is
+    it?"), else a confirm question about that value ("Is it red?")."""
 
-    def __post_init__(self):
-        if self.kind not in ("wh", "yn"):
-            raise ValueError(f"unknown question kind {self.kind!r}; expected 'wh' or 'yn'")
-        if self.kind == "yn" and self.value is None:
-            raise ValueError("yn questions need a value")
-        if self.kind == "wh" and self.value is not None:
-            raise ValueError("wh questions carry no value")
+    property: str
+    value: str | None = None
+
+    @property
+    def kind(self) -> str:
+        """Either "wh" or "yn" (confirm): "wh" exactly when there is no value."""
+        return "wh" if self.value is None else "yn"
 
     @property
     def surface(self) -> str:
-        if self.kind == "wh":
+        if self.value is None:
             return f"What {self.property} is it?"
         return f"Is it {self.value}?"
 
     @property
     def type_name(self) -> str:
         """Question-type key shown in transcripts (Query:color, Confirm:color)."""
-        prefix = "Query" if self.kind == "wh" else "Confirm"
+        prefix = "Query" if self.value is None else "Confirm"
         return f"{prefix}:{self.property}"
 
 
@@ -114,8 +113,8 @@ def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
     utilities = {}
     for prop in active:
         dist = belief.distribution(prop)
-        wh = Question(kind="wh", property=prop)
-        yn = Question(kind="yn", property=prop, value=modal_value(dist))
+        wh = Question(prop)
+        yn = Question(prop, modal_value(dist))
         if policy == ENTROPY:
             utilities[wh], utilities[yn] = wh_entropy(dist), yn_expected_entropy(dist)
         else:

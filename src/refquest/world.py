@@ -25,7 +25,8 @@ class WorldFormatError(Exception):
 # libyaml's parser when PyYAML was built with it; both resolve the same types
 class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     """The safe loader, except that a mapping may not repeat a key (YAML's
-    own loaders keep the last value). A merge key (<<) may be overridden."""
+    own loaders keep the last value), and numbers and dates load as the text
+    written. A merge key (<<) may be overridden."""
 
     def construct_mapping(self, node, deep=False):
         # flatten_mapping deletes merge keys from this list and puts any merged
@@ -44,6 +45,11 @@ class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
         return mapping
 
 
+# parsed, 1:2 would read 62, 010 read 8 and 1.50 read 1.5
+for _tag in ("int", "float", "timestamp"):
+    _Loader.add_constructor(f"tag:yaml.org,2002:{_tag}", _Loader.construct_scalar)
+
+
 @dataclass(frozen=True)
 class PropertySchema:
     """Ordered list of (property name, ordered value domain).
@@ -52,20 +58,21 @@ class PropertySchema:
     tie-breaking throughout the question-selection pipeline. Names and
     domains are tabled once at construction.
 
-    `code(entity)` packs an entity into one int: property i owns the bit
-    field of `width` bits starting at bit i * width, which holds the
-    entity's value's domain index + 1, or 0 where it has no value.
+    An entity packs into one int, its code: the sum of `fields[prop,
+    value]` over its assignment. Property i owns the bit field of w bits
+    starting at bit i * w, w wide enough for the largest domain, which
+    holds the value's domain index + 1, or 0 where the entity has no value.
     `masks[i]` selects that field, so two entities agree on a property set
     exactly when their codes agree under the OR of its masks. A schema
-    holds no per-entity state; each World tables its entities' codes.
+    holds no per-entity state; each World packs and tables its entities'
+    codes.
     """
 
     properties: tuple[tuple[str, tuple[str, ...]], ...]
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    width: int = field(init=False, repr=False, compare=False)
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    fields: Mapping[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     _domains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
-    _fields: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(name for name, _ in self.properties)
@@ -78,33 +85,18 @@ class PropertySchema:
                 raise WorldFormatError(f"property {name!r} has duplicate values")
         width = max((len(values) for _, values in self.properties), default=0).bit_length()
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "width", width)
         object.__setattr__(
             self, "masks", tuple(((1 << width) - 1) << (i * width) for i in range(len(names)))
         )
-        object.__setattr__(self, "_domains", dict(self.properties))
-        object.__setattr__(self, "_fields", {
+        object.__setattr__(self, "fields", MappingProxyType({
             (name, value): (j + 1) << (i * width)
             for i, (name, values) in enumerate(self.properties)
             for j, value in enumerate(values)
-        })
+        }))
+        object.__setattr__(self, "_domains", dict(self.properties))
 
     def domain(self, name: str) -> tuple[str, ...]:
         return self._domains[name]
-
-    def code(self, entity: "Entity") -> int:
-        """The entity's packed code; raises WorldFormatError for a property
-        the schema lacks or a value outside its property's domain."""
-        try:
-            return sum(map(self._fields.__getitem__, entity.assignment.items()))
-        except KeyError as exc:
-            prop, value = exc.args[0]
-            problem = (
-                f"value {value!r} not in domain of property {prop!r}"
-                if prop in self._domains
-                else f"unknown property {prop!r} (value {value!r})"
-            )
-            raise WorldFormatError(f"entity {entity.id!r}: {problem}") from None
 
 
 @dataclass(frozen=True)
@@ -148,7 +140,8 @@ class World:
     def __post_init__(self):
         violations = []
         by_id: dict[str, Entity] = {}
-        value_masks = {(p, v): 0 for p, values in self.schema.properties for v in values}
+        fields = self.schema.fields
+        value_masks = dict.fromkeys(fields, 0)
         label_masks: dict[str, int] = {}
         groups: dict[int, list[int]] = {}  # code -> entity indices, world order
         codes = []
@@ -158,19 +151,25 @@ class World:
             by_id[e.id] = e
             bit = 1 << i
             label_masks[e.label] = label_masks.get(e.label, 0) | bit
-            for key in e.assignment.items():
-                if key in value_masks:  # code() below reports any other key
-                    value_masks[key] |= bit
             missing = [p for p in self.schema.names if p not in e.assignment]
             if missing:
                 violations.append(f"entity {e.id!r}: incomplete assignment, missing {missing}")
-            try:
-                code = self.schema.code(e)
-            except WorldFormatError as exc:
-                violations.append(str(exc))
-                continue
-            codes.append(code)
-            groups.setdefault(code, []).append(i)
+            code = 0
+            for key in e.assignment.items():
+                try:
+                    code += fields[key]
+                except KeyError:
+                    prop, value = key
+                    violations.append(f"entity {e.id!r}: " + (
+                        f"value {value!r} not in domain of property {prop!r}"
+                        if prop in self.schema.names
+                        else f"unknown property {prop!r} (value {value!r})"
+                    ))
+                    break
+                value_masks[key] |= bit
+            else:
+                codes.append(code)
+                groups.setdefault(code, []).append(i)
         # every identical pair, in (earlier, later) world order
         for i, j in sorted(pair for group in groups.values() for pair in combinations(group, 2)):
             a, b = self.entities[i].id, self.entities[j].id

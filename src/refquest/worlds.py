@@ -1,10 +1,10 @@
 """World providers: the shipped spacecraft layout and random generators.
 
-Random worlds come in two regimes: low property variance (entities
-differ on a small subset of properties; the rest are constant decoys)
-and high variance (every property varies). Entities are grouped under
-shared instruction labels, which is what creates the ambiguity each
-episode must resolve.
+A random world's entities differ on its first `n_varying` properties;
+the rest are constant decoys. The benchmark's low-variance regime varies
+a few properties and its high-variance regime all of them. Entities are
+grouped under shared instruction labels, which is what creates the
+ambiguity each episode must resolve.
 """
 
 from __future__ import annotations
@@ -40,14 +40,6 @@ class RandomWorldSpec:
             )
         if min(self.n_entities, self.n_properties, self.values_per_property, self.group_size) < 1:
             raise InfeasibleSpecError("all counts must be at least 1")
-
-
-def low_variance_spec(seed: int) -> RandomWorldSpec:
-    return RandomWorldSpec(n_varying=3, seed=seed)
-
-
-def high_variance_spec(seed: int) -> RandomWorldSpec:
-    return RandomWorldSpec(n_varying=7, seed=seed)
 
 
 def generate_random_world(spec: RandomWorldSpec) -> World:

@@ -31,16 +31,12 @@ def test_init_belief_unique_label_already_resolved():
 
 def test_mask_beyond_the_world_is_named():
     w = spacecraft_world()
-    b = Belief(w, 1 << 18)
-    message = r"^candidate mask 0x40000 has bits beyond the world's 18 entities$"
-    with pytest.raises(ValueError, match=message):
-        b.resolved()
-    with pytest.raises(ValueError, match=message):
-        b.candidate_ids
+    with pytest.raises(ValueError,
+                       match=r"^candidate mask 0x40000 has bits beyond the world's 18 entities$"):
+        Belief(w, 1 << 18)
     # a stray bit beside a real candidate is named too, not read as resolved
-    stray = Belief(w, (1 << 18) | 1)
     with pytest.raises(ValueError, match=r"^candidate mask 0x40001 has bits beyond"):
-        stray.resolved()
+        Belief(w, (1 << 18) | 1)
     assert Belief(w, 1 << 17).resolved() == w.entities[17].id
 
 
@@ -183,3 +179,14 @@ def test_mask_belief_matches_tuple_filter_reference(w, data):
             belief = belief.apply_yn_answer(prop, value, yes)
             reference = tuple(e for e in reference if (e.value(prop) == value) == yes)
     assert_matches_reference(belief, reference)
+
+
+@pytest.mark.parametrize("label, yes, message", [
+    ("gadget", False, "answer no to color='green' eliminates all candidates"),
+    ("widget", True, "answer yes to color='green' eliminates all candidates"),
+], ids=["no", "yes"])
+def test_confirm_that_empties_the_candidates_is_refused(label, yes, message):
+    b = init_belief(small_world(), label)
+    with pytest.raises(ContradictoryAnswerError) as exc:
+        b.apply_yn_answer("color", "green", yes)
+    assert str(exc.value) == message

@@ -148,3 +148,26 @@ def test_no_memo_outlives_a_benchmark_call(networks):
     first = len(networks)
     run_benchmark(small_spec())
     assert len(networks) == 2 * first == 48
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: refquest.bench.make_agent("warp-drive", 0), "unknown system 'warp-drive'"),
+    (lambda: refquest.bench.world_for("moonbase", 0, 20),
+     "unknown environment 'moonbase'; expected one of "
+     "('spacecraft', 'random-low', 'random-high')"),
+], ids=["make_agent", "world_for"])
+def test_unknown_names_rejected(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_one_iteration_has_zero_sd():
+    report = run_benchmark(small_spec(environment="random-low", iterations=1))
+    assert [r.sd for r in report.results] == [0.0] * 3
+
+
+def test_agent_names_are_their_systems():
+    # perfbench groups the episodes it times by agent.name
+    systems = refquest.bench.SYSTEMS
+    assert tuple(refquest.bench.make_agent(s, 0).name for s in systems) == systems

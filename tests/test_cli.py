@@ -70,6 +70,16 @@ def test_episode_sim(capsys):
     assert summary["question_count"] <= 3
 
 
+def test_episode_on_a_world_file(capsys, tmp_path):
+    path = tmp_path / "world.yaml"
+    code, _, _ = run_cli(capsys, "genworld", "--variance", "high", "--seed", "3",
+                         "--out", str(path))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "episode", "--world", str(path), "--target", "e05")
+    assert code == 0
+    assert json.loads(out[out.index("{"):])["resolved"] == "e05"
+
+
 def test_episode_unknown_target_exits_1(capsys):
     code, _, err = run_cli(capsys, "episode", "--world", "spacecraft",
                            "--target", "flux_widget_9")

@@ -115,14 +115,10 @@ def grid_world(*names, constant=()):
 # --- network construction and selection --------------------------------
 
 def test_question_invariants():
-    with pytest.raises(ValueError):
-        Question(kind="yn", property="color")
-    with pytest.raises(ValueError):
-        Question(kind="wh", property="color", value="red")
-    with pytest.raises(ValueError, match="unknown question kind 'maybe'"):
-        Question(kind="maybe", property="color")
-    assert Question(kind="wh", property="color").surface == "What color is it?"
-    assert Question(kind="yn", property="color", value="red").surface == "Is it red?"
+    # the kind follows from the value, so no question can carry the wrong one
+    assert (Question("color").kind, Question("color", "red").kind) == ("wh", "yn")
+    assert Question("color").surface == "What color is it?"
+    assert Question("color", "red").surface == "Is it red?"
 
 
 def test_build_network_single_candidate_is_empty():
@@ -183,7 +179,7 @@ def test_one_wh_and_one_modal_confirm_per_active_property():
 
 def test_ties_break_by_schema_order_then_wh():
     def wh(prop):
-        return Question(kind="wh", property=prop)
+        return Question(prop)
 
     # every question of a 2x2 world scores 1 bit under entropy
     b = init_belief(grid_world("shape", "color"), "w")
@@ -217,7 +213,7 @@ def test_two_valued_confirm_scores_its_wh_question():
     for prop in net.active:
         wh, yn = (q for q in net.questions if q.property == prop)
         assert net.utilities[yn] == net.utilities[wh] > 0
-    assert select_question(net) == Question(kind="wh", property="p0")
+    assert select_question(net) == Question("p0")
     # two values of any split, as counts or as probabilities
     for c in range(1, 40):
         for d in (dist(a=c, b=40 - c), dist(a=c / 40, b=(40 - c) / 40)):
@@ -228,7 +224,7 @@ def test_select_question_color_only_difference():
     w = pair_world()
     b = init_belief(w, "w")
     q = select_question(build_network(b))
-    assert q == Question(kind="wh", property="color")
+    assert q == Question("color")
 
 
 def test_select_question_argmax_by_entropy():
@@ -284,3 +280,10 @@ def test_rebuild_shrinks_active_set():
             q = select_question(net)
             target = b.world.by_id(b.candidate_ids[0])
             b = b.apply_wh_answer(q.property, target.value(q.property))
+
+
+@pytest.mark.parametrize("policy", ["maybe", "Entropy"])
+def test_build_network_rejects_unknown_policy(policy):
+    b = init_belief(spacecraft_world(), "megaband module")
+    with pytest.raises(ValueError, match=f"^unknown utility policy '{policy}'$"):
+        build_network(b, policy)

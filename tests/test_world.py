@@ -44,7 +44,8 @@ def test_valid_world_passes():
 
 def test_world_codes_align_with_entities():
     w = spacecraft_world()
-    assert w.codes == tuple(w.schema.code(e) for e in w.entities)
+    assert w.codes == tuple(sum(map(w.schema.fields.__getitem__, e.assignment.items()))
+                            for e in w.entities)
     # one schema object, two Worlds: each tables the codes of its own
     # entities, and the same id may stand for different assignments
     first = World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall")))
@@ -52,7 +53,7 @@ def test_world_codes_align_with_entities():
     for world in (first, second):
         assert len(world.codes) == len(world.entities)
         for i, e in enumerate(world.entities):
-            assert world.codes[i] == SCHEMA.code(e)
+            assert world.codes[i] == sum(map(SCHEMA.fields.__getitem__, e.assignment.items()))
     assert len(set(first.codes + second.codes)) == 4
 
 
@@ -133,12 +134,15 @@ def test_schema_lookups():
         SCHEMA.domain("size")
     # a missing property differs from every domain value; equal assignments
     # give equal codes, whatever the entity
+    def code(e):
+        return sum(map(SCHEMA.fields.__getitem__, e.assignment.items()))
+
     color = SCHEMA.masks[SCHEMA.names.index("color")]
-    no_color = SCHEMA.code(Entity("b", "w", "w", {"shape": "short"}))
-    assert all(SCHEMA.code(ent(c, c, "short")) & color != no_color & color
+    no_color = code(Entity("b", "w", "w", {"shape": "short"}))
+    assert all(code(ent(c, c, "short")) & color != no_color & color
                for c in ("red", "blue"))
-    assert SCHEMA.code(ent("a", "blue", "tall")) == SCHEMA.code(ent("z", "blue", "tall", "gadget"))
-    assert SCHEMA.code(ent("a", "blue", "tall")) != SCHEMA.code(ent("a", "red", "tall"))
+    assert code(ent("a", "blue", "tall")) == code(ent("z", "blue", "tall", "gadget"))
+    assert code(ent("a", "blue", "tall")) != code(ent("a", "red", "tall"))
 
 
 def test_incomplete_assignment_flagged():
@@ -197,7 +201,7 @@ def test_load_world_rejects_scalar_values():
 
 
 @pytest.mark.parametrize("doc, message", [
-    ("schema: 5\nentities: []\n", "'schema' must be a list, got 5"),
+    ("schema: 5\nentities: []\n", "'schema' must be a list, got '5'"),
     ("schema: []\nentities: abc\n", "'entities' must be a list, got 'abc'"),
 ], ids=["schema", "entities"])
 def test_load_world_rejects_non_list_sections(doc, message):
@@ -331,3 +335,32 @@ def test_valid_world_is_pairwise_distinguishable():
     for i, a in enumerate(w.entities):
         for b in w.entities[i + 1:]:
             assert any(a.value(p) != b.value(p) for p in w.schema.names)
+
+
+def test_load_world_keeps_numbers_and_dates_as_written():
+    # parsed, these would read 62, 16, 8, 1.5 and a date, and 007 would
+    # read 7 and collide with the id 7
+    w = load_world("half: &half {ratio: 1:2}\n"
+                   "schema:\n  - {name: ratio, values: [1:2, 0x10, 010, 1.50, 2001-12-14]}\n"
+                   "entities:\n  - {id: 007, label: w, type: w, assignment: {<<: *half}}\n"
+                   "  - {id: 7, label: w, type: w, assignment: {ratio: 010}}\n")
+    assert w.schema.domain("ratio") == ("1:2", "0x10", "010", "1.50", "2001-12-14")
+    assert [(e.id, e.assignment["ratio"]) for e in w.entities] == [("007", "1:2"), ("7", "010")]
+    assert load_world(serialize_world(w)) == w
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: load_world("- schema\n- entities\n"), "world config must be a key/value tree"),
+    (lambda: load_world("schema: []\n"), "world config missing top-level key 'entities'"),
+    (lambda: load_world("schema: [{name: color}]\nentities: []\n"),
+     "bad schema entry {'name': 'color'}: needs name/values"),
+    (lambda: load_world("schema: [{name: color, values: [red]}]\n"
+                        "entities: [{id: a, label: w, type: w}]\n"),
+     "bad entity entry {'id': 'a', 'label': 'w', 'type': 'w'}: needs id/label/type/assignment"),
+    (lambda: PropertySchema((("color", ("red", "blue", "red")),)),
+     "property 'color' has duplicate values"),
+], ids=["not-a-mapping", "missing-key", "schema-entry", "entity-entry", "duplicate-values"])
+def test_malformed_worlds_are_refused_by_name(build, message):
+    with pytest.raises(WorldFormatError) as exc:
+        build()
+    assert str(exc.value) == message

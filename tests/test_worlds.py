@@ -8,8 +8,6 @@ from refquest.worlds import (
     InfeasibleSpecError,
     RandomWorldSpec,
     generate_random_world,
-    high_variance_spec,
-    low_variance_spec,
     spacecraft_world,
 )
 from refquest.belief import Belief
@@ -21,13 +19,13 @@ def entity_level_entropy(world, prop):
 
 
 def test_low_variance_world_has_three_varying_properties():
-    w = generate_random_world(low_variance_spec(3))
+    w = generate_random_world(RandomWorldSpec(n_varying=3, seed=3))
     varying = [p for p in w.schema.names if entity_level_entropy(w, p) > 0]
     assert len(varying) == 3
 
 
 def test_high_variance_world_varies_widely():
-    w = generate_random_world(high_variance_spec(3))
+    w = generate_random_world(RandomWorldSpec(n_varying=7, seed=3))
     varying = [p for p in w.schema.names if entity_level_entropy(w, p) > 0]
     assert len(varying) >= 6  # up to all 7; a constant column is vanishingly unlikely
 
@@ -42,23 +40,23 @@ def test_infeasible_spec_rejected():
 
 
 def test_seed_determinism():
-    spec = low_variance_spec(17)
+    spec = RandomWorldSpec(n_varying=3, seed=17)
     assert generate_random_world(spec) == generate_random_world(spec)
-    assert generate_random_world(low_variance_spec(17)) != generate_random_world(
-        low_variance_spec(18)
+    assert generate_random_world(RandomWorldSpec(n_varying=3, seed=17)) != generate_random_world(
+        RandomWorldSpec(n_varying=3, seed=18)
     )
 
 
 def test_generated_worlds_always_validate():
     for seed in range(25):
-        for spec in (low_variance_spec(seed), high_variance_spec(seed)):
+        for spec in (RandomWorldSpec(n_varying=3, seed=seed), RandomWorldSpec(n_varying=7, seed=seed)):
             w = generate_random_world(spec)
             assert load_world(serialize_world(w)) == w
 
 
 def test_minset_never_includes_constant_properties():
     for seed in range(10):
-        w = generate_random_world(low_variance_spec(seed))
+        w = generate_random_world(RandomWorldSpec(n_varying=3, seed=seed))
         constants = {p for p in w.schema.names if entity_level_entropy(w, p) == 0}
         for label in dict.fromkeys(e.label for e in w.entities):
             b = init_belief(w, label)
@@ -68,13 +66,13 @@ def test_minset_never_includes_constant_properties():
 
 
 def test_group_labels_shared():
-    w = generate_random_world(low_variance_spec(5))
+    w = generate_random_world(RandomWorldSpec(n_varying=3, seed=5))
     b = init_belief(w, w.entities[0].label)
     assert len(b.candidate_ids) == 7  # default group size
 
 
 def test_generated_world_round_trips_through_config_format():
-    w = generate_random_world(high_variance_spec(9))
+    w = generate_random_world(RandomWorldSpec(n_varying=7, seed=9))
     assert load_world(serialize_world(w)) == w
 
 
@@ -85,3 +83,9 @@ def test_spacecraft_layout():
     assert len(types) == 6
     for t in types:
         assert sum(1 for e in w.entities if e.type_name == t) == 3
+
+
+@pytest.mark.parametrize("count", ["n_entities", "group_size"])
+def test_zero_count_rejected(count):
+    with pytest.raises(InfeasibleSpecError, match="^all counts must be at least 1$"):
+        generate_random_world(RandomWorldSpec(**{count: 0}))
