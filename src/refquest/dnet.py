@@ -2,12 +2,13 @@
 
 The network is built from the current belief for each new candidate
 set: its active properties are the minimum disambiguating set over the surviving
-candidates, and its decision node holds one WH question and one confirm
-(yes/no) question about the modal value for each active property. Its
-utilities score questions either by Shannon entropy of the
+candidates, and its decision node holds one WH question for each active
+property. Its utilities score questions either by Shannon entropy of the
 belief-conditioned value distributions or by question-type preference,
 a fixed weight per property. Every active property varies among the
-candidates, so no question is about a property already known.
+candidates, so no question is about a property already known. No confirm
+(yes/no) question is built: under either utility none could beat its WH
+question (see `yn_expected_entropy`), and ties would go to WH.
 
 The entropy utilities read only a property's value counts and sum their
 terms over the counts in ascending order, so a question's utility is a
@@ -61,7 +62,7 @@ class Question:
 @dataclass(frozen=True)
 class DecisionNetwork:
     active: tuple[str, ...]  # minimum disambiguating set, schema order
-    questions: tuple[Question, ...]  # tie-break order: schema order, WH before confirm
+    questions: tuple[Question, ...]  # WH, one per active property; tie-break order
     utilities: dict[Question, float]
 
 
@@ -81,8 +82,7 @@ def yn_expected_entropy(dist: PropertyDistribution) -> float:
 
     Sum over values of p_i times the binary entropy of p_i, with p_i = c_i / n.
     With two values a confirm splits the candidates as a WH question does,
-    so it scores wh_entropy exactly; with one it scores 0. Always at most
-    wh_entropy.
+    so it scores wh_entropy exactly; with one, 0; with more, strictly less.
     """
     if len(dist.counts) <= 2:
         return wh_entropy(dist)
@@ -92,11 +92,6 @@ def yn_expected_entropy(dist: PropertyDistribution) -> float:
     return sum(
         c * (n_log_n - c * math.log2(c) - (n - c) * math.log2(n - c)) for c in counts
     ) / (n * n)
-
-
-def modal_value(dist: PropertyDistribution) -> str:
-    """Most frequent value among candidates; ties go to the earlier domain value."""
-    return max(dist.counts, key=dist.counts.__getitem__)
 
 
 def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
@@ -109,24 +104,17 @@ def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
     if policy not in (ENTROPY, DATA):
         raise ValueError(f"unknown utility policy {policy!r}")
     active = tuple(compute_min_set(belief.world, belief.mask))
-    questions = []
-    utilities = {}
-    for prop in active:
-        dist = belief.distribution(prop)
-        wh = Question(prop)
-        yn = Question(prop, modal_value(dist))
-        if policy == ENTROPY:
-            utilities[wh], utilities[yn] = wh_entropy(dist), yn_expected_entropy(dist)
-        else:
-            utilities[wh] = utilities[yn] = COLOR_BOOST if prop == "color" else 1.0
-        questions += (wh, yn)
-    return DecisionNetwork(active=active, questions=tuple(questions), utilities=utilities)
+    questions = tuple(map(Question, active))
+    if policy == ENTROPY:
+        scores = (wh_entropy(belief.distribution(prop)) for prop in active)
+    else:
+        scores = (COLOR_BOOST if prop == "color" else 1.0 for prop in active)
+    return DecisionNetwork(active, questions, dict(zip(questions, scores)))
 
 
 def select_question(net: DecisionNetwork) -> Question:
     """Maximum-expected-utility question; the first of equals in
-    `net.questions` order wins, so ties go to the earlier schema property,
-    then to WH before confirm."""
+    `net.questions` order wins, so ties go to the earlier schema property."""
     if not net.questions:
         raise NoInformativeQuestionError("network has no questions")
     best = max(net.questions, key=net.utilities.__getitem__)

@@ -25,8 +25,8 @@ class WorldFormatError(Exception):
 # libyaml's parser when PyYAML was built with it; both resolve the same types
 class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     """The safe loader, except that a mapping may not repeat a key (YAML's
-    own loaders keep the last value), and numbers and dates load as the text
-    written. A merge key (<<) may be overridden."""
+    own loaders keep the last value), numbers and dates load as the text
+    written, and other tags are refused. A merge key (<<) may be overridden."""
 
     def construct_mapping(self, node, deep=False):
         # flatten_mapping deletes merge keys from this list and puts any merged
@@ -44,10 +44,19 @@ class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
                 seen.add(key)
         return mapping
 
+    def refuse_tag(self, node):
+        raise WorldFormatError(f"tag {node.tag!r} on line {node.start_mark.line + 1} is not allowed")
 
-# parsed, 1:2 would read 62, 010 read 8 and 1.50 read 1.5
-for _tag in ("int", "float", "timestamp"):
-    _Loader.add_constructor(f"tag:yaml.org,2002:{_tag}", _Loader.construct_scalar)
+
+# numbers and dates load as written (parsed, 1:2 would read 62 and 010 read 8),
+# booleans and nulls as parsed for _text to refuse; other tags such as !!binary
+# are refused
+_YAML = "tag:yaml.org,2002:"
+_Loader.yaml_constructors = {
+    None: _Loader.refuse_tag,
+    **{_YAML + t: _Loader.construct_scalar for t in ("str", "int", "float", "timestamp")},
+    **{_YAML + t: yaml.SafeLoader.yaml_constructors[_YAML + t] for t in ("seq", "map", "bool", "null")},
+}
 
 
 @dataclass(frozen=True)
@@ -188,14 +197,15 @@ class World:
 def _text(value, where: str) -> str:
     """A world name or value as its string token; YAML booleans and nulls are
     refused because their spelling (yes, no, on, ~) is lost once parsed, and
-    lists and mappings because they are not one token."""
+    lists and mappings because they are not one token; _Loader loads any
+    other value as the text written."""
     if value is None or isinstance(value, bool):
         raise WorldFormatError(
             f"{where}: parsed as {value!r}; quote it to keep it as text (e.g. 'yes')"
         )
     if isinstance(value, (list, dict)):
         raise WorldFormatError(f"{where}: expected a single value, got {value!r}")
-    return str(value)
+    return value
 
 
 def load_world(text: str) -> World:

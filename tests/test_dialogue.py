@@ -96,6 +96,20 @@ def test_model_transcripts_ignore_entity_order(n_varying, seed, data):
             assert run_episode(shuffled, e.id, ModelAgent(policy)).transcript == record.transcript
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((3, 7)), st.integers(0, 2**32))
+def test_model_agents_ask_no_confirm_question(n_varying, seed):
+    # low- (3 varying) and high-variance (7) worlds: a confirm never scores
+    # above its WH question, so the network holds none and no model asks one
+    w = generate_random_world(RandomWorldSpec(n_varying=n_varying, seed=seed))
+    for policy in ("entropy", "data"):
+        agent = ModelAgent(policy)
+        for e in w.entities:
+            record = run_episode(w, e.id, agent)
+            assert record.resolved_id == e.id
+            assert all(q.kind == "wh" for q, _ in record.transcript)
+
+
 def test_baseline_resolves_and_reproduces_under_seed():
     w = spacecraft_world()
     r1 = run_episode(w, "capacitor_2", BaselineAgent(seed=99))

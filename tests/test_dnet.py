@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from refquest.belief import PropertyDistribution, init_belief
+from refquest.belief import Belief, PropertyDistribution, init_belief
 from refquest.dnet import (
     NoInformativeQuestionError,
     Question,
@@ -139,15 +139,7 @@ def test_build_network_spacecraft_emitters():
         assert net.utilities[q] > 0
 
 
-def expected_modal_value(belief, prop):
-    counts = {}
-    for e in map(belief.world.by_id, belief.candidate_ids):
-        counts[e.value(prop)] = counts.get(e.value(prop), 0) + 1
-    return next(v for v in belief.world.schema.domain(prop)
-                if counts.get(v) == max(counts.values()))
-
-
-def test_one_wh_and_one_modal_confirm_per_active_property():
+def test_one_wh_question_per_active_property():
     props = tuple((f"p{i}", ("a", "b", "c")) for i in range(9))
     schema = PropertySchema(props)
     ents = []
@@ -166,15 +158,48 @@ def test_one_wh_and_one_modal_confirm_per_active_property():
         init_belief(sc, label) for label in dict.fromkeys(e.label for e in sc.entities)
     ]
     for b in beliefs:
+        order = b.world.schema.names
         for policy in ("entropy", "data"):
             net = build_network(b, policy=policy)
             assert net.active
-            for prop in net.active:
-                about = [q for q in net.questions if q.property == prop]
-                assert [q.kind for q in about] == ["wh", "yn"]
-                assert about[1].value == expected_modal_value(b, prop)
-            assert len(net.questions) == 2 * len(net.active)
+            assert list(net.active) == sorted(net.active, key=order.index)
+            assert net.questions == tuple(Question(prop) for prop in net.active)
             assert set(net.utilities) == set(net.questions)
+
+
+def positive_count_multisets(k, budget, low=1):
+    """Every non-decreasing tuple of k counts, each >= low, summing to <= budget."""
+    if k == 0:
+        yield ()
+        return
+    for c in range(low, budget // k + 1):
+        for rest in positive_count_multisets(k - 1, budget - c, c):
+            yield (c,) + rest
+
+
+def test_confirm_never_beats_its_wh_question():
+    # a confirm asks what its WH asks for 2 values, and for 3 or more it is
+    # strictly less informative, by a margin no rounding error explains
+    # (the smallest gap up to n = 40 is 0.056 bits, at counts 1, 1, 38)
+    for k in range(2, 6):
+        for counts in positive_count_multisets(k, 40):
+            d = PropertyDistribution("p", {f"v{i}": c for i, c in enumerate(counts)})
+            if k == 2:
+                assert yn_expected_entropy(d) == wh_entropy(d), counts
+            else:
+                assert yn_expected_entropy(d) < wh_entropy(d) - 0.05, counts
+
+
+def test_data_policy_reads_no_distribution(monkeypatch):
+    def refuse(self, prop):
+        raise AssertionError(f"distribution({prop!r}) read under the data policy")
+
+    b = init_belief(grid_world("shape", "color"), "w")
+    monkeypatch.setattr(Belief, "distribution", refuse)
+    net = build_network(b, policy="data")
+    assert select_question(net) == Question("color")
+    with pytest.raises(AssertionError, match="distribution"):
+        build_network(b)
 
 
 def test_ties_break_by_schema_order_then_wh():
@@ -199,25 +224,27 @@ def test_ties_break_by_schema_order_then_wh():
         assert select_question(net) == wh("shape")
 
 
-def test_two_valued_confirm_scores_its_wh_question():
+def test_two_valued_properties_tie_and_the_first_is_asked():
     # six entities and five one-hot properties: each property splits the
     # candidates 1:5, and e5 differs from each e_j only in p_j, so all five
-    # are active; a confirm of a 2-valued property asks what its WH asks
+    # are active and score alike; a confirm about any of them would ask
+    # what its WH asks, so it would tie too
     schema = PropertySchema(tuple((f"p{j}", ("a", "b")) for j in range(5)))
     ents = tuple(
         Entity(f"e{i}", "w", "w", {f"p{j}": "a" if i == j else "b" for j in range(5)})
         for i in range(6)
     )
-    net = build_network(init_belief(World(schema, ents), "w"))
+    b = init_belief(World(schema, ents), "w")
+    net = build_network(b)
     assert len(net.active) == 5
     for prop in net.active:
-        wh, yn = (q for q in net.questions if q.property == prop)
-        assert net.utilities[yn] == net.utilities[wh] > 0
+        assert net.utilities[Question(prop)] == yn_expected_entropy(b.distribution(prop)) > 0
     assert select_question(net) == Question("p0")
-    # two values of any split, as counts or as probabilities
+    # the tie holds for two values given as probabilities too; counts are
+    # checked in test_confirm_never_beats_its_wh_question
     for c in range(1, 40):
-        for d in (dist(a=c, b=40 - c), dist(a=c / 40, b=(40 - c) / 40)):
-            assert yn_expected_entropy(d) == wh_entropy(d)
+        d = dist(a=c / 40, b=(40 - c) / 40)
+        assert yn_expected_entropy(d) == wh_entropy(d)
 
 
 def test_select_question_color_only_difference():

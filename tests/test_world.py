@@ -265,8 +265,10 @@ def yaml_parser(request, monkeypatch):
     base = getattr(yaml, request.param, None)
     if base is None:
         pytest.skip("PyYAML was built without libyaml")
-    loader = type(request.param, (base,),
-                  {"construct_mapping": refquest.world._Loader.construct_mapping})
+    loader = type(request.param, (base,), {
+        "construct_mapping": refquest.world._Loader.construct_mapping,
+        "yaml_constructors": refquest.world._Loader.yaml_constructors,
+    })
     monkeypatch.setattr(refquest.world, "_Loader", loader)
 
 
@@ -337,7 +339,7 @@ def test_valid_world_is_pairwise_distinguishable():
             assert any(a.value(p) != b.value(p) for p in w.schema.names)
 
 
-def test_load_world_keeps_numbers_and_dates_as_written():
+def test_load_world_keeps_numbers_and_dates_as_written(yaml_parser):
     # parsed, these would read 62, 16, 8, 1.5 and a date, and 007 would
     # read 7 and collide with the id 7
     w = load_world("half: &half {ratio: 1:2}\n"
@@ -347,6 +349,18 @@ def test_load_world_keeps_numbers_and_dates_as_written():
     assert w.schema.domain("ratio") == ("1:2", "0x10", "010", "1.50", "2001-12-14")
     assert [(e.id, e.assignment["ratio"]) for e in w.entities] == [("007", "1:2"), ("7", "010")]
     assert load_world(serialize_world(w)) == w
+
+
+@pytest.mark.parametrize("value, tag", [
+    ("!!binary aGk=", "binary"),  # parsed, would read "b'hi'"
+    ("!!set {x: null}", "set"),  # parsed, would read "{'x'}"
+], ids=["binary", "set"])
+def test_load_world_refuses_other_tags(yaml_parser, value, tag):
+    doc = ("schema:\n  - {name: p, values: [x, y]}\n"
+           f"entities:\n  - id: a\n    label: w\n    type: w\n    assignment: {{p: {value}}}\n")
+    with pytest.raises(WorldFormatError) as exc:
+        load_world(doc)
+    assert str(exc.value) == f"tag 'tag:yaml.org,2002:{tag}' on line 7 is not allowed"
 
 
 @pytest.mark.parametrize("build, message", [
@@ -364,3 +378,9 @@ def test_malformed_worlds_are_refused_by_name(build, message):
     with pytest.raises(WorldFormatError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_empty_schema_with_one_entity_resolves_at_once():
+    w = load_world("schema: []\nentities:\n  - {id: a, label: w, type: w, assignment: {}}\n")
+    assert w.schema.names == ()
+    assert run_episode(w, "a", ModelAgent()).question_count == 0
