@@ -23,9 +23,9 @@ from refquest.world import World
 from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
 
 SYSTEMS = ("model-entropy", "model-data", "baseline")
-ENVIRONMENTS = ("spacecraft", "random-low", "random-high")
 # varying properties (of RandomWorldSpec.n_properties) per random environment
 _N_VARYING = {"random-low": 3, "random-high": 7}
+ENVIRONMENTS = ("spacecraft", *_N_VARYING)
 
 # Reference constant: mean questions per ambiguity resolution observed
 # for human interlocutors in the source dialogue corpus. Reported for
@@ -45,7 +45,7 @@ class BenchmarkSpec:
     trials: int = RandomWorldSpec.n_entities
     base_seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not self.systems:
             raise ValueError("at least one system required")
         for s in self.systems:
@@ -64,7 +64,6 @@ class BenchmarkSpec:
 @dataclass(frozen=True)
 class SystemResult:
     system: str
-    environment: str
     iteration_means: tuple[float, ...] = field(hash=False)
 
     @property
@@ -97,13 +96,11 @@ def _iteration_seed(base_seed: int, iteration: int) -> int:
 
 def make_agent(system: str, seed: int):
     """A fresh agent for a system; only the baseline reads `seed`."""
-    if system == "model-entropy":
-        return ModelAgent(policy="entropy")
-    if system == "model-data":
-        return ModelAgent(policy="data")
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
     if system == "baseline":
         return BaselineAgent(seed=seed)
-    raise ValueError(f"unknown system {system!r}")
+    return ModelAgent(policy=system.removeprefix("model-"))  # the inverse of ModelAgent.name
 
 
 def world_for(environment: str, seed: int, n_entities: int) -> World:
@@ -119,7 +116,6 @@ def world_for(environment: str, seed: int, n_entities: int) -> World:
 
 
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
-    spec.validate()
     means: dict[str, list[float]] = {system: [] for system in spec.systems}
     models = {system: make_agent(system, 0) for system in spec.systems if system != "baseline"}
     total = 0
@@ -136,20 +132,16 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
             total += len(counts)
             iteration_means.append(statistics.fmean(counts))
     results = tuple(
-        SystemResult(system, spec.environment, tuple(iteration_means))
+        SystemResult(system, tuple(iteration_means))
         for system, iteration_means in means.items()
     )
     return BenchmarkReport(spec=spec, results=results, total_episodes=total)
 
 
 def emit_report(report: BenchmarkReport, fmt: str = "table") -> str:
-    if fmt == "table":
-        return _emit_table(report)
-    if fmt == "delimited":
-        return _emit_delimited(report)
-    if fmt == "structured":
-        return _emit_structured(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return FORMATS[fmt](report)
 
 
 def _emit_table(report: BenchmarkReport) -> str:
@@ -177,7 +169,7 @@ def _emit_delimited(report: BenchmarkReport) -> str:
     lines = ["system,environment,mean_questions,sd,iterations,trials,base_seed"]
     for r in report.results:
         lines.append(
-            f"{r.system},{r.environment},{r.mean:.6f},{r.sd:.6f},"
+            f"{r.system},{report.spec.environment},{r.mean:.6f},{r.sd:.6f},"
             f"{report.spec.iterations},{report.spec.trials},{report.spec.base_seed}"
         )
     return "\n".join(lines) + "\n"
@@ -202,7 +194,7 @@ def _emit_structured(report: BenchmarkReport) -> str:
         "results": [
             {
                 "system": r.system,
-                "environment": r.environment,
+                "environment": report.spec.environment,
                 "mean": r.mean,
                 "sd": r.sd,
                 "iteration_means": list(r.iteration_means),
@@ -211,3 +203,6 @@ def _emit_structured(report: BenchmarkReport) -> str:
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+FORMATS = {"table": _emit_table, "delimited": _emit_delimited, "structured": _emit_structured}

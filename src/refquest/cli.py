@@ -10,6 +10,7 @@ from pathlib import Path
 
 from refquest.bench import (
     ENVIRONMENTS,
+    FORMATS,
     SYSTEMS,
     BenchmarkSpec,
     emit_report,
@@ -48,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=int, default=BenchmarkSpec.trials,
                        help="entities per random world (spacecraft always uses its 18 tools)")
     bench.add_argument("--seed", type=int, default=None, help="base seed (default REFQUEST_SEED or 0)")
-    bench.add_argument("--format", choices=("table", "delimited", "structured"), default="table")
+    bench.add_argument("--format", choices=FORMATS, default="table")
     bench.add_argument("--out", type=Path, default=None, help="write report to a file instead of stdout")
 
     episode = sub.add_parser("episode", help="run a single resolution episode")

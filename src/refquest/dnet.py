@@ -61,8 +61,7 @@ class Question:
 
 @dataclass(frozen=True)
 class DecisionNetwork:
-    active: tuple[str, ...]  # minimum disambiguating set, schema order
-    questions: tuple[Question, ...]  # WH, one per active property; tie-break order
+    questions: tuple[Question, ...]  # WH, one per min-set property; tie-break order
     utilities: dict[Question, float]
 
 
@@ -103,13 +102,12 @@ def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
     """
     if policy not in (ENTROPY, DATA):
         raise ValueError(f"unknown utility policy {policy!r}")
-    active = tuple(compute_min_set(belief.world, belief.mask))
-    questions = tuple(map(Question, active))
+    questions = tuple(map(Question, compute_min_set(belief.world, belief.mask)))
     if policy == ENTROPY:
-        scores = (wh_entropy(belief.distribution(prop)) for prop in active)
+        scores = (wh_entropy(belief.distribution(q.property)) for q in questions)
     else:
-        scores = (COLOR_BOOST if prop == "color" else 1.0 for prop in active)
-    return DecisionNetwork(active, questions, dict(zip(questions, scores)))
+        scores = (COLOR_BOOST if q.property == "color" else 1.0 for q in questions)
+    return DecisionNetwork(questions, dict(zip(questions, scores)))
 
 
 def select_question(net: DecisionNetwork) -> Question:

@@ -11,6 +11,8 @@ from a config document.
 
 from __future__ import annotations
 
+import re
+import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -44,6 +46,13 @@ class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
                 seen.add(key)
         return mapping
 
+    def construct_yaml_bool(self, node):
+        # an explicit !!bool may tag any text, such as !!bool ~
+        if self.construct_scalar(node).lower() not in self.bool_values:
+            raise WorldFormatError(f"!!bool {node.value!r} on line {node.start_mark.line + 1}"
+                                   " is not a boolean")
+        return yaml.constructor.SafeConstructor.construct_yaml_bool(self, node)
+
     def refuse_tag(self, node):
         raise WorldFormatError(f"tag {node.tag!r} on line {node.start_mark.line + 1} is not allowed")
 
@@ -55,8 +64,42 @@ _YAML = "tag:yaml.org,2002:"
 _Loader.yaml_constructors = {
     None: _Loader.refuse_tag,
     **{_YAML + t: _Loader.construct_scalar for t in ("str", "int", "float", "timestamp")},
-    **{_YAML + t: yaml.SafeLoader.yaml_constructors[_YAML + t] for t in ("seq", "map", "bool", "null")},
+    **{_YAML + t: yaml.SafeLoader.yaml_constructors[_YAML + t] for t in ("seq", "map", "null")},
+    _YAML + "bool": _Loader.construct_yaml_bool,
 }
+
+
+# Deepest collection nesting a world config may have. libyaml's composer
+# recurses in C and overflows the stack near 30,000 levels; the pure-Python
+# one spends two frames of the interpreter's recursion limit a level.
+_MAX_DEPTH = 256
+
+
+def _refuse_deep_nesting(text: str) -> None:
+    """Raise WorldFormatError if the document's collections nest deeper than
+    _MAX_DEPTH, before any recursive code reads it.
+
+    Every flow collection opens with [ or {. A block collection starts at a
+    column that only spaces, tabs, byte-order marks and the indicators - ? :
+    reach from its line's start, and one column holds at most two levels
+    of a chain (a mapping and a sequence written at its indent). So a
+    document with few brackets and no long run of those characters is
+    shallow enough without parsing; any other has its events counted.
+    """
+    columns = (_MAX_DEPTH - text.count("[") - text.count("{")) // 2
+    if columns > 0 and not re.search(f"[ \t\ufeff?:-]{{{columns}}}", text):
+        return
+    depth = 0
+    for event in yaml.parse(text, Loader=_Loader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise WorldFormatError(
+                    f"world config nests deeper than {_MAX_DEPTH} levels"
+                    f" on line {event.start_mark.line + 1}"
+                )
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
 
 
 @dataclass(frozen=True)
@@ -204,7 +247,7 @@ def _text(value, where: str) -> str:
             f"{where}: parsed as {value!r}; quote it to keep it as text (e.g. 'yes')"
         )
     if isinstance(value, (list, dict)):
-        raise WorldFormatError(f"{where}: expected a single value, got {value!r}")
+        raise WorldFormatError(f"{where}: expected a single value, got {reprlib.repr(value)}")
     return value
 
 
@@ -215,6 +258,7 @@ def load_world(text: str) -> World:
     (list of {id, label, type, assignment}).
     """
     try:
+        _refuse_deep_nesting(text)
         doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise WorldFormatError(f"world config does not parse: {exc}") from exc
@@ -224,16 +268,22 @@ def load_world(text: str) -> World:
         if key not in doc:
             raise WorldFormatError(f"world config missing top-level key {key!r}")
         if not isinstance(doc[key], list):
-            raise WorldFormatError(f"world config key {key!r} must be a list, got {doc[key]!r}")
+            raise WorldFormatError(
+                f"world config key {key!r} must be a list, got {reprlib.repr(doc[key])}"
+            )
 
     props = []
     for item in doc["schema"]:
         try:
             name, values = _text(item["name"], "property name"), item["values"]
         except (TypeError, KeyError) as exc:
-            raise WorldFormatError(f"bad schema entry {item!r}: needs name/values") from exc
+            raise WorldFormatError(
+                f"bad schema entry {reprlib.repr(item)}: needs name/values"
+            ) from exc
         if not isinstance(values, list):
-            raise WorldFormatError(f"property {name!r}: values must be a list, got {values!r}")
+            raise WorldFormatError(
+                f"property {name!r}: values must be a list, got {reprlib.repr(values)}"
+            )
         props.append((name, tuple(_text(v, f"property {name!r}") for v in values)))
     schema = PropertySchema(tuple(props))
 
@@ -257,7 +307,7 @@ def load_world(text: str) -> World:
             )
         except (TypeError, KeyError, AttributeError) as exc:
             raise WorldFormatError(
-                f"bad entity entry {item!r}: needs id/label/type/assignment"
+                f"bad entity entry {reprlib.repr(item)}: needs id/label/type/assignment"
             ) from exc
 
     return World(schema=schema, entities=tuple(entities))
@@ -280,4 +330,6 @@ def serialize_world(world: World) -> str:
             for e in world.entities
         ],
     }
-    return yaml.safe_dump(doc, sort_keys=False, allow_unicode=True)
+    # non-ASCII characters are written as escapes: written raw, a NEL
+    # (U+0085) inside a single-quoted scalar would read back as a space
+    return yaml.safe_dump(doc, sort_keys=False)

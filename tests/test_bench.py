@@ -15,15 +15,15 @@ def small_spec(**overrides):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        BenchmarkSpec(systems=()).validate()
+        BenchmarkSpec(systems=())
     with pytest.raises(ValueError):
-        BenchmarkSpec(systems=("warp-drive",)).validate()
+        BenchmarkSpec(systems=("warp-drive",))
     with pytest.raises(ValueError):
-        BenchmarkSpec(environment="moonbase").validate()
+        BenchmarkSpec(environment="moonbase")
     with pytest.raises(ValueError):
-        BenchmarkSpec(iterations=0).validate()
+        BenchmarkSpec(iterations=0)
     with pytest.raises(ValueError, match="duplicate systems"):
-        BenchmarkSpec(systems=("model-entropy", "model-entropy")).validate()
+        BenchmarkSpec(systems=("model-entropy", "model-entropy"))
 
 
 def test_report_counts_episodes():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import refquest.cli
 from refquest.cli import main
 from refquest.world import load_world
 
@@ -78,6 +83,21 @@ def test_episode_on_a_world_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "episode", "--world", str(path), "--target", "e05")
     assert code == 0
     assert json.loads(out[out.index("{"):])["resolved"] == "e05"
+
+
+def test_episode_on_a_deeply_nested_world_file_exits_1(tmp_path):
+    # libyaml's composer would overflow the C stack on this 60 KB file, so
+    # it runs in a child process that a crash cannot take pytest down with
+    path = tmp_path / "deep.yaml"
+    path.write_text("[" * 30_000 + "]" * 30_000)
+    src = Path(refquest.cli.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "refquest.cli", "episode", "--world", str(path), "--target", "a"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (
+        1, "refquest: error: world config nests deeper than 256 levels on line 1\n"
+    )
 
 
 def test_episode_unknown_target_exits_1(capsys):

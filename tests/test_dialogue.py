@@ -96,6 +96,92 @@ def test_model_transcripts_ignore_entity_order(n_varying, seed, data):
             assert run_episode(shuffled, e.id, ModelAgent(policy)).transcript == record.transcript
 
 
+def renamed(w, prop, value, ident):
+    """`w` with each property p renamed prop[p], each value v of p
+    value[p, v] and each entity id i ident[i]; every order is kept."""
+    schema = PropertySchema(tuple(
+        (prop[p], tuple(value[p, v] for v in domain)) for p, domain in w.schema.properties
+    ))
+    return World(schema, tuple(
+        Entity(ident[e.id], e.label, e.type_name,
+               {prop[p]: value[p, v] for p, v in e.assignment.items()})
+        for e in w.entities
+    ))
+
+
+@st.composite
+def worlds_maybe_with_color(draw):
+    """A low- or high-variance generated world, with one drawn property,
+    varying or constant, or none, named color (model-data prefers it)."""
+    w = generate_random_world(RandomWorldSpec(
+        n_varying=draw(st.sampled_from((3, 7))), seed=draw(st.integers(0, 2**32))
+    ))
+    color = draw(st.none() | st.sampled_from(w.schema.names))
+    return renamed(w, {p: "color" if p == color else p for p in w.schema.names},
+                   {key: key[1] for key in w.schema.fields}, {e.id: e.id for e in w.entities})
+
+
+def model_transcripts(w, targets):
+    return {(policy, target): run_episode(w, target, ModelAgent(policy)).transcript
+            for policy in ("entropy", "data") for target in targets}
+
+
+@settings(max_examples=40, deadline=None)
+@given(worlds_maybe_with_color(), st.data())
+def test_model_transcripts_follow_a_renaming(w, data):
+    # new names whose string order differs from the kept schema, domain and
+    # entity orders; color keeps its name, because model-data asks for it by name
+    def shuffled_names(prefix, n):
+        return [f"{prefix}{i}" for i in data.draw(st.permutations(range(n)))]
+
+    props = shuffled_names("q", len(w.schema.names))
+    prop = {p: p if p == "color" else props[i] for i, p in enumerate(w.schema.names)}
+    values = shuffled_names("v", max(len(domain) for _, domain in w.schema.properties))
+    value = {(p, v): values[j] for p, domain in w.schema.properties for j, v in enumerate(domain)}
+    ids = shuffled_names("id", len(w.entities))
+    ident = {e.id: ids[k] for k, e in enumerate(w.entities)}
+    expected = {
+        (policy, ident[target]): tuple(
+            (Question(prop[q.property]), Answer(value=value[q.property, a.value]))
+            for q, a in transcript
+        )
+        for (policy, target), transcript in model_transcripts(w, ident).items()
+    }
+    assert model_transcripts(renamed(w, prop, value, ident), ident.values()) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(worlds_maybe_with_color(), st.sampled_from(("constant", "color")),
+       st.integers(1, 3), st.data())
+def test_a_constant_property_changes_no_model_transcript(w, name, size, data):
+    name = name if name not in w.schema.names else "constant"
+    domain = tuple(f"{name}_{j}" for j in range(size))
+    held = data.draw(st.sampled_from(domain))
+    wider = World(PropertySchema(w.schema.properties + ((name, domain),)), tuple(
+        Entity(e.id, e.label, e.type_name, {**e.assignment, name: held}) for e in w.entities
+    ))
+    targets = [e.id for e in w.entities]
+    assert model_transcripts(wider, targets) == model_transcripts(w, targets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(worlds_maybe_with_color(), st.data())
+def test_entities_under_other_labels_change_no_model_transcript(w, data):
+    taken = {tuple(e.assignment.values()) for e in w.entities}
+    entities = list(w.entities)
+    for k in range(data.draw(st.integers(1, 6))):
+        row = tuple(data.draw(st.sampled_from(domain)) for _, domain in w.schema.properties)
+        if row in taken:
+            continue
+        taken.add(row)
+        label = data.draw(st.sampled_from(("other", f"other {k}")))
+        entities.insert(data.draw(st.integers(0, len(entities))),
+                        Entity(f"new{k}", label, "other", dict(zip(w.schema.names, row))))
+    targets = [e.id for e in w.entities]
+    crowded = World(w.schema, tuple(entities))
+    assert model_transcripts(crowded, targets) == model_transcripts(w, targets)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from((3, 7)), st.integers(0, 2**32))
 def test_model_agents_ask_no_confirm_question(n_varying, seed):

@@ -336,8 +336,8 @@ class ActiveSetCheckingAgent(ModelAgent):
 
     def choose(self, belief):
         net = build_network(belief, policy=self.policy)
-        for prop in net.active:
-            assert len({e.value(prop) for e in members(belief.world, belief.mask)}) > 1, prop
+        for q in net.questions:
+            assert len({e.value(q.property) for e in members(belief.world, belief.mask)}) > 1, q
         return super().choose(belief)
 
 

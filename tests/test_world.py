@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import refquest.world
 from refquest.belief import init_belief
@@ -384,3 +385,146 @@ def test_empty_schema_with_one_entity_resolves_at_once():
     w = load_world("schema: []\nentities:\n  - {id: a, label: w, type: w, assignment: {}}\n")
     assert w.schema.names == ()
     assert run_episode(w, "a", ModelAgent()).question_count == 0
+
+
+def test_nel_round_trips_in_ids_names_and_values(yaml_parser):
+    # written raw inside a single-quoted scalar, a NEL (U+0085) reads back as a space
+    nel = "a\x85b"
+    w = World(PropertySchema(((nel, (nel, "c")),)), (Entity(nel, "w", "w", {nel: nel}),))
+    assert load_world(serialize_world(w)) == w
+
+
+def _nested_value_doc(depth):
+    """A one-property world whose second value is a list `depth` deep; the
+    document itself nests 4 + depth deep."""
+    return ("schema:\n  - {name: p, values: [x, " + "[" * depth + "]" * depth + "]}\n"
+            "entities:\n  - {id: a, label: w, type: w, assignment: {p: x}}\n")
+
+
+@pytest.mark.parametrize("depth, message", [
+    (252, "property 'p': expected a single value, got [[[[[[[...]]]]]]]"),
+    (253, "world config nests deeper than 256 levels on line 2"),
+    (1000, "world config nests deeper than 256 levels on line 2"),
+])
+def test_load_world_refuses_deep_nesting_before_composing(yaml_parser, depth, message):
+    with pytest.raises(WorldFormatError) as exc:
+        load_world(_nested_value_doc(depth))
+    assert str(exc.value) == message
+
+
+def test_load_world_refuses_deep_block_nesting_on_short_lines(yaml_parser):
+    # a mapping and the sequence written at its own indent share a column,
+    # so 200 columns hold 400 levels with no bracket in the document
+    lines = ["-"]
+    for i in range(1, 200):
+        lines += [" " * i + "a:", " " * i + "-"]
+    with pytest.raises(WorldFormatError, match="nests deeper than 256 levels on line 257$"):
+        load_world("\n".join(lines) + "\n" + " " * 200 + "x\n")
+
+
+def test_values_nested_through_aliases_are_refused_briefly(yaml_parser):
+    # each alias adds a level without nesting the document, so the value is
+    # 1,200 lists deep; its full repr would exhaust the recursion limit
+    chain = "".join(f"a{i}: &a{i}\n- *a{i - 1}\n" for i in range(1, 1200))
+    doc = "a0: &a0 [x]\n" + chain + "schema:\n  - name: p\n    values: *a1199\nentities: []\n"
+    with pytest.raises(WorldFormatError) as exc:
+        load_world(doc)
+    assert str(exc.value) == "property 'p': expected a single value, got [[[[[[[...]]]]]]]"
+
+
+# text that YAML reads specially: indicators, reserved words, numbers and
+# dates, line breaks (among them NEL and U+2028), and control characters
+_AWKWARD_WORDS = ("yes", "No", "on", "~", "null", "true", "010", "0x1F", "1:2", "1.50",
+                  ".inf", "2001-12-14", "<<", "=", "-", "? a", "a: b", "#c", "&a", "*a",
+                  "!t", "|", ">", "%", "@", "`", "[", "}", ",", "'", '"')
+_AWKWARD_CHARS = ("ab -?:,[]{}#&*!|>'\"%@`\\\t\r\n\x00\x07\x1b\x7f\x85\x9f\xa0"
+                  "\u2028\u2029\ufeff\xe9\U0001f600")
+_texts = st.sampled_from(_AWKWARD_WORDS) | st.text(st.sampled_from(_AWKWARD_CHARS), max_size=6)
+_PROPERTIES = ("!!str ", "!!int ", "!!bool ", "!!null ", "!!binary ", "!!timestamp ",
+               "!!float ", "!!set ", "!foo ", "! ", "&a ", "&b ")
+_STYLES = (
+    lambda t: '"' + "".join(  # double-quoted, escaping all but printable ASCII
+        c if " " <= c <= "~" and c not in '"\\'
+        else f"\\u{ord(c):04X}" if ord(c) <= 0xFFFF else f"\\U{ord(c):08X}"
+        for c in t
+    ) + '"',
+    lambda t: "'" + t.replace("'", "''") + "'",
+    str,
+)
+
+
+@st.composite
+def _scalars(draw, text=_texts, noise=3):
+    """`text` as a double-quoted scalar; with odds of `noise` in 10 each it
+    is instead single-quoted or plain, tagged or anchored, or an alias."""
+    def noisy():
+        return draw(st.integers(0, 9)) < noise
+
+    if noisy():
+        return draw(st.sampled_from(("*a", "*b")))
+    tag = draw(st.sampled_from(_PROPERTIES)) if noisy() else ""
+    return tag + (draw(st.sampled_from(_STYLES)) if noisy() else _STYLES[0])(draw(text))
+
+
+def _flow_seq(items):
+    return "[" + ", ".join(items) + "]"
+
+
+def _flow_map(pairs):
+    return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+
+
+def _trees(noise):
+    """Flow trees of lists, mappings and `_scalars`; with any noise, a key
+    may also be the merge key."""
+    keys = _scalars(noise=noise) | st.just("<<") if noise else _scalars(noise=0)
+    return st.recursive(_scalars(noise=noise), lambda inner: (
+        st.lists(inner, max_size=3).map(_flow_seq)
+        | st.lists(st.tuples(keys, inner), max_size=3).map(_flow_map)
+    ), max_leaves=6)
+
+
+@st.composite
+def world_documents(draw):
+    """A world config from drawn names, values and ids, in flow style under
+    a block mapping that first anchors two drawn trees. At a drawn noise
+    level, any node may be another tree, any scalar quoted otherwise,
+    tagged, anchored or an alias, and an entity's assignment may merge the
+    first one's."""
+    noise = draw(st.integers(0, 3))
+    trees = _trees(noise)
+
+    def maybe(rendered):
+        return draw(trees) if draw(st.integers(0, 39)) < noise else rendered
+
+    def scalar(text):
+        return maybe(draw(_scalars(st.just(text), noise)))
+
+    names = draw(st.lists(_texts, max_size=3, unique=True))
+    domains = [draw(st.lists(_texts, min_size=1, max_size=3, unique=True)) for _ in names]
+    schema = [_flow_map([("name", scalar(name)), ("values", maybe(_flow_seq(map(scalar, domain))))])
+              for name, domain in zip(names, domains)]
+    rows = draw(st.lists(st.tuples(*map(st.sampled_from, domains)), min_size=1, max_size=4,
+                         unique=True))
+    ids = draw(st.lists(_texts, min_size=len(rows), max_size=len(rows), unique=True))
+    entities = []
+    for i, (entity_id, row) in enumerate(zip(ids, rows)):
+        pairs = [(scalar(name), scalar(value)) for name, value in zip(names, row)]
+        if i and draw(st.integers(0, 9)) < noise:
+            pairs.insert(draw(st.integers(0, len(pairs))), ("<<", "*m"))
+        assignment = ("&m " if i == 0 else "") + _flow_map(pairs)
+        entities.append(_flow_map([("id", scalar(entity_id)), ("label", scalar(draw(_texts))),
+                                   ("type", scalar(draw(_texts))), ("assignment", maybe(assignment))]))
+    return (f"anchors: [&a {draw(trees)}, &b {draw(trees)}]\n"
+            f"schema: {maybe(_flow_seq(schema))}\nentities: {maybe(_flow_seq(entities))}\n")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=world_documents())
+def test_every_document_loads_as_written_or_is_refused(yaml_parser, doc):
+    try:
+        w = load_world(doc)
+    except WorldFormatError:
+        return
+    assert load_world(serialize_world(w)) == w
