@@ -77,30 +77,24 @@ class ModelAgent:
     candidates, so utilities always reflect the current evidence.
 
     The question depends only on the world, the policy and the candidates,
-    so the agent memoises it per candidate set of the world it last served;
-    a belief about another world clears the memo. Deterministic.
+    so it is kept in the world's memo under (policy, mask), where every
+    agent of the policy finds it; the agent holds only its policy. Deterministic.
     """
 
     def __init__(self, policy: str = ENTROPY):
         if policy not in (ENTROPY, DATA):
             raise ValueError(f"unknown model policy {policy!r}")
         self.policy = policy
-        self._world: World | None = None
-        # keyed by the belief's candidate mask, which names one candidate
-        # set of the world the memo serves
-        self._memo: dict[int, Question] = {}
 
     @property
     def name(self) -> str:
         return f"model-{self.policy}"
 
     def choose(self, belief: Belief) -> Question:
-        if belief.world is not self._world:
-            self._world, self._memo = belief.world, {}
-        key = belief.mask
-        q = self._memo.get(key)
+        memo, key = belief.world.model_questions, (self.policy, belief.mask)
+        q = memo.get(key)
         if q is None:
-            q = self._memo[key] = select_question(build_network(belief, policy=self.policy))
+            q = memo[key] = select_question(build_network(belief, policy=self.policy))
         return q
 
 

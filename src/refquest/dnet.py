@@ -97,12 +97,16 @@ def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
     """Construct the decision network for the current candidate set.
 
     Active properties come from the minimum disambiguating set over the
-    surviving candidates, so constant and already-learned properties
-    never enter the question list.
+    surviving candidates, solved once per mask of a world (`World.min_sets`);
+    constant and already-learned properties never enter the question list.
     """
     if policy not in (ENTROPY, DATA):
         raise ValueError(f"unknown utility policy {policy!r}")
-    questions = tuple(map(Question, compute_min_set(belief.world, belief.mask)))
+    world, mask = belief.world, belief.mask
+    min_set = world.min_sets.get(mask)
+    if min_set is None:
+        min_set = world.min_sets[mask] = tuple(compute_min_set(world, mask))
+    questions = tuple(map(Question, min_set))
     if policy == ENTROPY:
         scores = (wh_entropy(belief.distribution(q.property)) for q in questions)
     else:

@@ -180,7 +180,9 @@ class World:
     as `codes` (a tuple aligned with `entities`), and entity bitmasks, bit
     i standing for `entities[i]`: `value_masks` holds one per (property,
     value) of the schema, 0 where no entity has the value, and
-    `label_masks` one per label. All these tables are read-only."""
+    `label_masks` one per label. All these tables are read-only. The one
+    mutable part, a memo of pure functions of the world freed with it, is
+    `min_sets` by candidate mask and `model_questions` by (policy, mask)."""
 
     schema: PropertySchema
     entities: tuple[Entity, ...]
@@ -188,6 +190,8 @@ class World:
     value_masks: Mapping[tuple[str, str], int] = field(init=False, repr=False, compare=False)
     label_masks: Mapping[str, int] = field(init=False, repr=False, compare=False)
     _by_id: dict[str, Entity] = field(init=False, repr=False, compare=False)
+    min_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    model_questions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         violations = []

@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 
 import pytest
 
 import refquest.bench
 import refquest.dialogue
+import refquest.dnet
 from refquest.bench import BenchmarkSpec, emit_report, run_benchmark
+from refquest.worlds import spacecraft_world
 
 
 def small_spec(**overrides):
@@ -135,19 +138,29 @@ def test_each_network_is_built_once_per_call(networks):
     assert len(networks) == len({(id(w), policy, c) for w, policy, c in networks})
 
 
-def test_spacecraft_networks_do_not_grow_with_iterations(networks):
+def test_each_candidate_set_is_solved_once(networks, monkeypatch):
+    # both model systems share each world's min-sets, so fewer solves than networks
+    solved = []
+    real = refquest.dnet.compute_min_set
+
+    def recording(world, mask):
+        solved.append((world, mask))
+        return real(world, mask)
+
+    monkeypatch.setattr(refquest.dnet, "compute_min_set", recording)
+    run_benchmark(BenchmarkSpec(environment="random-high", iterations=3, base_seed=7))
+    assert len(solved) == len({(id(w), mask) for w, mask in solved}) < len(networks)
+
+
+def test_spacecraft_networks_do_not_grow_with_iterations(networks, monkeypatch):
+    # an equal world with a cold memo, not the cached one other tests have warmed
+    world = dataclasses.replace(spacecraft_world())
+    monkeypatch.setattr(refquest.bench, "spacecraft_world", lambda: world)
     run_benchmark(small_spec(iterations=1))
-    once = len(networks)
-    networks.clear()
+    assert len(networks) == 24  # both model systems together
     run_benchmark(small_spec(iterations=10))
-    assert once == len(networks) == 24  # both model systems together
-
-
-def test_no_memo_outlives_a_benchmark_call(networks):
     run_benchmark(small_spec())
-    first = len(networks)
-    run_benchmark(small_spec())
-    assert len(networks) == 2 * first == 48
+    assert len(networks) == 24  # the world's memo serves every later call
 
 
 @pytest.mark.parametrize("build, message", [

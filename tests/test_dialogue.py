@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import hashlib
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +84,46 @@ def test_model_agent_asks_each_world_its_own_first_question():
     # both beliefs hold the same candidates; only the schema order differs
     for world, prop in ((by_color, "color"), (by_shape, "shape"), (by_color, "color")):
         assert agent.choose(init_belief(world, "block")) == Question(prop)
+
+
+def run_every_model_episode(w):
+    for policy in ("entropy", "data"):
+        for e in w.entities:
+            run_episode(w, e.id, ModelAgent(policy))
+
+
+def test_a_world_memo_dies_with_its_world():
+    w = generate_random_world(RandomWorldSpec(n_varying=7, seed=3))
+    run_every_model_episode(w)
+    assert w.min_sets and w.model_questions
+    ref = weakref.ref(w)
+    del w
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_warm_memo_leaves_equality_hash_and_repr_alone():
+    w = generate_random_world(RandomWorldSpec(n_varying=3, seed=5))
+    cold = dataclasses.replace(w)
+    run_every_model_episode(w)
+    assert w.model_questions and not cold.model_questions
+    assert w == cold
+    assert hash(w) == hash(cold)
+    assert repr(w) == repr(cold)
+
+
+@pytest.mark.parametrize("w", [
+    dataclasses.replace(spacecraft_world()),
+    generate_random_world(RandomWorldSpec(n_varying=3, seed=8)),
+    generate_random_world(RandomWorldSpec(n_varying=7, seed=8)),
+], ids=["spacecraft", "random-low", "random-high"])
+def test_a_world_memo_holds_at_most_each_policy_trees_questions(w):
+    # each policy's questions are the internal nodes of its policy trees:
+    # fewer than the leaves of each label group, since every node branches
+    run_every_model_episode(w)
+    bound = sum(mask.bit_count() - 1 for mask in w.label_masks.values())
+    for policy in ("entropy", "data"):
+        assert 0 < sum(p == policy for p, _ in w.model_questions) <= bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,6 +223,20 @@ def test_entities_under_other_labels_change_no_model_transcript(w, data):
     targets = [e.id for e in w.entities]
     crowded = World(w.schema, tuple(entities))
     assert model_transcripts(crowded, targets) == model_transcripts(w, targets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(worlds_maybe_with_color(), st.permutations(("entropy", "data")), st.data())
+def test_a_warm_memo_changes_no_model_transcript(w, policies, data):
+    # each cold transcript comes from its own freshly built equal world
+    targets = [e.id for e in w.entities]
+    cold = {(policy, target): run_episode(dataclasses.replace(w), target, ModelAgent(policy))
+            .transcript for policy in policies for target in targets}
+    for order in (policies, policies[::-1]):
+        shuffled = data.draw(st.permutations(targets))
+        warm = {(policy, target): run_episode(w, target, ModelAgent(policy)).transcript
+                for policy in order for target in shuffled}
+        assert warm == cold
 
 
 @settings(max_examples=60, deadline=None)
