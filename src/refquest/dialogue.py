@@ -69,7 +69,10 @@ class HumanOracle:
                 ]
                 if len(matches) == 1:
                     return Answer(value=matches[0])
-                self.say(f"unknown {q.property}; expected one of: " + ", ".join(domain))
+                if matches:
+                    self.say(f"ambiguous {q.property} {reply!r}; it matches: " + ", ".join(matches))
+                else:
+                    self.say(f"unknown {q.property}; expected one of: " + ", ".join(domain))
 
 
 class ModelAgent:
@@ -102,11 +105,14 @@ class BaselineAgent:
     """Slot-filling baseline: uniformly random question about any property
     it has not yet learned, ignoring informativeness.
 
-    The property asked last counts as learned once only one of its values
-    survives among the candidates, which every WH answer and every yes
-    ensure. Confirm questions target a uniformly random value present
-    among the candidates. Learned properties persist, so each episode needs
-    a fresh agent; every caller makes one per episode.
+    Each turn draws one index over the (WH, confirm) pairs of the
+    unlearned properties in schema order: index 2k asks property k's WH
+    question, 2k + 1 confirms a uniformly random value of it present among
+    the candidates, in domain order. The property asked last counts as
+    learned once every candidate carries the lowest candidate's value of
+    it (one value-mask test); every WH answer and every yes ensure that.
+    Learned properties persist, so each episode needs a fresh agent; every
+    caller makes one per episode.
     """
 
     def __init__(self, seed: int):
@@ -119,17 +125,19 @@ class BaselineAgent:
         return "baseline"
 
     def choose(self, belief: Belief) -> Question:
-        if self.asked is not None and len(belief.distribution(self.asked).counts) == 1:
-            self.known.add(self.asked)
-        options: list[tuple[str, str]] = []
-        for prop in belief.world.schema.names:
-            if prop not in self.known:
-                options += [("wh", prop), ("yn", prop)]
-        kind, prop = self.rng.choice(options)
-        self.asked = prop
-        if kind == "wh":
+        world, mask, asked = belief.world, belief.mask, self.asked
+        value_masks = world.value_masks
+        if asked is not None:
+            lowest = world.entities[(mask & -mask).bit_length() - 1].value(asked)
+            if not mask & ~value_masks[asked, lowest]:
+                self.known.add(asked)
+        unknown = [p for p in world.schema.names if p not in self.known]
+        # choice reads only the sequence's length: the same draw as over a list of the pairs
+        i = self.rng.choice(range(2 * len(unknown)))
+        prop = self.asked = unknown[i >> 1]
+        if not i & 1:
             return Question(prop)
-        values = tuple(belief.distribution(prop).counts)  # domain order
+        values = [v for v in world.schema.domain(prop) if mask & value_masks[prop, v]]
         return Question(prop, self.rng.choice(values))
 
 

@@ -123,6 +123,19 @@ def test_episode_human_oracle(capsys, monkeypatch):
     assert summary["resolved"] == "optimizer_3"
 
 
+def test_episode_scripted_human_baseline_resolves_after_a_no(capsys, monkeypatch):
+    # the CI step's script: at seed 5 the baseline asks "Is it +?" and then
+    # "Is it medium?"; "maybe" is asked again
+    replies = iter(["maybe", "no", "y"])
+    monkeypatch.setattr("builtins.input", lambda prompt: next(replies))
+    code, out, _ = run_cli(capsys, "episode", "--world", "spacecraft", "--target", "emitter_2",
+                           "--agent", "baseline", "--oracle", "human", "--seed", "5")
+    assert code == 0
+    summary = json.loads(out[out.index("{"):])
+    assert summary["resolved"] == "emitter_2"
+    assert [t["answer"] for t in summary["transcript"]] == ["no", "yes"]
+
+
 def test_episode_human_oracle_eof_exits_1(capsys, monkeypatch):
     def closed_input(prompt):
         raise EOFError

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import random
 import weakref
 
 import pytest
@@ -13,11 +14,12 @@ from refquest.dialogue import (
     HumanOracle,
     ModelAgent,
     SimOracle,
+    apply_answer,
     run_episode,
 )
-from refquest.dnet import Question
+from refquest.dnet import Question, build_network
 from refquest.minset import compute_min_set
-from refquest.belief import init_belief
+from refquest.belief import Belief, init_belief
 from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import (
     RandomWorldSpec,
@@ -312,6 +314,103 @@ def test_baseline_skips_learned_property():
         assert q.property == "pattern"
 
 
+class ReferenceBaselineAgent(BaselineAgent):
+    """The baseline as it chose before drawing by index: a list of every
+    (kind, property) option and two value distributions per turn. Kept
+    here only to check that the index draw asks the same questions."""
+
+    def choose(self, belief: Belief) -> Question:
+        if self.asked is not None and len(belief.distribution(self.asked).counts) == 1:
+            self.known.add(self.asked)
+        options: list[tuple[str, str]] = []
+        for prop in belief.world.schema.names:
+            if prop not in self.known:
+                options += [("wh", prop), ("yn", prop)]
+        kind, prop = self.rng.choice(options)
+        self.asked = prop
+        if kind == "wh":
+            return Question(prop)
+        values = tuple(belief.distribution(prop).counts)  # domain order
+        return Question(prop, self.rng.choice(values))
+
+
+def labelled_world(seed: int, sizes: list[int], n_entities: int, n_labels: int) -> World:
+    """Up to `n_entities` entities with distinct random assignments over
+    properties with the given domain sizes, each under one of `n_labels`
+    labels."""
+    rng = random.Random(seed)
+    schema = PropertySchema(tuple(
+        (f"p{i}", tuple(f"v{j}" for j in range(size))) for i, size in enumerate(sizes)
+    ))
+    rows = {tuple(rng.choice(domain) for _, domain in schema.properties)
+            for _ in range(n_entities)}
+    return World(schema, tuple(
+        Entity(id=f"e{i}", label=f"l{rng.randrange(n_labels)}", type_name="t",
+               assignment=dict(zip(schema.names, row)))
+        for i, row in enumerate(sorted(rows))
+    ))
+
+
+def compare_baselines(w: World, seed: int, target_id: str) -> list[int]:
+    """Run the baseline and the reference in lockstep on one target and
+    check that they ask the same question, hold the same learned set and
+    draw the same randomness every turn. Returns, for each confirm answered
+    no, how many of its property's values the candidates still carry."""
+    agent, reference = BaselineAgent(seed), ReferenceBaselineAgent(seed)
+    target = w.by_id(target_id)
+    belief, oracle = init_belief(w, target.label), SimOracle(target)
+    left_after_no = []
+    while belief.resolved() is None:
+        q = agent.choose(belief)
+        assert reference.choose(belief) == q
+        assert agent.known == reference.known
+        assert agent.rng.getstate() == reference.rng.getstate()
+        a = oracle.answer(q)
+        belief = apply_answer(belief, q, a)
+        if a.yes is False:
+            left_after_no.append(sum(
+                bool(belief.mask & w.value_masks[q.property, v])
+                for v in w.schema.domain(q.property)
+            ))
+    return left_after_no
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.integers(1, 6), min_size=1, max_size=24),
+       st.integers(1, 40), st.integers(1, 4), st.integers())
+def test_baseline_index_draw_asks_what_the_options_list_asked(
+        world_seed, sizes, n_entities, n_labels, seed):
+    w = labelled_world(world_seed, sizes, n_entities, n_labels)
+    for e in w.entities:
+        compare_baselines(w, seed, e.id)
+
+
+def test_baseline_comparison_worlds_hold_no_answers_leaving_one_and_several_values():
+    # the worlds the comparison above draws from do confirm "no" answers
+    # that settle a property and ones that leave it open
+    left_after_no = []
+    for k in range(4):
+        w = labelled_world(k, [2, 6, 3, 1, 5, 4], 30, 2)
+        for i, e in enumerate(w.entities):
+            left_after_no += compare_baselines(w, i, e.id)
+    assert 1 in left_after_no
+    assert any(n > 1 for n in left_after_no)
+
+
+def test_baseline_reads_no_distribution(monkeypatch):
+    def refuse(self, prop):
+        raise AssertionError(f"distribution({prop!r}) read by the baseline")
+
+    worlds = [spacecraft_world(), generate_random_world(RandomWorldSpec(n_varying=7, seed=1))]
+    monkeypatch.setattr(Belief, "distribution", refuse)
+    for w in worlds:
+        for i, e in enumerate(w.entities):
+            assert run_episode(w, e.id, BaselineAgent(seed=i)).resolved_id == e.id
+    # the entropy utilities do read it
+    with pytest.raises(AssertionError, match="distribution"):
+        build_network(init_belief(worlds[1], worlds[1].entities[0].label))
+
+
 def test_budget_exceeded_raises():
     w = spacecraft_world()
     with pytest.raises(BudgetExceededError):
@@ -358,7 +457,7 @@ def test_human_oracle_matches_case_and_keeps_domain_spelling():
     assert oracle.answer(q).value == "Red"
     # "Green" matches two values ignoring case, so it is asked again
     assert oracle.answer(q).value == "GREEN"
-    assert len(said) == 1
+    assert said == ["ambiguous color 'Green'; it matches: green, GREEN"]
 
 
 def test_run_episode_with_scripted_human_oracle():
