@@ -33,9 +33,6 @@ ENVIRONMENTS = ("spacecraft", *_N_VARYING)
 # not shipped).
 HUMAN_REFERENCE = {"mean": 1.72, "sd": 0.40}
 
-_SPLIT = 1_000_003  # prime multiplier for the counter-based seed split
-
-
 @dataclass(frozen=True)
 class BenchmarkSpec:
     systems: tuple[str, ...] = SYSTEMS
@@ -90,8 +87,9 @@ class BenchmarkReport:
         raise KeyError(system)
 
 
-def _iteration_seed(base_seed: int, iteration: int) -> int:
-    return base_seed * _SPLIT + iteration
+def _split_seed(seed: int, counter: int) -> int:
+    """Iteration seeds from the base seed, baseline episode seeds from an iteration's."""
+    return seed * 1_000_003 + counter  # prime multiplier
 
 
 def make_agent(system: str, seed: int):
@@ -119,12 +117,12 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
     means: dict[str, list[float]] = {system: [] for system in spec.systems}
     total = 0
     for it in range(spec.iterations):
-        it_seed = _iteration_seed(spec.base_seed, it)
+        it_seed = _split_seed(spec.base_seed, it)
         world = world_for(spec.environment, it_seed, spec.trials)
         for system, iteration_means in means.items():
             counts = []
             for t, entity in enumerate(world.entities):
-                agent = make_agent(system, it_seed * _SPLIT + t)
+                agent = make_agent(system, _split_seed(it_seed, t))
                 record = run_episode(world, entity.id, agent)
                 counts.append(record.question_count)
             total += len(counts)
@@ -187,7 +185,7 @@ def _emit_structured(report: BenchmarkReport) -> str:
         "human_reference": HUMAN_REFERENCE,
         "total_episodes": report.total_episodes,
         "iteration_seeds": [
-            _iteration_seed(report.spec.base_seed, i) for i in range(report.spec.iterations)
+            _split_seed(report.spec.base_seed, i) for i in range(report.spec.iterations)
         ],
         "results": [
             {

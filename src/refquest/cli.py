@@ -105,9 +105,9 @@ def _cmd_episode(args) -> int:
     oracle = HumanOracle(world) if args.oracle == "human" else None
     interactive = args.oracle == "human"
 
-    def on_turn(q, a):
+    def on_turn(q, word):
         print(f"Q: {q.surface}")
-        print(f"A: {a.render()}")
+        print(f"A: {word}")
 
     try:
         record = run_episode(
@@ -127,8 +127,8 @@ def _cmd_episode(args) -> int:
         "resolved": record.resolved_id,
         "question_count": record.question_count,
         "transcript": [
-            {"question": q.surface, "type": q.type_name, "answer": a.render()}
-            for q, a in record.transcript
+            {"question": q.surface, "type": q.type_name, "answer": word}
+            for q, word in record.transcript
         ],
     }
     print(json.dumps(summary, indent=2))

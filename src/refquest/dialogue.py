@@ -16,34 +16,23 @@ class BudgetExceededError(Exception):
     """An episode ran past its question budget; signals an agent bug."""
 
 
-@dataclass(frozen=True)
-class Answer:
-    """Oracle response: a value for WH questions, yes/no for confirms."""
-
-    value: str | None = None
-    yes: bool | None = None
-
-    def render(self) -> str:
-        if self.value is not None:
-            return self.value
-        return "yes" if self.yes else "no"
-
-
 class SimOracle:
-    """Answers truthfully from the ground-truth assignment of the target."""
+    """Answers truthfully from the ground-truth assignment of the target:
+    the target's value for a WH question, "yes" or "no" for a confirm."""
 
     def __init__(self, target: Entity):
         self.target = target
 
-    def answer(self, q: Question) -> Answer:
+    def answer(self, q: Question) -> str:
         actual = self.target.value(q.property)
         if q.kind == "wh":
-            return Answer(value=actual)
-        return Answer(yes=(actual == q.value))
+            return actual
+        return "yes" if actual == q.value else "no"
 
 
 class HumanOracle:
-    """Prompts a human at the terminal and parses yes|no|<value> replies."""
+    """Prompts a human at the terminal and parses yes|no|<value> replies
+    into the word said: "yes", "no" or the domain's spelling of a value."""
 
     def __init__(self, world: World, ask=None, say=print):
         self.world = world
@@ -51,24 +40,25 @@ class HumanOracle:
         self.ask = ask if ask is not None else (lambda prompt: input(prompt))
         self.say = say
 
-    def answer(self, q: Question) -> Answer:
+    def answer(self, q: Question) -> str:
         while True:
-            reply = self.ask(f"{q.surface} ").strip()
+            raw = self.ask(f"{q.surface} ")
+            reply = raw.strip()
             if q.kind == "yn":
-                if reply.lower() in ("yes", "y"):
-                    return Answer(yes=True)
-                if reply.lower() in ("no", "n"):
-                    return Answer(yes=False)
+                if reply.lower() in ("yes", "y", "no", "n"):
+                    return "yes" if reply.lower().startswith("y") else "no"
                 self.say("please answer yes or no")
             else:
-                # an exact match wins; otherwise the reply must match one
-                # value ignoring case, and the domain's spelling is kept
+                # a value equal to the reply as typed wins, then one equal to it with
+                # both stripped, then also ignoring case; the domain's spelling is kept
                 domain = self.world.schema.domain(q.property)
-                matches = [v for v in domain if v == reply] or [
-                    v for v in domain if v.casefold() == reply.casefold()
-                ]
+                matches = (
+                    [v for v in domain if v == raw]
+                    or [v for v in domain if v.strip() == reply]
+                    or [v for v in domain if v.strip().casefold() == reply.casefold()]
+                )
                 if len(matches) == 1:
-                    return Answer(value=matches[0])
+                    return matches[0]
                 if matches:
                     self.say(f"ambiguous {q.property} {reply!r}; it matches: " + ", ".join(matches))
                 else:
@@ -146,17 +136,22 @@ class EpisodeRecord:
     instruction_label: str
     target_id: str
     resolved_id: str
-    transcript: tuple[tuple[Question, Answer], ...] = field(hash=False)
+    transcript: tuple[tuple[Question, str], ...] = field(hash=False)  # (question, word said)
 
     @property
     def question_count(self) -> int:
         return len(self.transcript)
 
 
-def apply_answer(belief: Belief, q: Question, a: Answer) -> Belief:
+def apply_answer(belief: Belief, q: Question, word: str) -> Belief:
+    """Filter the candidates by the word said in reply to `q`: a value of
+    its property for a WH question, "yes" or "no" for a confirm. Any other
+    reply to a confirm is refused."""
     if q.kind == "wh":
-        return belief.apply_wh_answer(q.property, a.value)
-    return belief.apply_yn_answer(q.property, q.value, a.yes)
+        return belief.apply_wh_answer(q.property, word)
+    if word not in ("yes", "no"):
+        raise ValueError(f"a confirm is answered 'yes' or 'no', got {word!r}")
+    return belief.apply_yn_answer(q.property, q.value, word == "yes")
 
 
 def run_episode(
@@ -171,8 +166,9 @@ def run_episode(
 
     The agent is only asked to choose each question from the current
     belief. `oracle` defaults to a truthful simulated oracle for the
-    target. `on_turn(question, answer)`, when given, is the loop's one
-    per-turn observer, called after each answer is applied.
+    target; each answer is the word said, read by `apply_answer`.
+    `on_turn(question, word)`, when given, is the loop's one per-turn
+    observer, called after each answer is applied.
     """
     if max_questions < 0:
         raise ValueError(f"max_questions must be 0 or more, got {max_questions}")
@@ -183,18 +179,18 @@ def run_episode(
     if oracle is None:
         oracle = SimOracle(target)
     belief = init_belief(world, target.label)
-    transcript: list[tuple[Question, Answer]] = []
+    transcript: list[tuple[Question, str]] = []
     while belief.resolved() is None:
         if len(transcript) >= max_questions:
             raise BudgetExceededError(
                 f"no resolution after {max_questions} questions for target {target_id!r}"
             )
         q = agent.choose(belief)
-        a = oracle.answer(q)
-        belief = apply_answer(belief, q, a)
-        transcript.append((q, a))
+        word = oracle.answer(q)
+        belief = apply_answer(belief, q, word)
+        transcript.append((q, word))
         if on_turn is not None:
-            on_turn(q, a)
+            on_turn(q, word)
     return EpisodeRecord(
         instruction_label=target.label,
         target_id=target_id,

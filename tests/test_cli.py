@@ -136,6 +136,26 @@ def test_episode_scripted_human_baseline_resolves_after_a_no(capsys, monkeypatch
     assert [t["answer"] for t in summary["transcript"]] == ["no", "yes"]
 
 
+def test_episode_human_oracle_gives_a_value_written_with_a_trailing_space(
+        capsys, monkeypatch, tmp_path):
+    # the CI step's world: the reply is stripped, and so is the value it is matched to
+    path = tmp_path / "spaced.yaml"
+    path.write_text(
+        "schema:\n- {name: color, values: ['red ', blue]}\n"
+        "entities:\n"
+        "- {id: a, label: block, type: block, assignment: {color: 'red '}}\n"
+        "- {id: b, label: block, type: block, assignment: {color: blue}}\n"
+    )
+    replies = iter(["red"])
+    monkeypatch.setattr("builtins.input", lambda prompt: next(replies))
+    code, out, _ = run_cli(capsys, "episode", "--world", str(path), "--target", "a",
+                           "--oracle", "human")
+    assert code == 0
+    summary = json.loads(out[out.index("{"):])
+    assert summary["resolved"] == "a"
+    assert [t["answer"] for t in summary["transcript"]] == ["red "]
+
+
 def test_episode_human_oracle_eof_exits_1(capsys, monkeypatch):
     def closed_input(prompt):
         raise EOFError

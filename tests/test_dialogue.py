@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refquest.dialogue import (
-    Answer,
     BaselineAgent,
     BudgetExceededError,
     HumanOracle,
@@ -17,6 +16,7 @@ from refquest.dialogue import (
     apply_answer,
     run_episode,
 )
+from refquest.bench import SYSTEMS, make_agent
 from refquest.dnet import Question, build_network
 from refquest.minset import compute_min_set
 from refquest.belief import Belief, init_belief
@@ -31,15 +31,14 @@ from refquest.worlds import (
 def test_oracle_wh_answer_is_ground_truth():
     w = spacecraft_world()
     oracle = SimOracle(w.by_id("optimizer_1"))
-    a = oracle.answer(Question("color"))
-    assert a.value == "red"
+    assert oracle.answer(Question("color")) == "red"
 
 
 def test_oracle_yn_answers():
     w = spacecraft_world()
     oracle = SimOracle(w.by_id("optimizer_1"))
-    assert oracle.answer(Question("color", "red")).yes is True
-    assert oracle.answer(Question("color", "blue")).yes is False
+    assert oracle.answer(Question("color", "red")) == "yes"
+    assert oracle.answer(Question("color", "blue")) == "no"
 
 
 def test_model_resolves_emitter_within_three_questions():
@@ -187,8 +186,8 @@ def test_model_transcripts_follow_a_renaming(w, data):
     ident = {e.id: ids[k] for k, e in enumerate(w.entities)}
     expected = {
         (policy, ident[target]): tuple(
-            (Question(prop[q.property]), Answer(value=value[q.property, a.value]))
-            for q, a in transcript
+            (Question(prop[q.property]), value[q.property, word])
+            for q, word in transcript
         )
         for (policy, target), transcript in model_transcripts(w, ident).items()
     }
@@ -297,7 +296,7 @@ def test_baseline_transcripts_are_pinned():
     for w in worlds:
         for i, e in enumerate(w.entities):
             record = run_episode(w, e.id, BaselineAgent(seed=i))
-            turns = [(q.kind, q.property, q.value, a.render()) for q, a in record.transcript]
+            turns = [(q.kind, q.property, q.value, a) for q, a in record.transcript]
             digest.update(repr(turns).encode())
             episodes += 1
     assert episodes == 418
@@ -365,9 +364,9 @@ def compare_baselines(w: World, seed: int, target_id: str) -> list[int]:
         assert reference.choose(belief) == q
         assert agent.known == reference.known
         assert agent.rng.getstate() == reference.rng.getstate()
-        a = oracle.answer(q)
-        belief = apply_answer(belief, q, a)
-        if a.yes is False:
+        word = oracle.answer(q)
+        belief = apply_answer(belief, q, word)
+        if word == "no":
             left_after_no.append(sum(
                 bool(belief.mask & w.value_masks[q.property, v])
                 for v in w.schema.domain(q.property)
@@ -436,28 +435,80 @@ def test_human_oracle_parses_and_reprompts():
     replies = iter(["purple", "red", "maybe", "no"])
     said = []
     oracle = HumanOracle(w, ask=lambda prompt: next(replies), say=said.append)
-    a = oracle.answer(Question("color"))
-    assert a.value == "red"
-    a = oracle.answer(Question("color", "blue"))
-    assert a.yes is False
+    assert oracle.answer(Question("color")) == "red"
+    assert oracle.answer(Question("color", "blue")) == "no"
     assert len(said) == 2  # one reprompt for each bad reply
 
 
-def test_human_oracle_matches_case_and_keeps_domain_spelling():
-    schema = PropertySchema((("color", ("Red", "Blue", "green", "GREEN")),))
-    w = World(schema, tuple(
-        Entity(id=v, label="w", type_name="w", assignment={"color": v})
-        for v in schema.domain("color")
+def one_property_world(values):
+    """One entity per color value, all under one label."""
+    schema = PropertySchema((("color", tuple(values)),))
+    return World(schema, tuple(
+        Entity(id=f"e{i}", label="w", type_name="w", assignment={"color": v})
+        for i, v in enumerate(values)
     ))
+
+
+def test_human_oracle_matches_case_and_keeps_domain_spelling():
     replies = iter(["blue", "RED", "Green", "GREEN"])
     said = []
-    oracle = HumanOracle(w, ask=lambda prompt: next(replies), say=said.append)
+    oracle = HumanOracle(one_property_world(["Red", "Blue", "green", "GREEN"]),
+                         ask=lambda prompt: next(replies), say=said.append)
     q = Question("color")
-    assert oracle.answer(q).value == "Blue"
-    assert oracle.answer(q).value == "Red"
+    assert oracle.answer(q) == "Blue"
+    assert oracle.answer(q) == "Red"
     # "Green" matches two values ignoring case, so it is asked again
-    assert oracle.answer(q).value == "GREEN"
+    assert oracle.answer(q) == "GREEN"
     assert said == ["ambiguous color 'Green'; it matches: green, GREEN"]
+
+
+def test_human_oracle_matches_values_stripped_and_keeps_their_spelling():
+    replies = iter(["red", "Blue "])
+    oracle = HumanOracle(one_property_world(["red ", "blue"]), ask=lambda prompt: next(replies))
+    assert oracle.answer(Question("color")) == "red "
+    assert oracle.answer(Question("color")) == "blue"
+
+
+def test_human_oracle_reply_as_typed_picks_one_of_two_values_equal_when_stripped():
+    replies = iter(["red ", "red", " red", "red"])
+    said = []
+    oracle = HumanOracle(one_property_world(["red", "red "]), ask=lambda prompt: next(replies),
+                         say=said.append)
+    assert oracle.answer(Question("color")) == "red "
+    assert oracle.answer(Question("color")) == "red"
+    assert oracle.answer(Question("color")) == "red"
+    assert said == ["ambiguous color 'red'; it matches: red, red "]
+
+
+@pytest.mark.parametrize("word", ["Yes", "maybe", "y", "red"])
+def test_a_confirm_answered_other_than_yes_or_no_is_refused(word):
+    w = spacecraft_world()
+    belief = init_belief(w, w.by_id("optimizer_1").label)
+    refusal = f"^a confirm is answered 'yes' or 'no', got '{word}'$"
+    with pytest.raises(ValueError, match=refusal):
+        apply_answer(belief, Question("color", "red"), word)
+
+    class Says:
+        def answer(self, q):
+            return word
+
+    with pytest.raises(ValueError, match=refusal):
+        run_episode(w, "emitter_2", BaselineAgent(seed=5), oracle=Says())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((3, 7)), st.integers(0, 2**32), st.integers())
+def test_each_word_is_the_oracles_and_the_transcript_folds_to_the_referent(
+        n_varying, seed, baseline_seed):
+    w = generate_random_world(RandomWorldSpec(n_varying=n_varying, seed=seed))
+    for system in SYSTEMS:
+        for i, e in enumerate(w.entities):
+            record = run_episode(w, e.id, make_agent(system, baseline_seed + i))
+            oracle, belief = SimOracle(e), init_belief(w, record.instruction_label)
+            for q, word in record.transcript:
+                assert word == oracle.answer(q)
+                belief = apply_answer(belief, q, word)
+            assert belief.resolved() == record.resolved_id == e.id
 
 
 def test_run_episode_with_scripted_human_oracle():
@@ -474,17 +525,11 @@ def test_run_episode_with_scripted_human_oracle():
     assert record.resolved_id == "emitter_2"
 
 
-def test_answer_render():
-    assert Answer(value="red").render() == "red"
-    assert Answer(yes=True).render() == "yes"
-    assert Answer(yes=False).render() == "no"
-
-
 def test_human_oracle_accepts_y_after_a_reprompt():
     replies = iter(["sure", "Y"])
     said = []
     oracle = HumanOracle(spacecraft_world(), ask=lambda prompt: next(replies), say=said.append)
-    assert oracle.answer(Question("color", "red")).yes is True
+    assert oracle.answer(Question("color", "red")) == "yes"
     assert said == ["please answer yes or no"]
 
 
