@@ -60,9 +60,11 @@ class HumanOracle:
                 if len(matches) == 1:
                     return matches[0]
                 if matches:
-                    self.say(f"ambiguous {q.property} {reply!r}; it matches: " + ", ".join(matches))
+                    self.say(f"ambiguous {q.property} {reply!r}; it matches: "
+                             + ", ".join(map(repr, matches)))
                 else:
-                    self.say(f"unknown {q.property}; expected one of: " + ", ".join(domain))
+                    self.say(f"unknown {q.property}; expected one of: "
+                             + ", ".join(map(repr, domain)))
 
 
 class ModelAgent:

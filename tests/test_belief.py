@@ -2,9 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from refquest.belief import Belief, ContradictoryAnswerError, UnknownReferentError, init_belief
-from refquest.dnet import wh_entropy
+from refquest.dialogue import apply_answer
+from refquest.dnet import Question, wh_entropy
 from refquest.world import Entity, PropertySchema, World
-from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
+from refquest.worlds import spacecraft_world
+
+import reference as ref
+from strategies import worlds
 
 
 def small_world():
@@ -125,59 +129,30 @@ def test_entropy_zero_iff_agreement():
         assert (wh_entropy(b.distribution(prop)) == 0) == (len(values) == 1)
 
 
-@st.composite
-def shuffled_worlds(draw):
-    """Generated worlds with their entity lists shuffled, so label groups
-    interleave; some hold more than 64 entities, past one machine word."""
-    n_properties = draw(st.integers(4, 7))
-    if draw(st.booleans()):
-        n_varying, values = draw(st.integers(4, n_properties)), 4
-        n_entities = draw(st.integers(65, 130))
-    else:
-        n_varying, values = draw(st.integers(1, n_properties)), draw(st.integers(2, 4))
-        n_entities = draw(st.integers(1, min(24, values ** n_varying)))
-    w = generate_random_world(RandomWorldSpec(
-        n_entities=n_entities,
-        n_properties=n_properties,
-        n_varying=n_varying,
-        values_per_property=values,
-        group_size=draw(st.integers(1, n_entities)),
-        seed=draw(st.integers(0, 2**32)),
-    ))
-    return World(w.schema, tuple(draw(st.permutations(w.entities))))
-
-
 def assert_matches_reference(belief, reference):
-    """The mask belief against a plain tuple of surviving entities."""
+    """The mask belief against a plain list of surviving entities; counts
+    are compared as ordered lists, since their order is domain order."""
     assert belief.candidate_ids == tuple(e.id for e in reference)
     assert belief.resolved() == (reference[0].id if len(reference) == 1 else None)
-    for prop in belief.world.schema.names:
-        counts: dict[str, int] = {}
-        for e in reference:
-            counts[e.value(prop)] = counts.get(e.value(prop), 0) + 1
-        domain = belief.world.schema.domain(prop)
-        expected = [(v, counts[v]) for v in domain if v in counts]
-        assert list(belief.distribution(prop).counts.items()) == expected
+    properties = belief.world.schema.properties
+    for prop, _ in properties:
+        assert list(belief.distribution(prop).counts.items()) == ref.counts(
+            properties, reference, prop)
 
 
 @settings(max_examples=100, deadline=None)
-@given(shuffled_worlds(), st.data())
+@given(worlds(), st.data())
 def test_mask_belief_matches_tuple_filter_reference(w, data):
     target = data.draw(st.sampled_from(w.entities))
     belief = init_belief(w, target.label)
-    reference = tuple(e for e in w.entities if e.label == target.label)
+    reference = [e for e in w.entities if e.label == target.label]
     for _ in range(data.draw(st.integers(0, 6))):
         assert_matches_reference(belief, reference)
-        prop = data.draw(st.sampled_from(w.schema.names))
-        if data.draw(st.booleans()):
-            value = target.value(prop)
-            belief = belief.apply_wh_answer(prop, value)
-            reference = tuple(e for e in reference if e.value(prop) == value)
-        else:
-            value = data.draw(st.sampled_from(w.schema.domain(prop)))
-            yes = target.value(prop) == value
-            belief = belief.apply_yn_answer(prop, value, yes)
-            reference = tuple(e for e in reference if (e.value(prop) == value) == yes)
+        prop, domain = data.draw(st.sampled_from(w.schema.properties))
+        value = data.draw(st.none() | st.sampled_from(domain))  # None asks the WH question
+        word = ref.answer(target, (prop, value))
+        belief = apply_answer(belief, Question(prop, value), word)
+        reference = ref.keep(reference, (prop, value), word)
     assert_matches_reference(belief, reference)
 
 

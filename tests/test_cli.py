@@ -203,6 +203,14 @@ def test_genworld_seed_env_var(capsys, monkeypatch):
     assert out_env == out_flag
 
 
+def test_genworld_seed_defaults_to_0(capsys, monkeypatch):
+    monkeypatch.delenv("REFQUEST_SEED", raising=False)
+    _, out_default, _ = run_cli(capsys, "genworld", "--variance", "low")
+    _, out_0, _ = run_cli(capsys, "genworld", "--variance", "low", "--seed", "0")
+    _, out_1, _ = run_cli(capsys, "genworld", "--variance", "low", "--seed", "1")
+    assert out_default == out_0 != out_1
+
+
 def test_non_integer_seed_env_var_exits_1(capsys, monkeypatch):
     monkeypatch.setenv("REFQUEST_SEED", "abc")
     code, _, err = run_cli(capsys, "genworld", "--variance", "low")

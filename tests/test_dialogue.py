@@ -1,11 +1,10 @@
 import dataclasses
 import gc
 import hashlib
-import random
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from refquest.dialogue import (
     BaselineAgent,
@@ -21,11 +20,10 @@ from refquest.dnet import Question, build_network
 from refquest.minset import compute_min_set
 from refquest.belief import Belief, init_belief
 from refquest.world import Entity, PropertySchema, World
-from refquest.worlds import (
-    RandomWorldSpec,
-    generate_random_world,
-    spacecraft_world,
-)
+from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
+
+import reference as ref
+from strategies import worlds
 
 
 def test_oracle_wh_answer_is_ground_truth():
@@ -128,11 +126,10 @@ def test_a_world_memo_holds_at_most_each_policy_trees_questions(w):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from((3, 7)), st.integers(0, 2**32), st.data())
-def test_model_transcripts_ignore_entity_order(n_varying, seed, data):
+@given(worlds(kinds=("small", "wide")), st.data())
+def test_model_transcripts_ignore_entity_order(w, data):
     # utilities read value counts only, so listing the same entities in
     # another order changes no question the model asks
-    w = generate_random_world(RandomWorldSpec(n_varying=n_varying, seed=seed))
     shuffled = World(w.schema, tuple(data.draw(st.permutations(w.entities))))
     for policy in ("entropy", "data"):
         for e in w.entities:
@@ -153,25 +150,13 @@ def renamed(w, prop, value, ident):
     ))
 
 
-@st.composite
-def worlds_maybe_with_color(draw):
-    """A low- or high-variance generated world, with one drawn property,
-    varying or constant, or none, named color (model-data prefers it)."""
-    w = generate_random_world(RandomWorldSpec(
-        n_varying=draw(st.sampled_from((3, 7))), seed=draw(st.integers(0, 2**32))
-    ))
-    color = draw(st.none() | st.sampled_from(w.schema.names))
-    return renamed(w, {p: "color" if p == color else p for p in w.schema.names},
-                   {key: key[1] for key in w.schema.fields}, {e.id: e.id for e in w.entities})
-
-
 def model_transcripts(w, targets):
     return {(policy, target): run_episode(w, target, ModelAgent(policy)).transcript
             for policy in ("entropy", "data") for target in targets}
 
 
 @settings(max_examples=40, deadline=None)
-@given(worlds_maybe_with_color(), st.data())
+@given(worlds(kinds=("small", "wide")), st.data())
 def test_model_transcripts_follow_a_renaming(w, data):
     # new names whose string order differs from the kept schema, domain and
     # entity orders; color keeps its name, because model-data asks for it by name
@@ -195,7 +180,7 @@ def test_model_transcripts_follow_a_renaming(w, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(worlds_maybe_with_color(), st.sampled_from(("constant", "color")),
+@given(worlds(kinds=("small", "wide")), st.sampled_from(("constant", "color")),
        st.integers(1, 3), st.data())
 def test_a_constant_property_changes_no_model_transcript(w, name, size, data):
     name = name if name not in w.schema.names else "constant"
@@ -209,7 +194,7 @@ def test_a_constant_property_changes_no_model_transcript(w, name, size, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(worlds_maybe_with_color(), st.data())
+@given(worlds(kinds=("small", "wide")), st.data())
 def test_entities_under_other_labels_change_no_model_transcript(w, data):
     taken = {tuple(e.assignment.values()) for e in w.entities}
     entities = list(w.entities)
@@ -227,7 +212,7 @@ def test_entities_under_other_labels_change_no_model_transcript(w, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(worlds_maybe_with_color(), st.permutations(("entropy", "data")), st.data())
+@given(worlds(kinds=("small", "wide")), st.permutations(("entropy", "data")), st.data())
 def test_a_warm_memo_changes_no_model_transcript(w, policies, data):
     # each cold transcript comes from its own freshly built equal world
     targets = [e.id for e in w.entities]
@@ -241,11 +226,10 @@ def test_a_warm_memo_changes_no_model_transcript(w, policies, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from((3, 7)), st.integers(0, 2**32))
-def test_model_agents_ask_no_confirm_question(n_varying, seed):
-    # low- (3 varying) and high-variance (7) worlds: a confirm never scores
-    # above its WH question, so the network holds none and no model asks one
-    w = generate_random_world(RandomWorldSpec(n_varying=n_varying, seed=seed))
+@given(worlds(kinds=("small", "wide")))
+def test_model_agents_ask_no_confirm_question(w):
+    # a confirm never scores above its WH question, so the network holds
+    # none and no model asks one
     for policy in ("entropy", "data"):
         agent = ModelAgent(policy)
         for e in w.entities:
@@ -313,87 +297,52 @@ def test_baseline_skips_learned_property():
         assert q.property == "pattern"
 
 
-class ReferenceBaselineAgent(BaselineAgent):
-    """The baseline as it chose before drawing by index: a list of every
-    (kind, property) option and two value distributions per turn. Kept
-    here only to check that the index draw asks the same questions."""
-
-    def choose(self, belief: Belief) -> Question:
-        if self.asked is not None and len(belief.distribution(self.asked).counts) == 1:
-            self.known.add(self.asked)
-        options: list[tuple[str, str]] = []
-        for prop in belief.world.schema.names:
-            if prop not in self.known:
-                options += [("wh", prop), ("yn", prop)]
-        kind, prop = self.rng.choice(options)
-        self.asked = prop
-        if kind == "wh":
-            return Question(prop)
-        values = tuple(belief.distribution(prop).counts)  # domain order
-        return Question(prop, self.rng.choice(values))
-
-
-def labelled_world(seed: int, sizes: list[int], n_entities: int, n_labels: int) -> World:
-    """Up to `n_entities` entities with distinct random assignments over
-    properties with the given domain sizes, each under one of `n_labels`
-    labels."""
-    rng = random.Random(seed)
-    schema = PropertySchema(tuple(
-        (f"p{i}", tuple(f"v{j}" for j in range(size))) for i, size in enumerate(sizes)
-    ))
-    rows = {tuple(rng.choice(domain) for _, domain in schema.properties)
-            for _ in range(n_entities)}
-    return World(schema, tuple(
-        Entity(id=f"e{i}", label=f"l{rng.randrange(n_labels)}", type_name="t",
-               assignment=dict(zip(schema.names, row)))
-        for i, row in enumerate(sorted(rows))
-    ))
-
-
 def compare_baselines(w: World, seed: int, target_id: str) -> list[int]:
-    """Run the baseline and the reference in lockstep on one target and
-    check that they ask the same question, hold the same learned set and
-    draw the same randomness every turn. Returns, for each confirm answered
-    no, how many of its property's values the candidates still carry."""
-    agent, reference = BaselineAgent(seed), ReferenceBaselineAgent(seed)
-    target = w.by_id(target_id)
-    belief, oracle = init_belief(w, target.label), SimOracle(target)
+    """Run the baseline and the reference's options-list baseline in
+    lockstep on one target and check that they ask the same question, hold
+    the same learned set and draw the same randomness every turn. Returns,
+    for each confirm answered no, how many of its property's values the
+    candidates still carry."""
+    agent, reference = BaselineAgent(seed), ref.Baseline(seed)
+    target, properties = w.by_id(target_id), w.schema.properties
+    belief = init_belief(w, target.label)
+    candidates = [e for e in w.entities if e.label == target.label]
     left_after_no = []
-    while belief.resolved() is None:
+    while len(candidates) > 1:
         q = agent.choose(belief)
-        assert reference.choose(belief) == q
+        question = (q.property, q.value)
+        assert reference.choose(properties, candidates) == question
         assert agent.known == reference.known
         assert agent.rng.getstate() == reference.rng.getstate()
-        word = oracle.answer(q)
+        word = ref.answer(target, question)
         belief = apply_answer(belief, q, word)
+        candidates = ref.keep(candidates, question, word)
         if word == "no":
-            left_after_no.append(sum(
-                bool(belief.mask & w.value_masks[q.property, v])
-                for v in w.schema.domain(q.property)
-            ))
+            left_after_no.append(len(ref.counts(properties, candidates, q.property)))
     return left_after_no
 
 
+def left_after_every_no(case):
+    w, seed = case
+    return [n for i, e in enumerate(w.entities) for n in compare_baselines(w, seed + i, e.id)]
+
+
+baseline_cases = st.tuples(worlds(kinds=("small", "wide")), st.integers())
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32), st.lists(st.integers(1, 6), min_size=1, max_size=24),
-       st.integers(1, 40), st.integers(1, 4), st.integers())
-def test_baseline_index_draw_asks_what_the_options_list_asked(
-        world_seed, sizes, n_entities, n_labels, seed):
-    w = labelled_world(world_seed, sizes, n_entities, n_labels)
-    for e in w.entities:
-        compare_baselines(w, seed, e.id)
+@given(baseline_cases)
+def test_baseline_index_draw_asks_what_the_options_list_asked(case):
+    left_after_every_no(case)
 
 
 def test_baseline_comparison_worlds_hold_no_answers_leaving_one_and_several_values():
     # the worlds the comparison above draws from do confirm "no" answers
     # that settle a property and ones that leave it open
-    left_after_no = []
-    for k in range(4):
-        w = labelled_world(k, [2, 6, 3, 1, 5, 4], 30, 2)
-        for i, e in enumerate(w.entities):
-            left_after_no += compare_baselines(w, i, e.id)
-    assert 1 in left_after_no
-    assert any(n > 1 for n in left_after_no)
+    first_found = settings(phases=[Phase.generate], database=None)
+    find(baseline_cases, lambda case: 1 in left_after_every_no(case), settings=first_found)
+    find(baseline_cases, lambda case: max(left_after_every_no(case), default=0) > 1,
+         settings=first_found)
 
 
 def test_baseline_reads_no_distribution(monkeypatch):
@@ -411,9 +360,12 @@ def test_baseline_reads_no_distribution(monkeypatch):
 
 
 def test_budget_exceeded_raises():
+    # emitter_1 takes 2 questions: a budget of 2 allows them, 1 or 0 does not
     w = spacecraft_world()
-    with pytest.raises(BudgetExceededError):
-        run_episode(w, "emitter_1", ModelAgent(), max_questions=0)
+    assert run_episode(w, "emitter_1", ModelAgent(), max_questions=2).question_count == 2
+    for budget in (0, 1):
+        with pytest.raises(BudgetExceededError):
+            run_episode(w, "emitter_1", ModelAgent(), max_questions=budget)
 
 
 def test_negative_budget_rejected():
@@ -459,7 +411,7 @@ def test_human_oracle_matches_case_and_keeps_domain_spelling():
     assert oracle.answer(q) == "Red"
     # "Green" matches two values ignoring case, so it is asked again
     assert oracle.answer(q) == "GREEN"
-    assert said == ["ambiguous color 'Green'; it matches: green, GREEN"]
+    assert said == ["ambiguous color 'Green'; it matches: 'green', 'GREEN'"]
 
 
 def test_human_oracle_matches_values_stripped_and_keeps_their_spelling():
@@ -477,7 +429,17 @@ def test_human_oracle_reply_as_typed_picks_one_of_two_values_equal_when_stripped
     assert oracle.answer(Question("color")) == "red "
     assert oracle.answer(Question("color")) == "red"
     assert oracle.answer(Question("color")) == "red"
-    assert said == ["ambiguous color 'red'; it matches: red, red "]
+    assert said == ["ambiguous color 'red'; it matches: 'red', 'red '"]
+
+
+def test_human_oracle_quotes_the_values_it_expects():
+    replies = iter(["red", "purple", "blue"])
+    said = []
+    oracle = HumanOracle(one_property_world(["red ", "blue"]), ask=lambda prompt: next(replies),
+                         say=said.append)
+    assert oracle.answer(Question("color")) == "red "
+    assert oracle.answer(Question("color")) == "blue"
+    assert said == ["unknown color; expected one of: 'red ', 'blue'"]
 
 
 @pytest.mark.parametrize("word", ["Yes", "maybe", "y", "red"])
@@ -497,10 +459,8 @@ def test_a_confirm_answered_other_than_yes_or_no_is_refused(word):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from((3, 7)), st.integers(0, 2**32), st.integers())
-def test_each_word_is_the_oracles_and_the_transcript_folds_to_the_referent(
-        n_varying, seed, baseline_seed):
-    w = generate_random_world(RandomWorldSpec(n_varying=n_varying, seed=seed))
+@given(worlds(kinds=("small", "wide")), st.integers())
+def test_each_word_is_the_oracles_and_the_transcript_folds_to_the_referent(w, baseline_seed):
     for system in SYSTEMS:
         for i, e in enumerate(w.entities):
             record = run_episode(w, e.id, make_agent(system, baseline_seed + i))

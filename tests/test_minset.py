@@ -1,15 +1,16 @@
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from refquest.belief import init_belief
 from refquest.dialogue import ModelAgent, run_episode
 from refquest.dnet import build_network
 from refquest.minset import EXACT_LIMIT_DEFAULT, compute_min_set
 from refquest.world import Entity, PropertySchema, World, WorldFormatError
-from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
+from refquest.worlds import spacecraft_world
+
+import reference as ref
+from strategies import EXACT_LIMITS, worlds
 
 
 def schema_of(*props):
@@ -34,46 +35,6 @@ def members(world, mask):
 def injective(entities, props):
     projections = [tuple(e.value(p) for p in props) for e in entities]
     return len(set(projections)) == len(projections)
-
-
-def brute_force_minimum(entities, schema):
-    """Independent oracle: the first property subset, by size and then
-    combinations order over the schema, under which all entity projections
-    are pairwise distinct."""
-    for r in range(0, len(schema.names) + 1):
-        for subset in itertools.combinations(schema.names, r):
-            if injective(entities, subset):
-                return list(subset)
-    raise AssertionError("entities not distinguishable at all")
-
-
-def reference_min_set(entities, schema, exact_limit):
-    """Tuple-projection reference for both paths of compute_min_set: each
-    entity is its row of values in schema order.
-    Exact: the first subset of the varying properties, by size and then
-    combinations order, with pairwise distinct projections. Greedy: add the
-    property that gives the most distinct projections, ties to the earlier
-    schema property, until all are distinct; schema order."""
-    names = schema.names
-    rows = [tuple(e.value(p) for p in names) for e in entities]
-    if len(rows) < 2:
-        return []
-
-    def distinct(columns):
-        return len({tuple(row[i] for i in columns) for row in rows})
-
-    varying = [i for i in range(len(names)) if distinct([i]) > 1]
-    if len(varying) <= exact_limit:
-        for r in range(1, len(varying) + 1):
-            for subset in itertools.combinations(varying, r):
-                if distinct(subset) == len(rows):
-                    return [names[i] for i in subset]
-        raise AssertionError("rows not distinguishable at all")
-    chosen = []
-    while not chosen or distinct(chosen) < len(rows):
-        rest = [i for i in varying if i not in chosen]
-        chosen.append(max(rest, key=lambda i: distinct([*chosen, i])))
-    return [names[i] for i in sorted(chosen)]
 
 
 def test_single_differing_property_clause():
@@ -158,49 +119,23 @@ def test_spacecraft_synthesizers_within_varying_features():
 
 
 def test_determinism():
-    rng = random.Random(5)
-    s = schema_of("p1", "p2", "p3", "p4")
-    es = [ent(str(i), s, *(rng.choice("abcd") for _ in range(4))) for i in range(5)]
-    es = _dedupe(es, s)
-    first = min_set(s, es)
-    assert all(min_set(s, es) == first for _ in range(5))
+    w = unique_world(5, 4, seed=5)
+    first = compute_min_set(w, 0b11111)
+    assert all(compute_min_set(w, 0b11111) == first for _ in range(5))
 
 
-def _dedupe(entities, schema):
-    seen, out = set(), []
-    for e in entities:
-        key = tuple(e.value(p) for p in schema.names)
-        if key not in seen:
-            seen.add(key)
-            out.append(e)
-    return out
+def any_mask(data, w):
+    """A drawn non-empty subset of the entities, not only a label group."""
+    return data.draw(st.integers(1, (1 << len(w.entities)) - 1))
 
 
-def test_oracle_equivalence_on_random_worlds():
-    rng = random.Random(42)
-    for _ in range(200):
-        n_props = rng.randint(2, 5)
-        n_ents = rng.randint(2, 6)
-        s = schema_of(*(f"p{i}" for i in range(n_props)))
-        es = _dedupe(
-            [ent(str(i), s, *(rng.choice("abc") for _ in range(n_props)))
-             for i in range(n_ents)],
-            s,
-        )
-        if len(es) < 2:
-            continue
-        assert min_set(s, es) == brute_force_minimum(es, s)
-
-
-def test_greedy_mode_hits_all_clauses():
-    s = schema_of(*(f"p{i}" for i in range(6)))
-    rng = random.Random(9)
-    for _ in range(50):
-        es = _dedupe([ent(str(i), s, *(rng.choice("abcd") for _ in range(6)))
-                      for i in range(rng.randint(2, 12))], s)
-        greedy = min_set(s, es, exact_limit=2)
-        assert injective(es, greedy)
-        assert len(greedy) >= len(min_set(s, es))
+@settings(max_examples=50, deadline=None)
+@given(worlds(kinds=("small",)), st.data())
+def test_greedy_mode_hits_all_clauses(w, data):
+    mask = any_mask(data, w)
+    greedy = compute_min_set(w, mask, exact_limit=2)
+    assert injective(members(w, mask), greedy)
+    assert len(greedy) >= len(compute_min_set(w, mask))
 
 
 def test_greedy_takes_the_most_refining_property_earliest_first():
@@ -212,46 +147,20 @@ def test_greedy_takes_the_most_refining_property_earliest_first():
     assert min_set(s, es) == ["p15"]
 
 
-@st.composite
-def generated_worlds(draw):
-    """Random worlds on either side of EXACT_LIMIT_DEFAULT: P in 17-20 with
-    every property varying (greedy path), or P <= 6 (exact path)."""
-    if draw(st.booleans()):
-        n_properties = draw(st.integers(EXACT_LIMIT_DEFAULT + 1, 20))
-        n_varying, values = n_properties, draw(st.integers(2, 3))
-    else:
-        n_properties = draw(st.integers(1, 6))
-        n_varying, values = draw(st.integers(1, n_properties)), draw(st.integers(2, 4))
-    n_entities = draw(st.integers(2, min(24, values ** n_varying)))
-    spec = RandomWorldSpec(
-        n_entities=n_entities,
-        n_properties=n_properties,
-        n_varying=n_varying,
-        values_per_property=values,
-        group_size=draw(st.integers(2, n_entities)),
-        seed=draw(st.integers(0, 2**32)),
-    )
-    return generate_random_world(spec)
-
-
 @settings(max_examples=40, deadline=None)
-@given(generated_worlds())
+@given(worlds(kinds=("small", "wide")))
 def test_minset_invariants_on_generated_worlds(w):
-    for label in dict.fromkeys(e.label for e in w.entities):
-        belief = init_belief(w, label)
-        candidates = members(w, belief.mask)
-        minset = compute_min_set(w, belief.mask)
-        assert injective(candidates, minset)
-        if len(w.schema.names) <= EXACT_LIMIT_DEFAULT:
-            assert minset == brute_force_minimum(candidates, w.schema)
-        for e in candidates:
+    # the model asks no more WH questions than the first min-set holds
+    for mask in w.label_masks.values():
+        bound = len(compute_min_set(w, mask))
+        for e in members(w, mask):
             record = run_episode(w, e.id, ModelAgent())
             assert record.resolved_id == e.id
-            assert sum(1 for q, _ in record.transcript if q.kind == "wh") <= len(minset)
+            assert sum(1 for q, _ in record.transcript if q.kind == "wh") <= bound
 
 
 @settings(max_examples=40, deadline=None)
-@given(generated_worlds())
+@given(worlds(kinds=("small", "wide")))
 def test_one_model_agent_plays_every_target_like_fresh_agents(w):
     for policy in ("entropy", "data"):
         shared = ModelAgent(policy)
@@ -259,75 +168,34 @@ def test_one_model_agent_plays_every_target_like_fresh_agents(w):
             assert run_episode(w, e.id, shared) == run_episode(w, e.id, ModelAgent(policy))
 
 
-# domain sizes on both sides of each field-width step (1 | 2-3 | 4-7 | 8-15
-# values); the largest domain sets the width of every field
-BIT_WIDTH_EDGES = (1, 2, 3, 4, 7, 8, 9)
-
-
-@st.composite
-def hand_built_entities(draw):
-    """(schema, distinct entities, exact_limit): up to 8 properties with
-    domain sizes from BIT_WIDTH_EDGES, values drawn per entity, and an
-    exact_limit low enough to send many cases greedy."""
-    sizes = draw(st.lists(st.sampled_from(BIT_WIDTH_EDGES), min_size=1, max_size=8))
-    schema = PropertySchema(tuple(
-        (f"p{i}", tuple(f"v{j}" for j in range(n))) for i, n in enumerate(sizes)
-    ))
-    rows = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in sizes)),
-                         min_size=2, max_size=24, unique=True))
-    entities = [
-        Entity(str(i), "w", "w", {p: schema.domain(p)[v] for p, v in zip(schema.names, row)})
-        for i, row in enumerate(rows)
-    ]
-    return schema, entities, draw(st.integers(0, len(sizes)))
+@settings(max_examples=150, deadline=None)
+@given(worlds(), st.sampled_from(EXACT_LIMITS), st.data())
+def test_candidate_masks_match_the_tuple_reference(w, exact_limit, data):
+    mask = any_mask(data, w)
+    assert (compute_min_set(w, mask, exact_limit)
+            == ref.min_set(w.schema.properties, members(w, mask), exact_limit))
 
 
 @settings(max_examples=300, deadline=None)
-@given(hand_built_entities())
-def test_both_paths_match_the_tuple_reference(case):
-    schema, entities, exact_limit = case
-    assert (min_set(schema, entities, exact_limit)
-            == reference_min_set(entities, schema, exact_limit))
+@given(worlds(kinds=("small",)), st.data())
+def test_both_paths_match_the_tuple_reference(w, data):
+    # the whole world as one candidate set, exact_limit anywhere from 0
+    # (always greedy) to the schema's size (always exact)
+    exact_limit = data.draw(st.integers(0, len(w.schema.names)))
+    assert (compute_min_set(w, (1 << len(w.entities)) - 1, exact_limit)
+            == ref.min_set(w.schema.properties, w.entities, exact_limit))
 
 
-@st.composite
-def worlds_and_submasks(draw):
-    """(world, non-empty candidate mask, exact_limit). About a third of the
-    worlds hold 65-130 entities, past one machine word; a third have 17-20
-    properties, all varying, past EXACT_LIMIT_DEFAULT. The mask is any
-    subset of the entities, not only a label group."""
-    kind = draw(st.sampled_from(("large", "wide", "small")))
-    if kind == "large":
-        n_properties = draw(st.integers(4, 7))
-        n_varying, values = draw(st.integers(4, n_properties)), 4
-        n_entities = draw(st.integers(65, 130))
-    elif kind == "wide":
-        n_properties = draw(st.integers(EXACT_LIMIT_DEFAULT + 1, 20))
-        n_varying, values = n_properties, draw(st.integers(2, 3))
-        n_entities = draw(st.integers(2, 40))
-    else:
-        n_properties = draw(st.integers(1, 6))
-        n_varying, values = draw(st.integers(1, n_properties)), draw(st.integers(2, 4))
-        n_entities = draw(st.integers(1, min(24, values ** n_varying)))
-    w = generate_random_world(RandomWorldSpec(
-        n_entities=n_entities,
-        n_properties=n_properties,
-        n_varying=n_varying,
-        values_per_property=values,
-        group_size=n_entities,
-        seed=draw(st.integers(0, 2**32)),
-    ))
-    bits = draw(st.lists(st.booleans(), min_size=n_entities, max_size=n_entities).filter(any))
-    mask = sum(1 << i for i, bit in enumerate(bits) if bit)
-    return w, mask, draw(st.sampled_from((0, 3, EXACT_LIMIT_DEFAULT)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(worlds_and_submasks())
-def test_candidate_masks_match_the_tuple_reference(case):
-    w, mask, exact_limit = case
-    assert (compute_min_set(w, mask, exact_limit)
-            == reference_min_set(members(w, mask), w.schema, exact_limit))
+@settings(max_examples=50, deadline=None)
+@given(worlds(kinds=("small",)))
+def test_oracle_equivalence_on_random_worlds(w):
+    # each label group, the candidate set an episode starts from, at the
+    # default exact_limit: the smallest distinguishing set and no other
+    for mask in w.label_masks.values():
+        candidates = members(w, mask)
+        minset = compute_min_set(w, mask)
+        assert minset == ref.min_set(w.schema.properties, candidates)
+        assert injective(candidates, minset)
 
 
 class ActiveSetCheckingAgent(ModelAgent):
@@ -342,7 +210,7 @@ class ActiveSetCheckingAgent(ModelAgent):
 
 
 @settings(max_examples=40, deadline=None)
-@given(generated_worlds())
+@given(worlds(kinds=("small", "wide")))
 def test_active_properties_vary_every_turn_on_generated_worlds(w):
     for policy in ("entropy", "data"):
         for e in w.entities:
@@ -364,7 +232,7 @@ def test_exact_minset_pinned_on_200_entities():
     w = unique_world(200, 10, seed=2024)
     expected = ["p00", "p01", "p03", "p04", "p06", "p09"]
     assert compute_min_set(w, (1 << 200) - 1) == expected
-    assert brute_force_minimum(w.entities, w.schema) == expected
+    assert ref.min_set(w.schema.properties, w.entities) == expected
 
 
 def test_greedy_minset_pinned_on_100_entities_and_20_properties():

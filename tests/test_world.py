@@ -412,6 +412,14 @@ def test_load_world_refuses_deep_nesting_before_composing(yaml_parser, depth, me
     assert str(exc.value) == message
 
 
+def test_load_world_refuses_deep_flow_mapping_nesting(yaml_parser):
+    # braces open levels just as brackets do
+    doc = "schema: " + "{a: " * 300 + "x" + "}" * 300 + "\nentities: []\n"
+    with pytest.raises(WorldFormatError) as exc:
+        load_world(doc)
+    assert str(exc.value) == "world config nests deeper than 256 levels on line 1"
+
+
 def test_load_world_refuses_deep_block_nesting_on_short_lines(yaml_parser):
     # a mapping and the sequence written at its own indent share a column,
     # so 200 columns hold 400 levels with no bracket in the document
