@@ -35,7 +35,9 @@ class Belief:
     The surviving candidates are one int over the world's entities, bit i
     standing for `world.entities[i]`, so an answer is an AND with one of
     the world's value masks and a count is a popcount. A mask with bits
-    beyond the world's entities is refused at construction.
+    beyond the world's entities is refused at construction; the beliefs
+    this module derives from a label mask or by narrowing a checked mask
+    cannot hold such bits, and skip the check (`_unchecked`).
     """
 
     world: World
@@ -77,7 +79,7 @@ class Belief:
             raise ContradictoryAnswerError(
                 f"no candidate has {prop}={value!r} (answer contradicts evidence)"
             )
-        return Belief(self.world, kept)
+        return _unchecked(self.world, kept)
 
     def apply_yn_answer(self, prop: str, value: str, yes: bool) -> "Belief":
         """Yes keeps candidates with that value; no removes them."""
@@ -87,7 +89,7 @@ class Belief:
             raise ContradictoryAnswerError(
                 f"answer {'yes' if yes else 'no'} to {prop}={value!r} eliminates all candidates"
             )
-        return Belief(self.world, kept)
+        return _unchecked(self.world, kept)
 
     def _value_mask(self, prop: str, value: str) -> int:
         value_mask = self.world.value_masks.get((prop, value))
@@ -98,9 +100,19 @@ class Belief:
         return value_mask
 
 
+def _unchecked(world: World, mask: int) -> Belief:
+    """A Belief over a mask known to lie within the world's entities, its
+    frozen fields set as the generated __init__ sets them, without the
+    bounds check of __post_init__."""
+    belief = object.__new__(Belief)
+    fields = belief.__dict__
+    fields["world"], fields["mask"] = world, mask
+    return belief
+
+
 def init_belief(world: World, instruction_label: str) -> Belief:
     """Start an episode: candidates are all entities carrying the label."""
     mask = world.label_masks.get(instruction_label)
     if mask is None:
         raise UnknownReferentError(f"no entity labelled {instruction_label!r}")
-    return Belief(world, mask)
+    return _unchecked(world, mask)

@@ -6,8 +6,8 @@ import random
 from dataclasses import dataclass, field
 
 from refquest.belief import Belief, UnknownReferentError, init_belief
-from refquest.dnet import DATA, ENTROPY, Question, build_network, select_question
-from refquest.world import Entity, World
+from refquest.dnet import DATA, ENTROPY, build_network, select_question
+from refquest.world import Entity, Question, World
 
 MAX_QUESTIONS_DEFAULT = 50
 
@@ -25,7 +25,7 @@ class SimOracle:
 
     def answer(self, q: Question) -> str:
         actual = self.target.value(q.property)
-        if q.kind == "wh":
+        if q.value is None:
             return actual
         return "yes" if actual == q.value else "no"
 
@@ -103,14 +103,17 @@ class BaselineAgent:
     the candidates, in domain order. The property asked last counts as
     learned once every candidate carries the lowest candidate's value of
     it (one value-mask test); every WH answer and every yes ensure that.
-    Learned properties persist, so each episode needs a fresh agent; every
-    caller makes one per episode.
+    The unlearned list is taken from `known` on the first turn and loses
+    each property as `known` gains it. Learned properties persist, so each
+    episode needs a fresh agent; every caller makes one per episode.
+    Questions are the schema's tabled ones.
     """
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
         self.known: set[str] = set()
         self.asked: str | None = None
+        self.unknown: list[str] = []  # unlearned properties, schema order
 
     @property
     def name(self) -> str:
@@ -118,19 +121,22 @@ class BaselineAgent:
 
     def choose(self, belief: Belief) -> Question:
         world, mask, asked = belief.world, belief.mask, self.asked
-        value_masks = world.value_masks
-        if asked is not None:
+        value_masks, unknown = world.value_masks, self.unknown
+        if asked is None:
+            unknown[:] = [p for p in world.schema.names if p not in self.known]
+        else:
             lowest = world.entities[(mask & -mask).bit_length() - 1].value(asked)
             if not mask & ~value_masks[asked, lowest]:
                 self.known.add(asked)
-        unknown = [p for p in world.schema.names if p not in self.known]
+                unknown.remove(asked)
         # choice reads only the sequence's length: the same draw as over a list of the pairs
         i = self.rng.choice(range(2 * len(unknown)))
         prop = self.asked = unknown[i >> 1]
+        questions = world.schema.questions
         if not i & 1:
-            return Question(prop)
+            return questions[prop, None]
         values = [v for v in world.schema.domain(prop) if mask & value_masks[prop, v]]
-        return Question(prop, self.rng.choice(values))
+        return questions[prop, self.rng.choice(values)]
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,7 @@ def apply_answer(belief: Belief, q: Question, word: str) -> Belief:
     """Filter the candidates by the word said in reply to `q`: a value of
     its property for a WH question, "yes" or "no" for a confirm. Any other
     reply to a confirm is refused."""
-    if q.kind == "wh":
+    if q.value is None:
         return belief.apply_wh_answer(q.property, word)
     if word not in ("yes", "no"):
         raise ValueError(f"a confirm is answered 'yes' or 'no', got {word!r}")
@@ -182,7 +188,7 @@ def run_episode(
         oracle = SimOracle(target)
     belief = init_belief(world, target.label)
     transcript: list[tuple[Question, str]] = []
-    while belief.resolved() is None:
+    while (mask := belief.mask) & (mask - 1):
         if len(transcript) >= max_questions:
             raise BudgetExceededError(
                 f"no resolution after {max_questions} questions for target {target_id!r}"

@@ -1,4 +1,4 @@
-"""Question alphabet, utility scoring, and maximum-expected-utility selection.
+"""Utility scoring and maximum-expected-utility selection.
 
 The network is built from the current belief for each new candidate
 set: its active properties are the minimum disambiguating set over the surviving
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from refquest.belief import Belief, PropertyDistribution
 from refquest.minset import compute_min_set
+from refquest.world import Question
 
 ENTROPY = "entropy"
 DATA = "data"
@@ -31,32 +32,6 @@ COLOR_BOOST = 2.0  # question-type preference for color; every other property 1
 
 class NoInformativeQuestionError(Exception):
     """Every question scored 0 while more than one candidate survives."""
-
-
-@dataclass(frozen=True)
-class Question:
-    """A WH question about `property` when `value` is None ("What color is
-    it?"), else a confirm question about that value ("Is it red?")."""
-
-    property: str
-    value: str | None = None
-
-    @property
-    def kind(self) -> str:
-        """Either "wh" or "yn" (confirm): "wh" exactly when there is no value."""
-        return "wh" if self.value is None else "yn"
-
-    @property
-    def surface(self) -> str:
-        if self.value is None:
-            return f"What {self.property} is it?"
-        return f"Is it {self.value}?"
-
-    @property
-    def type_name(self) -> str:
-        """Question-type key shown in transcripts (Query:color, Confirm:color)."""
-        prefix = "Query" if self.value is None else "Confirm"
-        return f"{prefix}:{self.property}"
 
 
 @dataclass(frozen=True)
@@ -106,7 +81,8 @@ def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
     min_set = world.min_sets.get(mask)
     if min_set is None:
         min_set = world.min_sets[mask] = tuple(compute_min_set(world, mask))
-    questions = tuple(map(Question, min_set))
+    table = world.schema.questions
+    questions = tuple(table[prop, None] for prop in min_set)
     if policy == ENTROPY:
         scores = (wh_entropy(belief.distribution(q.property)) for q in questions)
     else:

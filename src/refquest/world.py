@@ -103,6 +103,33 @@ def _refuse_deep_nesting(text: str) -> None:
 
 
 @dataclass(frozen=True)
+class Question:
+    """A WH question about `property` when `value` is None ("What color is
+    it?"), else a confirm question about that value ("Is it red?"). A
+    schema tables one of each for its whole alphabet (`questions`)."""
+
+    property: str
+    value: str | None = None
+
+    @property
+    def kind(self) -> str:
+        """Either "wh" or "yn" (confirm): "wh" exactly when there is no value."""
+        return "wh" if self.value is None else "yn"
+
+    @property
+    def surface(self) -> str:
+        if self.value is None:
+            return f"What {self.property} is it?"
+        return f"Is it {self.value}?"
+
+    @property
+    def type_name(self) -> str:
+        """Question-type key shown in transcripts (Query:color, Confirm:color)."""
+        prefix = "Query" if self.value is None else "Confirm"
+        return f"{prefix}:{self.property}"
+
+
+@dataclass(frozen=True)
 class PropertySchema:
     """Ordered list of (property name, ordered value domain).
 
@@ -118,12 +145,19 @@ class PropertySchema:
     exactly when their codes agree under the OR of its masks. A schema
     holds no per-entity state; each World packs and tables its entities'
     codes.
+
+    `questions` tables the question alphabet: the one Question under
+    (prop, None) for each property's WH question and under (prop, value)
+    for each confirm, so a turn looks its question up instead of building it.
     """
 
     properties: tuple[tuple[str, tuple[str, ...]], ...]
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     fields: Mapping[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    questions: Mapping[tuple[str, str | None], Question] = field(
+        init=False, repr=False, compare=False
+    )
     _domains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -144,6 +178,11 @@ class PropertySchema:
             (name, value): (j + 1) << (i * width)
             for i, (name, values) in enumerate(self.properties)
             for j, value in enumerate(values)
+        }))
+        object.__setattr__(self, "questions", MappingProxyType({
+            (name, value): Question(name, value)
+            for name, values in self.properties
+            for value in (None, *values)
         }))
         object.__setattr__(self, "_domains", dict(self.properties))
 

@@ -42,6 +42,15 @@ class RandomWorldSpec:
             raise InfeasibleSpecError("all counts must be at least 1")
 
 
+@functools.lru_cache(maxsize=16)
+def _schema(n_properties: int, values_per_property: int) -> PropertySchema:
+    """The one schema of a shape, shared by every world generated in it."""
+    return PropertySchema(tuple(
+        (name, tuple(f"{name}_v{j + 1}" for j in range(values_per_property)))
+        for name in (f"prop{i + 1}" for i in range(n_properties))
+    ))
+
+
 def generate_random_world(spec: RandomWorldSpec) -> World:
     """Deterministic random world for a spec.
 
@@ -51,13 +60,8 @@ def generate_random_world(spec: RandomWorldSpec) -> World:
     """
     spec.validate()
     rng = random.Random(spec.seed)
-    prop_names = [f"prop{i + 1}" for i in range(spec.n_properties)]
-    schema = PropertySchema(
-        tuple(
-            (name, tuple(f"{name}_v{j + 1}" for j in range(spec.values_per_property)))
-            for name in prop_names
-        )
-    )
+    schema = _schema(spec.n_properties, spec.values_per_property)
+    prop_names = schema.names
     varying = prop_names[: spec.n_varying]
     constant = {
         name: rng.choice(schema.domain(name)) for name in prop_names[spec.n_varying:]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,10 +131,22 @@ def test_entropy_zero_iff_agreement():
         assert (wh_entropy(b.distribution(prop)) == 0) == (len(values) == 1)
 
 
+def assert_same_as_checked(belief):
+    """A belief the engine derived without the bounds check equals, hashes
+    and prints as the one a caller builds, and is as frozen."""
+    checked = Belief(belief.world, belief.mask)
+    assert belief == checked
+    assert hash(belief) == hash(checked)
+    assert repr(belief) == repr(checked)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        belief.mask = 0
+
+
 def assert_matches_reference(belief, reference):
     """The mask belief against a plain list of surviving entities; counts
     are compared as ordered lists, since their order is domain order."""
     assert belief.candidate_ids == tuple(e.id for e in reference)
+    assert_same_as_checked(belief)
     assert belief.resolved() == (reference[0].id if len(reference) == 1 else None)
     properties = belief.world.schema.properties
     for prop, _ in properties:
@@ -154,6 +168,10 @@ def test_mask_belief_matches_tuple_filter_reference(w, data):
         belief = apply_answer(belief, Question(prop, value), word)
         reference = ref.keep(reference, (prop, value), word)
     assert_matches_reference(belief, reference)
+    # a caller's mask is still checked, whatever the engine skips
+    stray = 1 << data.draw(st.integers(len(w.entities), len(w.entities) + 70))
+    with pytest.raises(ValueError, match="has bits beyond the world's"):
+        Belief(w, belief.mask | stray)
 
 
 @pytest.mark.parametrize("label, yes, message", [

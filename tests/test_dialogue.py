@@ -125,6 +125,48 @@ def test_a_world_memo_holds_at_most_each_policy_trees_questions(w):
         assert 0 < sum(p == policy for p, _ in w.model_questions) <= bound
 
 
+def test_a_warm_turn_builds_no_question_and_checks_no_mask(monkeypatch):
+    worlds = [spacecraft_world(), generate_random_world(RandomWorldSpec(n_varying=7, seed=3))]
+
+    def play():
+        for w in worlds:
+            for system in SYSTEMS:
+                for i, e in enumerate(w.entities):
+                    run_episode(w, e.id, make_agent(system, i))
+
+    play()  # every target once: each world's memo is now warm
+    built = {"questions": 0, "masks checked": 0}
+    question_init, belief_check = Question.__init__, Belief.__post_init__
+
+    def counted_question_init(self, *args, **kwargs):
+        built["questions"] += 1
+        question_init(self, *args, **kwargs)
+
+    def counted_belief_check(self):
+        built["masks checked"] += 1
+        belief_check(self)
+
+    monkeypatch.setattr(Question, "__init__", counted_question_init)
+    monkeypatch.setattr(Belief, "__post_init__", counted_belief_check)
+    play()
+    assert built == {"questions": 0, "masks checked": 0}
+    # the counters see what a caller builds
+    Question("color")
+    Belief(worlds[0], 1)
+    assert built == {"questions": 1, "masks checked": 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(worlds(), st.integers(), st.data())
+def test_every_question_asked_is_the_schemas_tabled_one(w, seed, data):
+    table = w.schema.questions
+    targets = data.draw(st.lists(st.sampled_from(w.entities), min_size=1, max_size=6))
+    for system in SYSTEMS:
+        for i, e in enumerate(targets):
+            record = run_episode(w, e.id, make_agent(system, seed + i))
+            assert all(q is table[q.property, q.value] for q, _ in record.transcript)
+
+
 @settings(max_examples=60, deadline=None)
 @given(worlds(kinds=("small", "wide")), st.data())
 def test_model_transcripts_ignore_entity_order(w, data):

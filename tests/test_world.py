@@ -13,12 +13,15 @@ from refquest.dialogue import ModelAgent, run_episode
 from refquest.world import (
     Entity,
     PropertySchema,
+    Question,
     World,
     WorldFormatError,
     load_world,
     serialize_world,
 )
 from refquest.worlds import spacecraft_world
+
+from strategies import worlds
 
 SCHEMA = PropertySchema((("color", ("red", "blue")), ("shape", ("tall", "short"))))
 
@@ -144,6 +147,19 @@ def test_schema_lookups():
                for c in ("red", "blue"))
     assert code(ent("a", "blue", "tall")) == code(ent("z", "blue", "tall", "gadget"))
     assert code(ent("a", "blue", "tall")) != code(ent("a", "red", "tall"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(worlds())
+def test_the_schema_tables_one_question_per_word_of_its_alphabet(w):
+    schema = w.schema
+    assert set(schema.questions) == (
+        {(p, None) for p in schema.names}
+        | {(p, v) for p, values in schema.properties for v in values}
+    )
+    assert all(q == Question(*key) for key, q in schema.questions.items())
+    with pytest.raises(TypeError):
+        schema.questions[schema.names[0], None] = Question(schema.names[0])
 
 
 def test_incomplete_assignment_flagged():
@@ -484,22 +500,24 @@ def _flow_map(pairs):
 
 def _trees(noise):
     """Flow trees of lists, mappings and `_scalars`; with any noise, a key
-    may also be the merge key."""
+    may also be the merge key or repeat in its mapping."""
     keys = _scalars(noise=noise) | st.just("<<") if noise else _scalars(noise=0)
+    unique_keys = None if noise else (lambda pair: pair[0])
     return st.recursive(_scalars(noise=noise), lambda inner: (
         st.lists(inner, max_size=3).map(_flow_seq)
-        | st.lists(st.tuples(keys, inner), max_size=3).map(_flow_map)
+        | st.lists(st.tuples(keys, inner), max_size=3, unique_by=unique_keys).map(_flow_map)
     ), max_leaves=6)
 
 
 @st.composite
-def world_documents(draw):
+def world_documents(draw, noise=st.integers(0, 3)):
     """A world config from drawn names, values and ids, in flow style under
-    a block mapping that first anchors two drawn trees. At a drawn noise
-    level, any node may be another tree, any scalar quoted otherwise,
-    tagged, anchored or an alias, and an entity's assignment may merge the
-    first one's."""
-    noise = draw(st.integers(0, 3))
+    a block mapping that first anchors two drawn trees, and with it, at
+    noise 0, the texts drawn: (names, domains, ids, labels, types, rows),
+    else None. At a drawn noise level, any node may be another tree, any
+    scalar quoted otherwise, tagged, anchored or an alias, and an entity's
+    assignment may merge the first one's."""
+    noise = draw(noise)
     trees = _trees(noise)
 
     def maybe(rendered):
@@ -515,24 +533,43 @@ def world_documents(draw):
     rows = draw(st.lists(st.tuples(*map(st.sampled_from, domains)), min_size=1, max_size=4,
                          unique=True))
     ids = draw(st.lists(_texts, min_size=len(rows), max_size=len(rows), unique=True))
+    labels = [draw(_texts) for _ in rows]
+    types = [draw(_texts) for _ in rows]
     entities = []
-    for i, (entity_id, row) in enumerate(zip(ids, rows)):
+    for i, (entity_id, label, type_name, row) in enumerate(zip(ids, labels, types, rows)):
         pairs = [(scalar(name), scalar(value)) for name, value in zip(names, row)]
         if i and draw(st.integers(0, 9)) < noise:
             pairs.insert(draw(st.integers(0, len(pairs))), ("<<", "*m"))
         assignment = ("&m " if i == 0 else "") + _flow_map(pairs)
-        entities.append(_flow_map([("id", scalar(entity_id)), ("label", scalar(draw(_texts))),
-                                   ("type", scalar(draw(_texts))), ("assignment", maybe(assignment))]))
-    return (f"anchors: [&a {draw(trees)}, &b {draw(trees)}]\n"
-            f"schema: {maybe(_flow_seq(schema))}\nentities: {maybe(_flow_seq(entities))}\n")
+        entities.append(_flow_map([("id", scalar(entity_id)), ("label", scalar(label)),
+                                   ("type", scalar(type_name)), ("assignment", maybe(assignment))]))
+    doc = (f"anchors: [&a {draw(trees)}, &b {draw(trees)}]\n"
+           f"schema: {maybe(_flow_seq(schema))}\nentities: {maybe(_flow_seq(entities))}\n")
+    return doc, (names, domains, ids, labels, types, rows) if noise == 0 else None
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=world_documents())
-def test_every_document_loads_as_written_or_is_refused(yaml_parser, doc):
+@given(drawn=world_documents())
+def test_every_document_loads_as_written_or_is_refused(yaml_parser, drawn):
+    doc, _ = drawn
     try:
         w = load_world(doc)
     except WorldFormatError:
         return
     assert load_world(serialize_world(w)) == w
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=world_documents(noise=st.just(0)))
+def test_a_noiseless_document_loads_spelled_as_drawn(yaml_parser, drawn):
+    # every scalar double-quoted, untagged and unaliased: each loaded text
+    # is the one drawn, character for character
+    doc, (names, domains, ids, labels, types, rows) = drawn
+    w = load_world(doc)
+    assert w.schema.properties == tuple(zip(names, map(tuple, domains)))
+    assert [(e.id, e.label, e.type_name, tuple(e.assignment.items())) for e in w.entities] == [
+        (entity_id, label, type_name, tuple(zip(names, row)))
+        for entity_id, label, type_name, row in zip(ids, labels, types, rows)
+    ]
