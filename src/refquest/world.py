@@ -11,7 +11,6 @@ from a config document.
 
 from __future__ import annotations
 
-import re
 import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -24,82 +23,184 @@ class WorldFormatError(Exception):
     """A world config or entity is malformed or fails validation."""
 
 
-# libyaml's parser when PyYAML was built with it; both resolve the same types
-class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
-    """The safe loader, except that a mapping may not repeat a key (YAML's
-    own loaders keep the last value), numbers and dates load as the text
-    written, and other tags are refused. A merge key (<<) may be overridden."""
-
-    def construct_mapping(self, node, deep=False):
-        # flatten_mapping deletes merge keys from this list and puts any merged
-        # pairs first in a new one, so `written` keeps the keys as written
-        written = node.value
-        mapping = yaml.constructor.SafeConstructor.construct_mapping(self, node, deep=deep)
-        if len(mapping) != len(node.value):  # a repeated key or an overridden merged one
-            seen = set()
-            for key_node, _ in written:
-                key = self.construct_object(key_node)
-                if key in seen:
-                    raise WorldFormatError(
-                        f"duplicate key {key!r} on line {key_node.start_mark.line + 1}"
-                    )
-                seen.add(key)
-        return mapping
-
-    def construct_yaml_bool(self, node):
-        # an explicit !!bool may tag any text, such as !!bool ~
-        if self.construct_scalar(node).lower() not in self.bool_values:
-            raise WorldFormatError(f"!!bool {node.value!r} on line {node.start_mark.line + 1}"
-                                   " is not a boolean")
-        return yaml.constructor.SafeConstructor.construct_yaml_bool(self, node)
-
-    def refuse_tag(self, node):
-        raise WorldFormatError(f"tag {node.tag!r} on line {node.start_mark.line + 1} is not allowed")
-
-
-# numbers and dates load as written (parsed, 1:2 would read 62 and 010 read 8),
-# booleans and nulls as parsed for _text to refuse; other tags such as !!binary
-# are refused
+# libyaml's parser when PyYAML was built with it, else the pure-Python one;
+# both emit the same events, and _read builds the document from them
+_Loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# the resolver both loaders use: it reads yes as true, ~ as null, << as a
+# merge key and = as YAML's "value" key. It tries its patterns only on a
+# plain scalar whose first character one of them is filed under (none is
+# filed for every scalar) and reads any other scalar as text, so _read
+# calls it only for those.
+_RESOLVER = yaml.resolver.Resolver()
+_PATTERN_STARTS = frozenset(_RESOLVER.yaml_implicit_resolvers)
+_BOOLS = yaml.constructor.SafeConstructor.bool_values
 _YAML = "tag:yaml.org,2002:"
-_Loader.yaml_constructors = {
-    None: _Loader.refuse_tag,
-    **{_YAML + t: _Loader.construct_scalar for t in ("str", "int", "float", "timestamp")},
-    **{_YAML + t: yaml.SafeLoader.yaml_constructors[_YAML + t] for t in ("seq", "map", "null")},
-    _YAML + "bool": _Loader.construct_yaml_bool,
-}
+_STR = _YAML + "str"
+# numbers and dates load as written (parsed, 1:2 would read 62 and 010 read 8)
+_TEXT_TAGS = frozenset(_YAML + t for t in ("str", "int", "float", "timestamp"))
+_COLLECTION_TAGS = {yaml.MappingStartEvent: (None, "!", _YAML + "map"),
+                    yaml.SequenceStartEvent: (None, "!", _YAML + "seq")}
+_NO_KEY, _MERGE = object(), object()  # a mapping awaiting a key; the key <<
 
-
-# Deepest collection nesting a world config may have. libyaml's composer
-# recurses in C and overflows the stack near 30,000 levels; the pure-Python
-# one spends two frames of the interpreter's recursion limit a level.
+# Deepest collection nesting a world config may have. _read needs no
+# recursion, but no world needs more than a few levels, and a document
+# nested deeper is refused at its first level too deep, unread beyond it.
 _MAX_DEPTH = 256
 
 
-def _refuse_deep_nesting(text: str) -> None:
-    """Raise WorldFormatError if the document's collections nest deeper than
-    _MAX_DEPTH, before any recursive code reads it.
+def _scalar(tag: str, event, is_key: bool):
+    """The value of a scalar whose tag is not one of _TEXT_TAGS: booleans
+    and nulls as parsed, for _text to refuse; << and = as YAML reads them
+    in a key; any other tag, such as !!binary, refused."""
+    line = event.start_mark.line + 1
+    if tag == _YAML + "null":
+        return None
+    if tag == _YAML + "bool":
+        # an explicit !!bool may tag any text, such as !!bool ~
+        try:
+            return _BOOLS[event.value.lower()]
+        except KeyError:
+            raise WorldFormatError(
+                f"!!bool {event.value!r} on line {line} is not a boolean") from None
+    if is_key and tag == _YAML + "merge":
+        return _MERGE
+    if is_key and tag == _YAML + "value":
+        return event.value
+    raise WorldFormatError(f"tag {tag!r} on line {line} is not allowed")
 
-    Every flow collection opens with [ or {. A block collection starts at a
-    column that only spaces, tabs, byte-order marks and the indicators - ? :
-    reach from its line's start, and one column holds at most two levels
-    of a chain (a mapping and a sequence written at its indent). So a
-    document with few brackets and no long run of those characters is
-    shallow enough without parsing; any other has its events counted.
+
+def _read(text: str):
+    """The value of the one YAML document in `text`, or None if it has none,
+    read in one pass over the parser's events: no node tree is composed.
+
+    Anchors bind the value itself, so an alias costs one reference and a
+    collection may hold itself. A mapping may not repeat a key, unless it
+    is written only as a merge source, where PyYAML's loader keeps the last
+    value; collections may not be keys. Merge keys (<<) are applied after
+    the last event, since a mapping may merge a collection still open.
+    Faults PyYAML's composer and constructor would find raise their errors.
     """
-    columns = (_MAX_DEPTH - text.count("[") - text.count("{")) // 2
-    if columns > 0 and not re.search(f"[ \t\ufeff?:-]{{{columns}}}", text):
-        return
-    depth = 0
+    doc = root = None
+    # the innermost open collection, the key its mapping awaits, whether it
+    # is written as a merge source, and where it starts
+    container, key, merging, start = None, _NO_KEY, False, None
+    stack = []  # the enclosing collections' (container, key, merging, start)
+    anchors = {}  # anchor -> (value, where its node starts)
+    merges = {}  # id of a mapping with a merge key -> [index, mapping, start, (source, mark)...]
     for event in yaml.parse(text, Loader=_Loader):
-        if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > _MAX_DEPTH:
+        kind = event.__class__
+        # each branch that yields a value also yields `mark`, where its node
+        # starts, which for an alias is where the anchor is
+        if kind is yaml.ScalarEvent:
+            value, tag, mark = event.value, event.tag, event.start_mark
+            if tag is None or tag == "!":
+                tag = (_RESOLVER.resolve(yaml.ScalarNode, value, event.implicit)
+                       if event.implicit[0] and value[:1] in _PATTERN_STARTS else _STR)
+            if tag not in _TEXT_TAGS:
+                value = _scalar(tag, event, key is _NO_KEY and container.__class__ is dict)
+            if event.anchor is not None:
+                _bind(anchors, event, value)
+        elif kind is yaml.AliasEvent:
+            try:
+                value, mark = anchors[event.anchor]
+            except KeyError:
+                raise yaml.composer.ComposerError(None, None, f"found undefined alias"
+                                                  f" {event.anchor!r}", event.start_mark) from None
+            if key is _NO_KEY and container.__class__ is dict:
+                if value.__class__ is dict or value.__class__ is list:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", start, "found unhashable key", mark)
+            elif value is _MERGE:
+                raise WorldFormatError(f"tag {_YAML + 'merge'!r} on line {mark.line + 1}"
+                                       " is not allowed")
+        elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+            line = event.start_mark.line + 1
+            if event.tag not in _COLLECTION_TAGS[kind]:
+                raise WorldFormatError(f"tag {event.tag!r} on line {line} is not allowed")
+            if len(stack) == _MAX_DEPTH:
                 raise WorldFormatError(
-                    f"world config nests deeper than {_MAX_DEPTH} levels"
-                    f" on line {event.start_mark.line + 1}"
+                    f"world config nests deeper than {_MAX_DEPTH} levels on line {line}"
                 )
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
+            stack.append((container, key, merging, start))
+            merging = key is _MERGE if container.__class__ is dict else merging
+            container = {} if kind is yaml.MappingStartEvent else []
+            key, start = _NO_KEY, event.start_mark
+            if event.anchor is not None:
+                _bind(anchors, event, container)
+            continue
+        elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
+            value, mark = container, start
+            container, key, merging, start = stack.pop()
+            if key is _NO_KEY and container.__class__ is dict:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", start, "found unhashable key", mark)
+        elif kind is yaml.DocumentStartEvent and root is not None:
+            raise yaml.composer.ComposerError("expected a single document in the stream", root,
+                                              "but found another document", event.start_mark)
+        else:  # the stream's start and end, a document's start and end
+            continue
+        if key is _NO_KEY:
+            if container.__class__ is dict:
+                if value in container and not merging:
+                    raise WorldFormatError(f"duplicate key {value!r} on line {mark.line + 1}")
+                key = value
+            elif container is None:
+                doc, root = value, mark
+            else:
+                container.append(value)
+        elif key is _MERGE:
+            if value.__class__ is not dict and value.__class__ is not list:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", start,
+                    "expected a mapping or list of mappings for merging, but found scalar", mark)
+            merges.setdefault(id(container), [start.index, container, start]).append((value, mark))
+            key = _NO_KEY
+        else:
+            container[key] = value
+            key = _NO_KEY
+    if merges:
+        _apply_merges(sorted(merges.values()))
+    return doc
+
+
+def _bind(anchors: dict, event, value) -> None:
+    if event.anchor in anchors:
+        raise yaml.composer.ComposerError(
+            f"found duplicate anchor {event.anchor!r}; first occurrence", anchors[event.anchor][1],
+            "second occurrence", event.start_mark)
+    anchors[event.anchor] = value, event.start_mark
+
+
+def _apply_merges(records: list) -> None:
+    """Merge into each mapping the sources its << keys name, with PyYAML's
+    precedence: its own keys beat merged ones, a later << beats an earlier
+    one, and in << [*a, *b] a beats b. `records` are _read's, in document
+    order, and each source is merged after its own merges, except one whose
+    merging is under way: the mapping itself, or one enclosing it that
+    merges it in turn. That source gives its own keys alone, as it did
+    in PyYAML's loader, which also merged enclosing mappings first."""
+    pending = {id(record[1]): record for record in records}
+
+    def apply(record):
+        _, mapping, start, *merged = record
+        del pending[id(mapping)]
+        union = {}
+        for value, mark in merged:
+            for source in (value,) if value.__class__ is dict else reversed(value):
+                if source.__class__ is not dict:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", start, "expected a mapping for merging,"
+                        f" but found {'sequence' if source.__class__ is list else 'scalar'}", mark)
+                if id(source) in pending:
+                    apply(pending[id(source)])
+                union.update(source)
+        union.update(mapping)
+        mapping.clear()
+        mapping.update(union)
+
+    for record in records:
+        if id(record[1]) in pending:
+            apply(record)
 
 
 @dataclass(frozen=True)
@@ -283,7 +384,7 @@ class World:
 def _text(value, where: str) -> str:
     """A world name or value as its string token; YAML booleans and nulls are
     refused because their spelling (yes, no, on, ~) is lost once parsed, and
-    lists and mappings because they are not one token; _Loader loads any
+    lists and mappings because they are not one token; _read loads any
     other value as the text written."""
     if value is None or isinstance(value, bool):
         raise WorldFormatError(
@@ -301,10 +402,14 @@ def load_world(text: str) -> World:
     (list of {id, label, type, assignment}).
     """
     try:
-        _refuse_deep_nesting(text)
-        doc = yaml.load(text, Loader=_Loader)
+        doc = _read(text)
     except yaml.YAMLError as exc:
         raise WorldFormatError(f"world config does not parse: {exc}") from exc
+    return _world_from_tree(doc)
+
+
+def _world_from_tree(doc) -> World:
+    """The checked World of a loaded world-config document."""
     if not isinstance(doc, dict):
         raise WorldFormatError("world config must be a key/value tree")
     for key in ("schema", "entities"):

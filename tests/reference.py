@@ -1,18 +1,27 @@
-"""An obviously correct reference engine, for differential tests.
+"""Obviously correct references for differential tests.
 
-It plays whole episodes from a World's plain data: the schema's
-(property, domain) tuples and each entity's id, label and assignment.
-It has no masks, codes, memos or beliefs: the candidates are a list that
-each answer filters, and each min-set is searched afresh over their rows.
-However the engine represents and caches its work, its transcripts must
-equal `transcript`'s.
+The reference engine plays whole episodes from a World's plain data: the
+schema's (property, domain) tuples and each entity's id, label and
+assignment. It has no masks, codes, memos or beliefs: the candidates are
+a list that each answer filters, and each min-set is searched afresh over
+their rows. However the engine represents and caches its work, its
+transcripts must equal `transcript`'s.
+
+The reference loader, `load_world`, reads a world config with PyYAML's
+composer and a strict subclass of its safe constructor, which is how
+refquest read one before it read documents in one pass over the parser's
+events. Both must give the same World, or both refuse the document.
 """
 
 import itertools
 import math
 import random
+import re
+
+import yaml
 
 from refquest.minset import EXACT_LIMIT_DEFAULT
+from refquest.world import _MAX_DEPTH, WorldFormatError, _world_from_tree
 
 
 def distinct(candidates, props) -> int:
@@ -118,3 +127,86 @@ def transcript(world, target_id, system, seed=0) -> list[tuple[str, str | None, 
         turns.append((*question, word))
     assert candidates == [target]
     return turns
+
+
+class StrictConstructor:
+    """The safe constructor, except that a mapping may not repeat a key (YAML's
+    own loaders keep the last value), numbers and dates load as the text
+    written, and other tags are refused. A merge key (<<) may be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        # flatten_mapping deletes merge keys from this list and puts any merged
+        # pairs first in a new one, so `written` keeps the keys as written
+        written = node.value
+        mapping = yaml.constructor.SafeConstructor.construct_mapping(self, node, deep=deep)
+        if len(mapping) != len(node.value):  # a repeated key or an overridden merged one
+            seen = set()
+            for key_node, _ in written:
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise WorldFormatError(
+                        f"duplicate key {key!r} on line {key_node.start_mark.line + 1}"
+                    )
+                seen.add(key)
+        return mapping
+
+    def construct_yaml_bool(self, node):
+        # an explicit !!bool may tag any text, such as !!bool ~
+        if self.construct_scalar(node).lower() not in self.bool_values:
+            raise WorldFormatError(f"!!bool {node.value!r} on line {node.start_mark.line + 1}"
+                                   " is not a boolean")
+        return yaml.constructor.SafeConstructor.construct_yaml_bool(self, node)
+
+    def refuse_tag(self, node):
+        raise WorldFormatError(f"tag {node.tag!r} on line {node.start_mark.line + 1} is not allowed")
+
+
+# numbers and dates load as written, booleans and nulls as parsed for the
+# World's checks to refuse; other tags such as !!binary are refused
+_YAML = "tag:yaml.org,2002:"
+StrictConstructor.yaml_constructors = {
+    None: StrictConstructor.refuse_tag,
+    **{_YAML + t: yaml.constructor.BaseConstructor.construct_scalar
+       for t in ("str", "int", "float", "timestamp")},
+    **{_YAML + t: yaml.SafeLoader.yaml_constructors[_YAML + t] for t in ("seq", "map", "null")},
+    _YAML + "bool": StrictConstructor.construct_yaml_bool,
+}
+
+
+def refuse_deep_nesting(text: str, parser) -> None:
+    """Raise WorldFormatError if the document's collections nest deeper than
+    _MAX_DEPTH, before the recursive composer reads it.
+
+    Every flow collection opens with [ or {. A block collection starts at a
+    column that only spaces, tabs, byte-order marks and the indicators - ? :
+    reach from its line's start, and one column holds at most two levels
+    of a chain (a mapping and a sequence written at its indent). So a
+    document with few brackets and no long run of those characters is
+    shallow enough without parsing; any other has its events counted.
+    """
+    columns = (_MAX_DEPTH - text.count("[") - text.count("{")) // 2
+    if columns > 0 and not re.search(f"[ \t\ufeff?:-]{{{columns}}}", text):
+        return
+    depth = 0
+    for event in yaml.parse(text, Loader=parser):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise WorldFormatError(
+                    f"world config nests deeper than {_MAX_DEPTH} levels"
+                    f" on line {event.start_mark.line + 1}"
+                )
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
+def load_world(text: str, parser):
+    """The World in `text`, composed and constructed by PyYAML over `parser`
+    (yaml.SafeLoader or yaml.CSafeLoader) with StrictConstructor's rules."""
+    loader = type(parser.__name__, (StrictConstructor, parser), {})
+    try:
+        refuse_deep_nesting(text, parser)
+        doc = yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        raise WorldFormatError(f"world config does not parse: {exc}") from exc
+    return _world_from_tree(doc)

@@ -86,8 +86,9 @@ def test_episode_on_a_world_file(capsys, tmp_path):
 
 
 def test_episode_on_a_deeply_nested_world_file_exits_1(tmp_path):
-    # libyaml's composer would overflow the C stack on this 60 KB file, so
-    # it runs in a child process that a crash cannot take pytest down with
+    # a recursive composer, such as libyaml's, would overflow the C stack on
+    # this 60 KB file, so it loads in a child process that a crash cannot
+    # take pytest down with
     path = tmp_path / "deep.yaml"
     path.write_text("[" * 30_000 + "]" * 30_000)
     src = Path(refquest.cli.__file__).parents[1]

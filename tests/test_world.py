@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from refquest.world import (
 )
 from refquest.worlds import spacecraft_world
 
+import reference
 from strategies import worlds
 
 SCHEMA = PropertySchema((("color", ("red", "blue")), ("shape", ("tall", "short"))))
@@ -279,14 +281,11 @@ def test_load_world_keeps_quoted_names_as_text():
 @pytest.fixture(params=["SafeLoader", "CSafeLoader"])
 def yaml_parser(request, monkeypatch):
     """Load worlds with the pure-Python parser, then with libyaml's."""
-    base = getattr(yaml, request.param, None)
-    if base is None:
+    parser = getattr(yaml, request.param, None)
+    if parser is None:
         pytest.skip("PyYAML was built without libyaml")
-    loader = type(request.param, (base,), {
-        "construct_mapping": refquest.world._Loader.construct_mapping,
-        "yaml_constructors": refquest.world._Loader.yaml_constructors,
-    })
-    monkeypatch.setattr(refquest.world, "_Loader", loader)
+    monkeypatch.setattr(refquest.world, "_Loader", parser)
+    return parser
 
 
 TWO_ENTITY_SCHEMA = ("schema:\n  - {name: color, values: [red, blue]}\n"
@@ -548,16 +547,126 @@ def world_documents(draw, noise=st.integers(0, 3)):
     return doc, (names, domains, ids, labels, types, rows) if noise == 0 else None
 
 
+def assert_loads_as_reference(doc, parser):
+    """The World `doc` loads as, which must equal the reference loader's
+    over the same parser, or None when both loaders refuse it."""
+    try:
+        w = load_world(doc)
+    except WorldFormatError:
+        with pytest.raises(WorldFormatError):
+            reference.load_world(doc, parser)
+        return None
+    assert reference.load_world(doc, parser) == w
+    return w
+
+
+def _one_property_doc(assignment, anchors="[]"):
+    """A world of one entity, whose assignment is written `assignment`,
+    after a top-level key `anchors` written `anchors`; p and q both take
+    the values x and y."""
+    return (f"anchors: {anchors}\n"
+            "schema: [{name: p, values: [x, y]}, {name: q, values: [x, y]}]\n"
+            f"entities: [{{id: a, label: w, type: w, assignment: {assignment}}}]\n")
+
+
+_AB = "[&a {p: x}, &b {p: y, q: y}]"
+
+
+@pytest.mark.parametrize("doc, assignment", [
+    ("schema: []\nentities: [{id: a, label: w, type: w, assignment: &m {<<: *m}}]\n", {}),
+    (_one_property_doc("*i", "&t {p: x, q: &i {<<: *t, q: y}}"), {"p": "x", "q": "y"}),
+    (_one_property_doc("{p: x, q: x}", "&a [{<<: *a}, x]"), None),
+    (_one_property_doc("{<<: [*a, *b]}", _AB), {"p": "x", "q": "y"}),
+    (_one_property_doc("{<<: *a, <<: *b}", _AB), {"p": "y", "q": "y"}),
+    (_one_property_doc("{<<: *b, <<: *a}", _AB), {"p": "x", "q": "y"}),
+    (_one_property_doc("{q: x, <<: [*a, *b]}", _AB), {"p": "x", "q": "x"}),
+    (_one_property_doc("{<<: {p: x, p: y}, q: x}"), {"p": "y", "q": "x"}),
+    (_one_property_doc("{<<: [{p: x, p: y}], q: x}"), {"p": "y", "q": "x"}),
+    (_one_property_doc("{<<: {p: x, q: {q: x, q: y}}}"), None),
+    (_one_property_doc("{[p]: x, q: x}"), None),
+    ("schema: [{name: '=', values: [x]}]\n"
+     "entities: [{id: a, label: w, type: w, assignment: {=: x}}]\n", {"=": "x"}),
+    (_one_property_doc("{p: =, q: x}"), None),
+    (_one_property_doc("{p: <<, q: x}"), None),
+    (_one_property_doc("{p: x, q: x}", "&a [*a, {k: *a}]"), {"p": "x", "q": "x"}),
+    ("schema: [{name: p, values: &v [x, *v]}]\n"
+     "entities: [{id: a, label: w, type: w, assignment: {p: x}}]\n", None),
+    (_one_property_doc("{p: x, q: *u}"), None),
+    (_one_property_doc("{p: &x x, q: &x y}"), None),
+    (_one_property_doc("{p: x, q: x}") + "---\n" + _one_property_doc("{p: y, q: y}"), None),
+    ("", None),
+    ("# only a comment\n", None),
+], ids=["self-merge", "merge-enclosing", "merge-open-list-of-non-mappings", "merge-list-order",
+        "two-merge-keys", "two-merge-keys-reversed", "own-key-beats-merged",
+        "merge-source-repeats-a-key", "merge-list-source-repeats-a-key",
+        "merged-value-repeats-a-key", "collection-key", "value-key",
+        "value-as-value", "merge-key-as-value", "recursive-alias", "recursive-values",
+        "undefined-alias", "repeated-anchor", "two-documents", "empty", "comment-only"])
+def test_corner_documents_load_as_the_reference_loads_them(yaml_parser, doc, assignment):
+    # None: both loaders refuse the document
+    w = assert_loads_as_reference(doc, yaml_parser)
+    assert (w and dict(w.entities[0].assignment)) == assignment
+
+
+def test_a_merge_cycle_applies_the_enclosing_mapping_first(yaml_parser):
+    # t merges i, which t encloses and which merges t back. t's merges
+    # apply first, so i merges t's own keys alone and not s's w. PyYAML's
+    # loader merged t first too, but then refused i for repeating q: it
+    # took q merged from t for one i wrote
+    w = load_world(_one_property_doc(
+        "*i", "[&s {w: z}, &t {p: x, q: &i {<<: *t, q: y}, <<: [*i, *s]}]"))
+    assert dict(w.entities[0].assignment) == {"p": "x", "q": "y"}
+
+
+def test_loading_builds_no_node_and_runs_no_constructor(yaml_parser, monkeypatch):
+    crowd = World(PropertySchema(tuple((f"p{i}", ("x", "y")) for i in range(8))), tuple(
+        Entity(f"e{n:03d}", "crowd item", "item",
+               {f"p{i}": "xy"[n >> i & 1] for i in range(8)})
+        for n in range(200)
+    ))
+    flow = yaml.safe_dump(yaml.safe_load(serialize_world(crowd)), default_flow_style=True,
+                          sort_keys=False, width=80)
+    spacecraft = resources.files("refquest.data").joinpath("spacecraft.yaml").read_text("utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loading a world built a node or ran a constructor")
+
+    for cls in (yaml.nodes.Node, yaml.nodes.ScalarNode, yaml.nodes.CollectionNode):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(yaml.constructor.BaseConstructor, "construct_object", refuse)
+    assert load_world(flow) == crowd
+    assert load_world(spacecraft) == spacecraft_world()
+
+
+@pytest.mark.parametrize("parser", ["SafeLoader", "CSafeLoader"])
+def test_an_alias_blow_up_is_refused_at_once(parser):
+    # a40 stands for 2**40 leaves; expanded, it would never finish, so it
+    # loads in a child process that a timeout stops
+    if not hasattr(yaml, parser):
+        pytest.skip("PyYAML was built without libyaml")
+    doubling = "".join(f"a{i}: &a{i} [*a{i - 1}, *a{i - 1}]\n" for i in range(1, 41))
+    doc = "a0: &a0 [x]\n" + doubling + "schema:\n  - name: p\n    values: *a40\nentities: []\n"
+    code = ("import sys, yaml, refquest.world as w\n"
+            f"w._Loader = yaml.{parser}\n"
+            "try:\n    w.load_world(sys.stdin.read())\n"
+            "except w.WorldFormatError as exc:\n    print(exc)\n")
+    src = Path(refquest.world.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], input=doc, capture_output=True,
+                          text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # the message shows the value's first six levels, 64 leaves at most
+    assert proc.stdout.startswith("property 'p': expected a single value, got [[[[[[[...], [...]]")
+    assert len(proc.stdout) < 1000
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(drawn=world_documents())
 def test_every_document_loads_as_written_or_is_refused(yaml_parser, drawn):
     doc, _ = drawn
-    try:
-        w = load_world(doc)
-    except WorldFormatError:
-        return
-    assert load_world(serialize_world(w)) == w
+    w = assert_loads_as_reference(doc, yaml_parser)
+    if w is not None:
+        assert load_world(serialize_world(w)) == w
 
 
 @settings(max_examples=100, deadline=None,
