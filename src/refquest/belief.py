@@ -3,7 +3,8 @@
 With a truthful oracle, hard filtering of the candidate set is exact
 Bayesian updating from a uniform prior, so the posterior over referents
 is uniform over survivors and each property's value distribution is
-given by how many survivors carry each value.
+given by how many survivors carry each value. An answer narrows the
+survivors in one step: one value-mask lookup, one AND, one new Belief.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from refquest.world import World
+
+_new = object.__new__
 
 
 class UnknownReferentError(Exception):
@@ -37,7 +40,9 @@ class Belief:
     the world's value masks and a count is a popcount. A mask with bits
     beyond the world's entities is refused at construction; the beliefs
     this module derives from a label mask or by narrowing a checked mask
-    cannot hold such bits, and skip the check (`_unchecked`).
+    cannot hold such bits, and skip the check: each is built with
+    `object.__new__`, its fields written into its `__dict__` as `__init__`
+    would write them.
     """
 
     world: World
@@ -74,40 +79,44 @@ class Belief:
 
     def apply_wh_answer(self, prop: str, value: str) -> "Belief":
         """Keep candidates whose `prop` equals the answered value."""
-        kept = self.mask & self._value_mask(prop, value)
+        world = self.world
+        try:
+            kept = self.mask & world.value_masks[prop, value]
+        except KeyError:
+            raise _not_in_schema(world, prop, value) from None
         if not kept:
             raise ContradictoryAnswerError(
                 f"no candidate has {prop}={value!r} (answer contradicts evidence)"
             )
-        return _unchecked(self.world, kept)
+        belief = _new(Belief)
+        fields = belief.__dict__
+        fields["world"], fields["mask"] = world, kept
+        return belief
 
     def apply_yn_answer(self, prop: str, value: str, yes: bool) -> "Belief":
         """Yes keeps candidates with that value; no removes them."""
-        value_mask = self._value_mask(prop, value)
+        world = self.world
+        try:
+            value_mask = world.value_masks[prop, value]
+        except KeyError:
+            raise _not_in_schema(world, prop, value) from None
         kept = self.mask & (value_mask if yes else ~value_mask)
         if not kept:
             raise ContradictoryAnswerError(
                 f"answer {'yes' if yes else 'no'} to {prop}={value!r} eliminates all candidates"
             )
-        return _unchecked(self.world, kept)
-
-    def _value_mask(self, prop: str, value: str) -> int:
-        value_mask = self.world.value_masks.get((prop, value))
-        if value_mask is None:
-            if prop not in self.world.schema.names:
-                raise KeyError(f"unknown property {prop!r}")
-            raise KeyError(f"value {value!r} not in domain of property {prop!r}")
-        return value_mask
+        belief = _new(Belief)
+        fields = belief.__dict__
+        fields["world"], fields["mask"] = world, kept
+        return belief
 
 
-def _unchecked(world: World, mask: int) -> Belief:
-    """A Belief over a mask known to lie within the world's entities, its
-    frozen fields set as the generated __init__ sets them, without the
-    bounds check of __post_init__."""
-    belief = object.__new__(Belief)
-    fields = belief.__dict__
-    fields["world"], fields["mask"] = world, mask
-    return belief
+def _not_in_schema(world: World, prop: str, value: str) -> KeyError:
+    """The error for an answer naming a (property, value) the world has no
+    value mask for."""
+    if prop not in world.schema.names:
+        return KeyError(f"unknown property {prop!r}")
+    return KeyError(f"value {value!r} not in domain of property {prop!r}")
 
 
 def init_belief(world: World, instruction_label: str) -> Belief:
@@ -115,4 +124,7 @@ def init_belief(world: World, instruction_label: str) -> Belief:
     mask = world.label_masks.get(instruction_label)
     if mask is None:
         raise UnknownReferentError(f"no entity labelled {instruction_label!r}")
-    return _unchecked(world, mask)
+    belief = _new(Belief)
+    fields = belief.__dict__
+    fields["world"], fields["mask"] = world, mask
+    return belief

@@ -1,4 +1,9 @@
-"""Episode engine: agents, oracles, and the ask-answer-filter loop."""
+"""Episode engine: agents, oracles, and the ask-answer-filter loop.
+
+A warm turn builds only its Belief and its transcript entry: the agent
+looks its question up, the simulated oracle reads the target's assignment,
+and the answer is one value-mask lookup and one AND (`Belief.apply_*`).
+"""
 
 from __future__ import annotations
 
@@ -10,6 +15,7 @@ from refquest.dnet import DATA, ENTROPY, build_network, select_question
 from refquest.world import Entity, Question, World
 
 MAX_QUESTIONS_DEFAULT = 50
+_new = object.__new__
 
 
 class BudgetExceededError(Exception):
@@ -21,13 +27,14 @@ class SimOracle:
     the target's value for a WH question, "yes" or "no" for a confirm."""
 
     def __init__(self, target: Entity):
-        self.target = target
+        self.assignment = target.assignment
 
     def answer(self, q: Question) -> str:
-        actual = self.target.value(q.property)
-        if q.value is None:
+        actual = self.assignment[q.property]
+        value = q.value
+        if value is None:
             return actual
-        return "yes" if actual == q.value else "no"
+        return "yes" if actual == value else "no"
 
 
 class HumanOracle:
@@ -106,7 +113,7 @@ class BaselineAgent:
     The unlearned list is taken from `known` on the first turn and loses
     each property as `known` gains it. Learned properties persist, so each
     episode needs a fresh agent; every caller makes one per episode.
-    Questions are the schema's tabled ones.
+    Questions are the schema's tabled ones. Both draws are `_draw`'s.
     """
 
     def __init__(self, seed: int):
@@ -125,22 +132,33 @@ class BaselineAgent:
         if asked is None:
             unknown[:] = [p for p in world.schema.names if p not in self.known]
         else:
-            lowest = world.entities[(mask & -mask).bit_length() - 1].value(asked)
+            lowest = world.entities[(mask & -mask).bit_length() - 1].assignment[asked]
             if not mask & ~value_masks[asked, lowest]:
                 self.known.add(asked)
                 unknown.remove(asked)
-        # choice reads only the sequence's length: the same draw as over a list of the pairs
-        i = self.rng.choice(range(2 * len(unknown)))
+        i = _draw(self.rng, 2 * len(unknown))
         prop = self.asked = unknown[i >> 1]
-        questions = world.schema.questions
+        schema = world.schema
         if not i & 1:
-            return questions[prop, None]
-        values = [v for v in world.schema.domain(prop) if mask & value_masks[prop, v]]
-        return questions[prop, self.rng.choice(values)]
+            return schema.questions[prop, None]
+        values = [v for v in schema.domain(prop) if mask & value_masks[prop, v]]
+        return schema.questions[prop, values[_draw(self.rng, len(values))]]
+
+
+def _draw(rng: random.Random, n: int) -> int:
+    """The index `rng.choice` draws into a sequence of length n, from the
+    same bits, with no sequence built. Random._randbelow(0) would never
+    return, so n = 0 raises choice's IndexError."""
+    if n <= 0:
+        raise IndexError("Cannot choose from an empty sequence")
+    return rng._randbelow(n)
 
 
 @dataclass(frozen=True)
 class EpisodeRecord:
+    """One episode's outcome; `run_episode` builds it as a derived Belief is
+    built, its fields written into its `__dict__` as `__init__` would."""
+
     instruction_label: str
     target_id: str
     resolved_id: str
@@ -176,7 +194,8 @@ def run_episode(
     belief. `oracle` defaults to a truthful simulated oracle for the
     target; each answer is the word said, read by `apply_answer`.
     `on_turn(question, word)`, when given, is the loop's one per-turn
-    observer, called after each answer is applied.
+    observer, called after each answer is applied. The referent is read
+    off the final one-bit mask.
     """
     if max_questions < 0:
         raise ValueError(f"max_questions must be 0 or more, got {max_questions}")
@@ -184,24 +203,25 @@ def run_episode(
         target = world.by_id(target_id)
     except KeyError:
         raise UnknownReferentError(f"no entity with id {target_id!r}") from None
-    if oracle is None:
-        oracle = SimOracle(target)
-    belief = init_belief(world, target.label)
+    label = target.label
+    belief = init_belief(world, label)
     transcript: list[tuple[Question, str]] = []
+    choose, append = agent.choose, transcript.append
+    answer = (oracle if oracle is not None else SimOracle(target)).answer
     while (mask := belief.mask) & (mask - 1):
         if len(transcript) >= max_questions:
             raise BudgetExceededError(
                 f"no resolution after {max_questions} questions for target {target_id!r}"
             )
-        q = agent.choose(belief)
-        word = oracle.answer(q)
+        q = choose(belief)
+        word = answer(q)
         belief = apply_answer(belief, q, word)
-        transcript.append((q, word))
+        append((q, word))
         if on_turn is not None:
             on_turn(q, word)
-    return EpisodeRecord(
-        instruction_label=target.label,
-        target_id=target_id,
-        resolved_id=belief.resolved(),
-        transcript=tuple(transcript),
-    )
+    record = _new(EpisodeRecord)
+    fields = record.__dict__
+    fields["instruction_label"], fields["target_id"] = label, target_id
+    fields["resolved_id"] = world.entities[mask.bit_length() - 1].id
+    fields["transcript"] = tuple(transcript)
+    return record

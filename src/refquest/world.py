@@ -381,6 +381,20 @@ class World:
         return self._by_id[entity_id]
 
 
+# Most characters of a refused value that a message shows. reprlib.repr
+# limits depth (6) and items per level (6) but not the total, and values
+# that branch through aliases reach its limits at every level: a list of
+# six-wide aliases eight deep shows as 345,295 characters.
+_SHOWN_MAX = 200
+
+
+def _shown(value) -> str:
+    """A refused value as a message shows it: reprlib's abbreviation, cut
+    to at most _SHOWN_MAX characters, the last three of them "..."."""
+    text = reprlib.repr(value)
+    return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX - 3] + "..."
+
+
 def _text(value, where: str) -> str:
     """A world name or value as its string token; YAML booleans and nulls are
     refused because their spelling (yes, no, on, ~) is lost once parsed, and
@@ -391,7 +405,7 @@ def _text(value, where: str) -> str:
             f"{where}: parsed as {value!r}; quote it to keep it as text (e.g. 'yes')"
         )
     if isinstance(value, (list, dict)):
-        raise WorldFormatError(f"{where}: expected a single value, got {reprlib.repr(value)}")
+        raise WorldFormatError(f"{where}: expected a single value, got {_shown(value)}")
     return value
 
 
@@ -417,7 +431,7 @@ def _world_from_tree(doc) -> World:
             raise WorldFormatError(f"world config missing top-level key {key!r}")
         if not isinstance(doc[key], list):
             raise WorldFormatError(
-                f"world config key {key!r} must be a list, got {reprlib.repr(doc[key])}"
+                f"world config key {key!r} must be a list, got {_shown(doc[key])}"
             )
 
     props = []
@@ -426,11 +440,11 @@ def _world_from_tree(doc) -> World:
             name, values = _text(item["name"], "property name"), item["values"]
         except (TypeError, KeyError) as exc:
             raise WorldFormatError(
-                f"bad schema entry {reprlib.repr(item)}: needs name/values"
+                f"bad schema entry {_shown(item)}: needs name/values"
             ) from exc
         if not isinstance(values, list):
             raise WorldFormatError(
-                f"property {name!r}: values must be a list, got {reprlib.repr(values)}"
+                f"property {name!r}: values must be a list, got {_shown(values)}"
             )
         props.append((name, tuple(_text(v, f"property {name!r}") for v in values)))
     schema = PropertySchema(tuple(props))
@@ -455,7 +469,7 @@ def _world_from_tree(doc) -> World:
             )
         except (TypeError, KeyError, AttributeError) as exc:
             raise WorldFormatError(
-                f"bad entity entry {reprlib.repr(item)}: needs id/label/type/assignment"
+                f"bad entity entry {_shown(item)}: needs id/label/type/assignment"
             ) from exc
 
     return World(schema=schema, entities=tuple(entities))

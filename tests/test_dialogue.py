@@ -1,7 +1,13 @@
 import dataclasses
 import gc
 import hashlib
+import os
+import subprocess
+import sys
 import weakref
+from collections import Counter
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -15,6 +21,7 @@ from refquest.dialogue import (
     apply_answer,
     run_episode,
 )
+import refquest.dialogue
 from refquest.bench import SYSTEMS, make_agent
 from refquest.dnet import Question, build_network
 from refquest.minset import compute_min_set
@@ -511,6 +518,118 @@ def test_each_word_is_the_oracles_and_the_transcript_folds_to_the_referent(w, ba
                 assert word == oracle.answer(q)
                 belief = apply_answer(belief, q, word)
             assert belief.resolved() == record.resolved_id == e.id
+
+
+# the turn's probe points: the names perfbench/tracer.py wraps, on the
+# owner each caller looks them up on
+PROBE_POINTS = (
+    (Belief, "apply_wh_answer"), (Belief, "apply_yn_answer"), (SimOracle, "answer"),
+    (ModelAgent, "choose"), (BaselineAgent, "choose"), (World, "by_id"),
+    (refquest.dialogue, "build_network"), (refquest.dialogue, "select_question"),
+)
+
+
+@contextmanager
+def counting_calls(points):
+    """Wrap each (owner, name) as the tracer does, counting calls by
+    "Owner.name" ("dialogue.name" for a module's), and restore them after."""
+    calls, saved = Counter(), []
+    try:
+        for owner, name in points:
+            fn = vars(owner)[name]
+            key = f"{owner.__name__.rpartition('.')[2]}.{name}"
+
+            def counted(*args, _fn=fn, _key=key, **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+
+            saved.append((owner, name, fn))
+            setattr(owner, name, counted)
+        yield calls
+    finally:
+        for owner, name, fn in reversed(saved):
+            setattr(owner, name, fn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(worlds(), st.integers())
+def test_every_turn_passes_each_probe_point_once(w, seed):
+    w = dataclasses.replace(w)  # a cold memo: every model question is built here
+    questions = Counter()
+    with counting_calls(PROBE_POINTS) as calls:
+        for system in SYSTEMS:
+            for i, e in enumerate(w.entities):
+                record = run_episode(w, e.id, make_agent(system, seed + i))
+                questions[system == "baseline"] += record.question_count
+    turns = questions[False] + questions[True]
+    assert calls["Belief.apply_wh_answer"] + calls["Belief.apply_yn_answer"] == turns
+    assert calls["SimOracle.answer"] == turns
+    assert calls["ModelAgent.choose"] == questions[False]
+    assert calls["BaselineAgent.choose"] == questions[True]
+    assert calls["World.by_id"] == len(SYSTEMS) * len(w.entities)
+    assert calls["dialogue.build_network"] == calls["dialogue.select_question"] == len(
+        w.model_questions)
+
+
+def assert_built_as_constructed(obj):
+    """An object the engine builds without its dataclass __init__ holds the
+    fields, in the order, that the public constructor gives it, equals,
+    hashes and prints as that one, and is as frozen."""
+    fields = dataclasses.fields(obj)
+    built = type(obj)(**{f.name: getattr(obj, f.name) for f in fields})
+    assert list(vars(obj).items()) == list(vars(built).items())
+    assert obj == built
+    assert hash(obj) == hash(built)
+    assert repr(obj) == repr(built)
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(worlds(), st.integers(), st.data())
+def test_records_and_beliefs_are_built_as_their_constructors_build_them(w, seed, data):
+    targets = data.draw(st.lists(st.sampled_from(w.entities), min_size=1, max_size=6))
+    for system in SYSTEMS:
+        for i, e in enumerate(targets):
+            record = run_episode(w, e.id, make_agent(system, seed + i))
+            assert_built_as_constructed(record)
+            belief = init_belief(w, record.instruction_label)
+            assert_built_as_constructed(belief)
+            for q, word in record.transcript:
+                belief = apply_answer(belief, q, word)
+                assert_built_as_constructed(belief)
+            assert record.resolved_id == belief.resolved() == e.id
+
+
+def test_a_baseline_with_nothing_to_draw_from_raises_instead_of_hanging():
+    # Random._randbelow(0) never returns, where choice raised IndexError; the
+    # baseline draws through _randbelow, so this runs in a child process
+    # that a timeout stops
+    code = """if True:
+        from refquest.belief import Belief, init_belief
+        from refquest.dialogue import BaselineAgent
+        from refquest.worlds import spacecraft_world
+
+        def outcome(agent, belief):
+            try:
+                return agent.choose(belief).kind
+            except IndexError as exc:
+                return f"IndexError: {exc}"
+
+        w = spacecraft_world()
+        agent = BaselineAgent(seed=0)
+        agent.known = set(w.schema.names)  # nothing unlearned
+        print(outcome(agent, init_belief(w, "megaband module")))
+        # no candidates: a WH draw asks, a confirm has no value to draw
+        print(sorted({outcome(BaselineAgent(seed), Belief(w, 0)) for seed in range(20)}))
+    """
+    src = Path(refquest.dialogue.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    empty = "IndexError: Cannot choose from an empty sequence"
+    assert proc.stdout.splitlines() == [empty, repr(sorted([empty, "wh"]))]
 
 
 def test_run_episode_with_scripted_human_oracle():

@@ -654,9 +654,26 @@ def test_an_alias_blow_up_is_refused_at_once(parser):
     proc = subprocess.run([sys.executable, "-c", code], input=doc, capture_output=True,
                           text=True, timeout=30, env={**os.environ, "PYTHONPATH": str(src)})
     assert (proc.returncode, proc.stderr) == (0, "")
-    # the message shows the value's first six levels, 64 leaves at most
-    assert proc.stdout.startswith("property 'p': expected a single value, got [[[[[[[...], [...]]")
-    assert len(proc.stdout) < 1000
+    # the message shows the value's first six levels, cut to _SHOWN_MAX characters
+    prefix = "property 'p': expected a single value, got "
+    assert proc.stdout.startswith(prefix + "[[[[[[[...], [...]]")
+    assert len(proc.stdout) <= len(prefix) + refquest.world._SHOWN_MAX + 1  # and a newline
+
+
+def test_a_value_branching_through_aliases_is_shown_briefly(yaml_parser):
+    # six-wide aliases eight deep reach reprlib's six levels and six items at
+    # every level, 6**6 leaves: shown in full, 345,295 characters
+    aliases = "".join(f"a{i}: &a{i} [{', '.join([f'*a{i - 1}'] * 6)}]\n" for i in range(1, 8))
+    doc = ("a0: &a0 [x]\n" + aliases + "schema:\n  - name: p\n    values: ["
+           + ", ".join(["*a7"] * 6) + "]\nentities: []\n")
+    with pytest.raises(WorldFormatError) as exc:
+        load_world(doc)
+    prefix = "property 'p': expected a single value, got "
+    shown = str(exc.value).removeprefix(prefix)
+    assert shown != str(exc.value)
+    assert len(shown) == refquest.world._SHOWN_MAX
+    assert shown.startswith("[[[[[[[...], [...], [...], [...], [...], [...]], [[...],")
+    assert shown.endswith("...")
 
 
 @settings(max_examples=100, deadline=None,
