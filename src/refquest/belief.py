@@ -61,13 +61,6 @@ class Belief:
         bits = bin(self.mask)[:1:-1]  # least significant first
         return tuple(e.id for e in compress(self.world.entities, map("1".__eq__, bits)))
 
-    def resolved(self) -> str | None:
-        """The referent's id once exactly one candidate remains, else None."""
-        mask = self.mask
-        if mask and not mask & (mask - 1):
-            return self.world.entities[mask.bit_length() - 1].id
-        return None
-
     def distribution(self, prop: str) -> PropertyDistribution:
         """How many surviving candidates carry each value of `prop`, in
         domain order; values no candidate carries are left out."""

@@ -14,7 +14,9 @@ from __future__ import annotations
 import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import combinations
+from heapq import merge
+from itertools import combinations, islice
+from math import comb
 from types import MappingProxyType
 
 import yaml
@@ -26,11 +28,12 @@ class WorldFormatError(Exception):
 # libyaml's parser when PyYAML was built with it, else the pure-Python one;
 # both emit the same events, and _read builds the document from them
 _Loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-# the resolver both loaders use: it reads yes as true, ~ as null, << as a
-# merge key and = as YAML's "value" key. It tries its patterns only on a
-# plain scalar whose first character one of them is filed under (none is
-# filed for every scalar) and reads any other scalar as text, so _read
-# calls it only for those.
+# the resolver both loaders use: it reads yes as true, ~ as null, << as
+# YAML 1.1's merge key (refused, as its other 1.1 types such as !!set are)
+# and = as YAML's "value" key. It tries its patterns only on a plain scalar
+# whose first character one of them is filed under (none is filed for
+# every scalar) and reads any other scalar as text, so _read calls it only
+# for those.
 _RESOLVER = yaml.resolver.Resolver()
 _PATTERN_STARTS = frozenset(_RESOLVER.yaml_implicit_resolvers)
 _BOOLS = yaml.constructor.SafeConstructor.bool_values
@@ -40,7 +43,7 @@ _STR = _YAML + "str"
 _TEXT_TAGS = frozenset(_YAML + t for t in ("str", "int", "float", "timestamp"))
 _COLLECTION_TAGS = {yaml.MappingStartEvent: (None, "!", _YAML + "map"),
                     yaml.SequenceStartEvent: (None, "!", _YAML + "seq")}
-_NO_KEY, _MERGE = object(), object()  # a mapping awaiting a key; the key <<
+_NO_KEY = object()  # a mapping awaiting a key
 
 # Deepest collection nesting a world config may have. _read needs no
 # recursion, but no world needs more than a few levels, and a document
@@ -50,8 +53,9 @@ _MAX_DEPTH = 256
 
 def _scalar(tag: str, event, is_key: bool):
     """The value of a scalar whose tag is not one of _TEXT_TAGS: booleans
-    and nulls as parsed, for _text to refuse; << and = as YAML reads them
-    in a key; any other tag, such as !!binary, refused."""
+    and nulls as parsed, for _text to refuse; = as text in a key, where YAML
+    reads it as the "value" key; any other tag, such as !!binary or the
+    merge key <<, refused."""
     line = event.start_mark.line + 1
     if tag == _YAML + "null":
         return None
@@ -62,8 +66,6 @@ def _scalar(tag: str, event, is_key: bool):
         except KeyError:
             raise WorldFormatError(
                 f"!!bool {event.value!r} on line {line} is not a boolean") from None
-    if is_key and tag == _YAML + "merge":
-        return _MERGE
     if is_key and tag == _YAML + "value":
         return event.value
     raise WorldFormatError(f"tag {tag!r} on line {line} is not allowed")
@@ -74,19 +76,16 @@ def _read(text: str):
     read in one pass over the parser's events: no node tree is composed.
 
     Anchors bind the value itself, so an alias costs one reference and a
-    collection may hold itself. A mapping may not repeat a key, unless it
-    is written only as a merge source, where PyYAML's loader keeps the last
-    value; collections may not be keys. Merge keys (<<) are applied after
-    the last event, since a mapping may merge a collection still open.
-    Faults PyYAML's composer and constructor would find raise their errors.
+    collection may hold itself. No mapping may repeat a key, and
+    collections may not be keys. The merge key (<<), a YAML 1.1 type that
+    YAML 1.2 dropped, is refused with its line, as a value or a key. Faults
+    PyYAML's composer and constructor would find raise their errors.
     """
     doc = root = None
-    # the innermost open collection, the key its mapping awaits, whether it
-    # is written as a merge source, and where it starts
-    container, key, merging, start = None, _NO_KEY, False, None
-    stack = []  # the enclosing collections' (container, key, merging, start)
+    # the innermost open collection, the key its mapping awaits, and where it starts
+    container, key, start = None, _NO_KEY, None
+    stack = []  # the enclosing collections' (container, key, start)
     anchors = {}  # anchor -> (value, where its node starts)
-    merges = {}  # id of a mapping with a merge key -> [index, mapping, start, (source, mark)...]
     for event in yaml.parse(text, Loader=_Loader):
         kind = event.__class__
         # each branch that yields a value also yields `mark`, where its node
@@ -106,13 +105,6 @@ def _read(text: str):
             except KeyError:
                 raise yaml.composer.ComposerError(None, None, f"found undefined alias"
                                                   f" {event.anchor!r}", event.start_mark) from None
-            if key is _NO_KEY and container.__class__ is dict:
-                if value.__class__ is dict or value.__class__ is list:
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", start, "found unhashable key", mark)
-            elif value is _MERGE:
-                raise WorldFormatError(f"tag {_YAML + 'merge'!r} on line {mark.line + 1}"
-                                       " is not allowed")
         elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
             line = event.start_mark.line + 1
             if event.tag not in _COLLECTION_TAGS[kind]:
@@ -121,8 +113,7 @@ def _read(text: str):
                 raise WorldFormatError(
                     f"world config nests deeper than {_MAX_DEPTH} levels on line {line}"
                 )
-            stack.append((container, key, merging, start))
-            merging = key is _MERGE if container.__class__ is dict else merging
+            stack.append((container, key, start))
             container = {} if kind is yaml.MappingStartEvent else []
             key, start = _NO_KEY, event.start_mark
             if event.anchor is not None:
@@ -130,10 +121,7 @@ def _read(text: str):
             continue
         elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
             value, mark = container, start
-            container, key, merging, start = stack.pop()
-            if key is _NO_KEY and container.__class__ is dict:
-                raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping", start, "found unhashable key", mark)
+            container, key, start = stack.pop()
         elif kind is yaml.DocumentStartEvent and root is not None:
             raise yaml.composer.ComposerError("expected a single document in the stream", root,
                                               "but found another document", event.start_mark)
@@ -141,25 +129,19 @@ def _read(text: str):
             continue
         if key is _NO_KEY:
             if container.__class__ is dict:
-                if value in container and not merging:
+                if value.__class__ is dict or value.__class__ is list:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", start, "found unhashable key", mark)
+                if value in container:
                     raise WorldFormatError(f"duplicate key {value!r} on line {mark.line + 1}")
                 key = value
             elif container is None:
                 doc, root = value, mark
             else:
                 container.append(value)
-        elif key is _MERGE:
-            if value.__class__ is not dict and value.__class__ is not list:
-                raise yaml.constructor.ConstructorError(
-                    "while constructing a mapping", start,
-                    "expected a mapping or list of mappings for merging, but found scalar", mark)
-            merges.setdefault(id(container), [start.index, container, start]).append((value, mark))
-            key = _NO_KEY
         else:
             container[key] = value
             key = _NO_KEY
-    if merges:
-        _apply_merges(sorted(merges.values()))
     return doc
 
 
@@ -169,38 +151,6 @@ def _bind(anchors: dict, event, value) -> None:
             f"found duplicate anchor {event.anchor!r}; first occurrence", anchors[event.anchor][1],
             "second occurrence", event.start_mark)
     anchors[event.anchor] = value, event.start_mark
-
-
-def _apply_merges(records: list) -> None:
-    """Merge into each mapping the sources its << keys name, with PyYAML's
-    precedence: its own keys beat merged ones, a later << beats an earlier
-    one, and in << [*a, *b] a beats b. `records` are _read's, in document
-    order, and each source is merged after its own merges, except one whose
-    merging is under way: the mapping itself, or one enclosing it that
-    merges it in turn. That source gives its own keys alone, as it did
-    in PyYAML's loader, which also merged enclosing mappings first."""
-    pending = {id(record[1]): record for record in records}
-
-    def apply(record):
-        _, mapping, start, *merged = record
-        del pending[id(mapping)]
-        union = {}
-        for value, mark in merged:
-            for source in (value,) if value.__class__ is dict else reversed(value):
-                if source.__class__ is not dict:
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", start, "expected a mapping for merging,"
-                        f" but found {'sequence' if source.__class__ is list else 'scalar'}", mark)
-                if id(source) in pending:
-                    apply(pending[id(source)])
-                union.update(source)
-        union.update(mapping)
-        mapping.clear()
-        mapping.update(union)
-
-    for record in records:
-        if id(record[1]) in pending:
-            apply(record)
 
 
 @dataclass(frozen=True)
@@ -314,7 +264,7 @@ class World:
     """A schema and its entities, checked at construction: ids are unique,
     every entity assigns each property one value of its domain, and no two
     entities share an assignment. Otherwise WorldFormatError lists every
-    violation.
+    violation, counting the identical pairs beyond the first _PAIRS_SHOWN.
 
     A checked World tables its entities by id, their packed schema codes
     as `codes` (a tuple aligned with `entities`), and entity bitmasks, bit
@@ -366,10 +316,15 @@ class World:
             else:
                 codes.append(code)
                 groups.setdefault(code, []).append(i)
-        # every identical pair, in (earlier, later) world order
-        for i, j in sorted(pair for group in groups.values() for pair in combinations(group, 2)):
-            a, b = self.entities[i].id, self.entities[j].id
-            violations.append(f"entities {a!r} and {b!r} share an identical assignment")
+        if len(groups) < len(codes):  # some entities share an assignment
+            # each group's pairs come in world order, so merging lists only the first
+            pairs = merge(*(combinations(g, 2) for g in groups.values() if len(g) > 1))
+            for i, j in islice(pairs, _PAIRS_SHOWN):
+                a, b = self.entities[i].id, self.entities[j].id
+                violations.append(f"entities {a!r} and {b!r} share an identical assignment")
+            more = sum(comb(len(g), 2) for g in groups.values()) - _PAIRS_SHOWN
+            if more > 0:
+                violations.append(f"and {more} more identical pair{'s' * (more > 1)}")
         if violations:
             raise WorldFormatError("invalid world: " + "; ".join(violations))
         object.__setattr__(self, "codes", tuple(codes))
@@ -386,6 +341,8 @@ class World:
 # that branch through aliases reach its limits at every level: a list of
 # six-wide aliases eight deep shows as 345,295 characters.
 _SHOWN_MAX = 200
+# Most identical pairs an invalid World's message names: n twins make n(n - 1)/2.
+_PAIRS_SHOWN = 10
 
 
 def _shown(value) -> str:
@@ -439,13 +396,10 @@ def _world_from_tree(doc) -> World:
         try:
             name, values = _text(item["name"], "property name"), item["values"]
         except (TypeError, KeyError) as exc:
-            raise WorldFormatError(
-                f"bad schema entry {_shown(item)}: needs name/values"
-            ) from exc
+            raise WorldFormatError(f"bad schema entry {_shown(item)}: needs name/values") from exc
         if not isinstance(values, list):
-            raise WorldFormatError(
-                f"property {name!r}: values must be a list, got {_shown(values)}"
-            )
+            raise WorldFormatError(f"property {name!r}: values must be a list,"
+                                   f" got {_shown(values)}")
         props.append((name, tuple(_text(v, f"property {name!r}") for v in values)))
     schema = PropertySchema(tuple(props))
 

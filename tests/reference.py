@@ -10,7 +10,8 @@ transcripts must equal `transcript`'s.
 The reference loader, `load_world`, reads a world config with PyYAML's
 composer and a strict subclass of its safe constructor, which is how
 refquest read one before it read documents in one pass over the parser's
-events. Both must give the same World, or both refuse the document.
+events. It refuses YAML 1.1's merge key (<<) as refquest does. Both must
+give the same World, or both refuse the document.
 """
 
 import itertools
@@ -110,6 +111,13 @@ def keep(candidates, question, word) -> list:
     return [e for e in candidates if answer(e, question) == word]
 
 
+def referent(belief) -> str | None:
+    """The id of a belief's one candidate left, read off its candidate ids,
+    or None while it has more than one."""
+    ids = belief.candidate_ids
+    return ids[0] if len(ids) == 1 else None
+
+
 def transcript(world, target_id, system, seed=0) -> list[tuple[str, str | None, str]]:
     """(property, confirmed value or None, word said) for each turn of a
     `system` episode on `target_id`; `seed` seeds the baseline."""
@@ -132,16 +140,21 @@ def transcript(world, target_id, system, seed=0) -> list[tuple[str, str | None, 
 class StrictConstructor:
     """The safe constructor, except that a mapping may not repeat a key (YAML's
     own loaders keep the last value), numbers and dates load as the text
-    written, and other tags are refused. A merge key (<<) may be overridden."""
+    written, and other tags are refused, among them the merge key (<<)."""
+
+    def flatten_mapping(self, node):
+        # refuse a merge key before PyYAML's own flatten_mapping would merge
+        # it; that still reads the "value" key (=) as text
+        for key_node, _ in node.value:
+            if key_node.tag == _YAML + "merge":
+                self.refuse_tag(key_node)
+        yaml.constructor.SafeConstructor.flatten_mapping(self, node)
 
     def construct_mapping(self, node, deep=False):
-        # flatten_mapping deletes merge keys from this list and puts any merged
-        # pairs first in a new one, so `written` keeps the keys as written
-        written = node.value
         mapping = yaml.constructor.SafeConstructor.construct_mapping(self, node, deep=deep)
-        if len(mapping) != len(node.value):  # a repeated key or an overridden merged one
+        if len(mapping) != len(node.value):  # a repeated key
             seen = set()
-            for key_node, _ in written:
+            for key_node, _ in node.value:
                 key = self.construct_object(key_node)
                 if key in seen:
                     raise WorldFormatError(

@@ -517,7 +517,7 @@ def test_each_word_is_the_oracles_and_the_transcript_folds_to_the_referent(w, ba
             for q, word in record.transcript:
                 assert word == oracle.answer(q)
                 belief = apply_answer(belief, q, word)
-            assert belief.resolved() == record.resolved_id == e.id
+            assert ref.referent(belief) == record.resolved_id == e.id
 
 
 # the turn's probe points: the names perfbench/tracer.py wraps, on the
@@ -599,7 +599,7 @@ def test_records_and_beliefs_are_built_as_their_constructors_build_them(w, seed,
             for q, word in record.transcript:
                 belief = apply_answer(belief, q, word)
                 assert_built_as_constructed(belief)
-            assert record.resolved_id == belief.resolved() == e.id
+            assert record.resolved_id == ref.referent(belief) == e.id
 
 
 def test_a_baseline_with_nothing_to_draw_from_raises_instead_of_hanging():

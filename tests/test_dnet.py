@@ -17,6 +17,8 @@ from refquest.minset import compute_min_set
 from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import spacecraft_world
 
+import reference as ref
+
 
 def dist(**weights):
     return PropertyDistribution("p", weights)
@@ -301,7 +303,7 @@ def test_rebuild_shrinks_active_set():
     for label in dict.fromkeys(e.label for e in w.entities):
         b = init_belief(w, label)
         prev = set(build_network(b).questions)
-        while b.resolved() is None:
+        while ref.referent(b) is None:
             net = build_network(b)
             assert set(net.questions) <= prev or prev == set()
             prev = set(net.questions)

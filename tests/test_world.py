@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -97,6 +98,41 @@ def test_duplicate_assignments_reported_pairwise_in_world_order():
         f"entities {x!r} and {y!r} share an identical assignment"
         for x, y in (("a", "c"), ("a", "e"), ("b", "d"), ("c", "e"))
     ])
+
+
+@pytest.mark.parametrize("assignments, pairs, more", [
+    # a, c, e and g are identical, as are b, d, f and h: 12 pairs
+    ("rt bt rt bt rt bt rt bt", [("a", "c"), ("a", "e"), ("a", "g"), ("b", "d"), ("b", "f"),
+                                 ("b", "h"), ("c", "e"), ("c", "g"), ("d", "f"), ("d", "h")],
+     "and 2 more identical pairs"),
+    # a, c, e, g and h are identical, as are b and f: 11 pairs
+    ("rt bt rt bs rt bt rt rt", [("a", "c"), ("a", "e"), ("a", "g"), ("a", "h"), ("b", "f"),
+                                 ("c", "e"), ("c", "g"), ("c", "h"), ("e", "g"), ("e", "h")],
+     "and 1 more identical pair"),
+], ids=["two-more", "one-more"])
+def test_identical_pairs_beyond_the_first_ten_are_counted(assignments, pairs, more):
+    color, shape = {"r": "red", "b": "blue"}, {"t": "tall", "s": "short"}
+    with pytest.raises(WorldFormatError) as exc:
+        World(SCHEMA, tuple(ent(id, color[c], shape[s])
+                            for id, (c, s) in zip("abcdefgh", assignments.split())))
+    assert str(exc.value) == "invalid world: " + "; ".join(
+        [f"entities {x!r} and {y!r} share an identical assignment" for x, y in pairs] + [more])
+
+
+def test_a_world_of_many_identical_entities_is_refused_at_once():
+    # 2000 twins make 1,999,000 pairs; naming each took quadratic time and space
+    doc = ("schema: [{name: p, values: [x]}]\nentities:\n"
+           + "".join(f"- {{id: e{i:04d}, label: w, type: w, assignment: {{p: x}}}}\n"
+                     for i in range(2000)))
+    began = time.perf_counter()
+    with pytest.raises(WorldFormatError) as exc:
+        load_world(doc)
+    assert time.perf_counter() - began < 1
+    message = str(exc.value)
+    assert len(message) < 2000
+    assert message.startswith("invalid world: entities 'e0000' and 'e0001' share")
+    assert message.endswith("entities 'e0000' and 'e0010' share an identical assignment;"
+                            " and 1998990 more identical pairs")
 
 
 def test_violations_listed_by_entity_then_identical_pairs():
@@ -307,13 +343,18 @@ def test_load_world_rejects_repeated_keys(yaml_parser, doc, message):
         load_world(doc)
 
 
-def test_load_world_lets_a_key_override_a_merged_one(yaml_parser):
-    w = load_world("tall_red: &tall_red {color: red, shape: tall}\n" + TWO_ENTITY_SCHEMA
-                   + "entities:\n  - {id: a, label: w, type: w, assignment: *tall_red}\n"
-                   + "  - {id: b, label: w, type: w, assignment: {<<: *tall_red, color: blue}}\n")
-    assert [e.assignment for e in w.entities] == [
-        {"color": "red", "shape": "tall"}, {"color": "blue", "shape": "tall"},
-    ]
+def test_load_world_refuses_a_merge_key(yaml_parser):
+    # YAML 1.1's merge key, which YAML 1.2 dropped, is refused with its line
+    # whatever it merges, as << written as a value is; the reference agrees
+    for assignment in ("{<<: *tall_red, color: blue}", "{<<: [*tall_red], color: blue}",
+                       "{<<: {color: red, shape: tall}, color: blue}", "{color: <<, shape: tall}"):
+        doc = ("tall_red: &tall_red {color: red, shape: tall}\n" + TWO_ENTITY_SCHEMA
+               + "entities:\n  - {id: a, label: w, type: w, assignment: *tall_red}\n"
+               + f"  - {{id: b, label: w, type: w, assignment: {assignment}}}\n")
+        for load in (load_world, lambda doc: reference.load_world(doc, yaml_parser)):
+            with pytest.raises(WorldFormatError) as exc:
+                load(doc)
+            assert str(exc.value) == "tag 'tag:yaml.org,2002:merge' on line 7 is not allowed"
 
 
 def test_spacecraft_config_shape():
@@ -360,7 +401,7 @@ def test_load_world_keeps_numbers_and_dates_as_written(yaml_parser):
     # read 7 and collide with the id 7
     w = load_world("half: &half {ratio: 1:2}\n"
                    "schema:\n  - {name: ratio, values: [1:2, 0x10, 010, 1.50, 2001-12-14]}\n"
-                   "entities:\n  - {id: 007, label: w, type: w, assignment: {<<: *half}}\n"
+                   "entities:\n  - {id: 007, label: w, type: w, assignment: *half}\n"
                    "  - {id: 7, label: w, type: w, assignment: {ratio: 010}}\n")
     assert w.schema.domain("ratio") == ("1:2", "0x10", "010", "1.50", "2001-12-14")
     assert [(e.id, e.assignment["ratio"]) for e in w.entities] == [("007", "1:2"), ("7", "010")]
@@ -407,6 +448,17 @@ def test_nel_round_trips_in_ids_names_and_values(yaml_parser):
     nel = "a\x85b"
     w = World(PropertySchema(((nel, (nel, "c")),)), (Entity(nel, "w", "w", {nel: nel}),))
     assert load_world(serialize_world(w)) == w
+
+
+@pytest.mark.parametrize("word", ["<<", "="])
+def test_a_world_spelled_as_a_yaml_key_word_round_trips(yaml_parser, word):
+    # read plain, << is the refused merge key and = the "value" key; saved,
+    # each is quoted and loads back as its text
+    w = World(PropertySchema(((word, (word, "x")),)),
+              (Entity(word, word, word, {word: word}), Entity("b", word, word, {word: "x"})))
+    saved = serialize_world(w)
+    assert f"'{word}': '{word}'" in saved
+    assert load_world(saved) == w
 
 
 def _nested_value_doc(depth):
@@ -499,7 +551,8 @@ def _flow_map(pairs):
 
 def _trees(noise):
     """Flow trees of lists, mappings and `_scalars`; with any noise, a key
-    may also be the merge key or repeat in its mapping."""
+    may also be the merge key, which both loaders refuse, or repeat in its
+    mapping."""
     keys = _scalars(noise=noise) | st.just("<<") if noise else _scalars(noise=0)
     unique_keys = None if noise else (lambda pair: pair[0])
     return st.recursive(_scalars(noise=noise), lambda inner: (
@@ -515,7 +568,8 @@ def world_documents(draw, noise=st.integers(0, 3)):
     noise 0, the texts drawn: (names, domains, ids, labels, types, rows),
     else None. At a drawn noise level, any node may be another tree, any
     scalar quoted otherwise, tagged, anchored or an alias, and an entity's
-    assignment may merge the first one's."""
+    assignment may hold a merge key naming the first one's, which both
+    loaders refuse."""
     noise = draw(noise)
     trees = _trees(noise)
 
@@ -573,15 +627,15 @@ _AB = "[&a {p: x}, &b {p: y, q: y}]"
 
 
 @pytest.mark.parametrize("doc, assignment", [
-    ("schema: []\nentities: [{id: a, label: w, type: w, assignment: &m {<<: *m}}]\n", {}),
-    (_one_property_doc("*i", "&t {p: x, q: &i {<<: *t, q: y}}"), {"p": "x", "q": "y"}),
+    ("schema: []\nentities: [{id: a, label: w, type: w, assignment: &m {<<: *m}}]\n", None),
+    (_one_property_doc("*i", "&t {p: x, q: &i {<<: *t, q: y}}"), None),
     (_one_property_doc("{p: x, q: x}", "&a [{<<: *a}, x]"), None),
-    (_one_property_doc("{<<: [*a, *b]}", _AB), {"p": "x", "q": "y"}),
-    (_one_property_doc("{<<: *a, <<: *b}", _AB), {"p": "y", "q": "y"}),
-    (_one_property_doc("{<<: *b, <<: *a}", _AB), {"p": "x", "q": "y"}),
-    (_one_property_doc("{q: x, <<: [*a, *b]}", _AB), {"p": "x", "q": "x"}),
-    (_one_property_doc("{<<: {p: x, p: y}, q: x}"), {"p": "y", "q": "x"}),
-    (_one_property_doc("{<<: [{p: x, p: y}], q: x}"), {"p": "y", "q": "x"}),
+    (_one_property_doc("{<<: [*a, *b]}", _AB), None),
+    (_one_property_doc("{<<: *a, <<: *b}", _AB), None),
+    (_one_property_doc("{<<: *b, <<: *a}", _AB), None),
+    (_one_property_doc("{q: x, <<: [*a, *b]}", _AB), None),
+    (_one_property_doc("{<<: {p: x, p: y}, q: x}"), None),
+    (_one_property_doc("{<<: [{p: x, p: y}], q: x}"), None),
     (_one_property_doc("{<<: {p: x, q: {q: x, q: y}}}"), None),
     (_one_property_doc("{[p]: x, q: x}"), None),
     ("schema: [{name: '=', values: [x]}]\n"
@@ -606,16 +660,6 @@ def test_corner_documents_load_as_the_reference_loads_them(yaml_parser, doc, ass
     # None: both loaders refuse the document
     w = assert_loads_as_reference(doc, yaml_parser)
     assert (w and dict(w.entities[0].assignment)) == assignment
-
-
-def test_a_merge_cycle_applies_the_enclosing_mapping_first(yaml_parser):
-    # t merges i, which t encloses and which merges t back. t's merges
-    # apply first, so i merges t's own keys alone and not s's w. PyYAML's
-    # loader merged t first too, but then refused i for repeating q: it
-    # took q merged from t for one i wrote
-    w = load_world(_one_property_doc(
-        "*i", "[&s {w: z}, &t {p: x, q: &i {<<: *t, q: y}, <<: [*i, *s]}]"))
-    assert dict(w.entities[0].assignment) == {"p": "x", "q": "y"}
 
 
 def test_loading_builds_no_node_and_runs_no_constructor(yaml_parser, monkeypatch):
@@ -691,9 +735,10 @@ def test_every_document_loads_as_written_or_is_refused(yaml_parser, drawn):
 @given(drawn=world_documents(noise=st.just(0)))
 def test_a_noiseless_document_loads_spelled_as_drawn(yaml_parser, drawn):
     # every scalar double-quoted, untagged and unaliased: each loaded text
-    # is the one drawn, character for character
+    # is the one drawn, character for character, and saved it loads back
     doc, (names, domains, ids, labels, types, rows) = drawn
     w = load_world(doc)
+    assert load_world(serialize_world(w)) == w
     assert w.schema.properties == tuple(zip(names, map(tuple, domains)))
     assert [(e.id, e.label, e.type_name, tuple(e.assignment.items())) for e in w.entities] == [
         (entity_id, label, type_name, tuple(zip(names, row)))
