@@ -11,6 +11,8 @@ are added greedily by partition refinement over `world.value_masks`:
 the classes of equal projections are entity bitmasks, a property splits
 a class into its nonzero ANDs with the property's value masks, and each
 step adds the property that splits the classes into the most new ones.
+Two candidates need neither: any property they differ on separates them
+alone, and both paths would take the first, so it is read off their codes.
 """
 
 from __future__ import annotations
@@ -28,16 +30,26 @@ def compute_min_set(world: World, mask: int, exact_limit: int = EXACT_LIMIT_DEFA
     apart, in schema order.
 
     A single candidate (or none) needs no disambiguation and yields [].
-    Exact while at most `exact_limit` properties vary among the
-    candidates: the first injective subset in cardinality order, then
-    combinations order over the schema. Greedy beyond that: repeatedly add
+    Two candidates yield the first property they differ on, which both
+    paths below would return, at any `exact_limit`. Exact while at most
+    `exact_limit` properties vary among the candidates: the first
+    injective subset in cardinality order, then combinations order over
+    the schema. Greedy beyond that: repeatedly add
     the property that most increases the number of distinct projections,
     ties going to the earlier schema property.
     """
-    if not mask & (mask - 1):
+    rest = mask & (mask - 1)
+    if not rest:
         return []
     schema = world.schema
     names, masks = schema.names, schema.masks
+    if not rest & (rest - 1):
+        # two candidates: every property they differ on tells them apart
+        # alone, so both paths take the first, whose field holds the lowest
+        # bit where their codes differ
+        codes = world.codes
+        differ = codes[(mask ^ rest).bit_length() - 1] ^ codes[rest.bit_length() - 1]
+        return [names[((differ & -differ).bit_length() - 1) // masks[0].bit_length()]]
     bits = bin(mask)[:1:-1]  # least significant first
     codes = list(itertools.compress(world.codes, map("1".__eq__, bits)))
     # a property varies exactly where some code's field differs from the first's

@@ -5,8 +5,10 @@ value domain) plus a list of entities. Property values are opaque string
 tokens; only equality matters. Several entities may share a `label` (the
 instruction-facing name) -- that is what creates referential ambiguity --
 but every entity's full assignment must be unique. A World checks this
-when it is constructed, whether it is built by hand, generated or loaded
-from a config document.
+when it is constructed, whether it is built by hand or loaded from a
+config document. The random generator draws unique assignments from a
+schema it built and tables them as it draws, so it hands its entities
+and tables to `_prebuilt`, which skips the checks and the tabling.
 """
 
 from __future__ import annotations
@@ -272,7 +274,12 @@ class World:
     value) of the schema, 0 where no entity has the value, and
     `label_masks` one per label. All these tables are read-only. The one
     mutable part, a memo of pure functions of the world freed with it, is
-    `min_sets` by candidate mask and `model_questions` by (policy, mask)."""
+    `min_sets` by candidate mask and `model_questions` by (policy, mask).
+
+    The random generator hands its Worlds and their Entities to
+    `_prebuilt` with tables equal to those this constructor would build,
+    which `_prebuilt` sets with object.__setattr__, as this constructor
+    does: a written __dict__ would slow every later attribute read."""
 
     schema: PropertySchema
     entities: tuple[Entity, ...]
@@ -336,6 +343,19 @@ class World:
         return self._by_id[entity_id]
 
 
+def _prebuilt(cls, **fields):
+    """An instance of the frozen dataclass `cls` built without its checked
+    constructor, holding `fields`, which the caller gives in the order the
+    constructor sets them, with every table already built. Each is set with
+    object.__setattr__ as the constructor sets it: writing the instance's
+    __dict__ instead would give it a real dict, and on CPython 3.11 every
+    later attribute read would then take about three times as long."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 # Most characters of a refused value that a message shows. reprlib.repr
 # limits depth (6) and items per level (6) but not the total, and values
 # that branch through aliases reach its limits at every level: a list of
@@ -352,18 +372,20 @@ def _shown(value) -> str:
     return text if len(text) <= _SHOWN_MAX else text[:_SHOWN_MAX - 3] + "..."
 
 
-def _text(value, where: str) -> str:
+def _text(value, where: str, *names) -> str:
     """A world name or value as its string token; YAML booleans and nulls are
     refused because their spelling (yes, no, on, ~) is lost once parsed, and
     lists and mappings because they are not one token; _read loads any
-    other value as the text written."""
+    other value as the text written. A refusal says where the value stands,
+    `where` formatted with `names`: a config holds thousands of values, and
+    only a refused one needs that text."""
     if value is None or isinstance(value, bool):
-        raise WorldFormatError(
-            f"{where}: parsed as {value!r}; quote it to keep it as text (e.g. 'yes')"
-        )
-    if isinstance(value, (list, dict)):
-        raise WorldFormatError(f"{where}: expected a single value, got {_shown(value)}")
-    return value
+        problem = f"parsed as {value!r}; quote it to keep it as text (e.g. 'yes')"
+    elif isinstance(value, (list, dict)):
+        problem = f"expected a single value, got {_shown(value)}"
+    else:
+        return value
+    raise WorldFormatError(f"{where.format(*names)}: {problem}")
 
 
 def load_world(text: str) -> World:
@@ -400,7 +422,7 @@ def _world_from_tree(doc) -> World:
         if not isinstance(values, list):
             raise WorldFormatError(f"property {name!r}: values must be a list,"
                                    f" got {_shown(values)}")
-        props.append((name, tuple(_text(v, f"property {name!r}") for v in values)))
+        props.append((name, tuple(_text(v, "property {!r}", name) for v in values)))
     schema = PropertySchema(tuple(props))
 
     if not doc["entities"]:
@@ -409,14 +431,14 @@ def _world_from_tree(doc) -> World:
     for item in doc["entities"]:
         try:
             entity_id = _text(item["id"], "entity id")
-            where = f"entity {entity_id!r}"
             entities.append(
                 Entity(
                     id=entity_id,
-                    label=_text(item["label"], f"{where} label"),
-                    type_name=_text(item["type"], f"{where} type"),
+                    label=_text(item["label"], "entity {!r} label", entity_id),
+                    type_name=_text(item["type"], "entity {!r} type", entity_id),
                     assignment={
-                        _text(k, f"{where} property name"): _text(v, f"{where}, property {k!r}")
+                        _text(k, "entity {!r} property name", entity_id):
+                            _text(v, "entity {!r}, property {!r}", entity_id, k)
                         for k, v in item["assignment"].items()
                     },
                 )

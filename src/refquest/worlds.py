@@ -13,8 +13,9 @@ import functools
 import random
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 
-from refquest.world import Entity, PropertySchema, World, load_world
+from refquest.world import Entity, PropertySchema, World, _prebuilt, load_world
 
 
 class InfeasibleSpecError(Exception):
@@ -56,37 +57,48 @@ def generate_random_world(spec: RandomWorldSpec) -> World:
 
     The first `n_varying` properties get values sampled independently
     per entity; the rest are constant across all entities. Full
-    assignments are resampled on collision until unique.
+    assignments are resampled on collision until unique. Each value is
+    drawn as its domain index, from the bits `Random.choice` would use on
+    the domain, and the World's tables are built as the values are drawn:
+    they equal what `World(schema, entities)` would build, so its checks
+    are skipped.
     """
     spec.validate()
-    rng = random.Random(spec.seed)
+    randbelow = random.Random(spec.seed)._randbelow
     schema = _schema(spec.n_properties, spec.values_per_property)
-    prop_names = schema.names
-    varying = prop_names[: spec.n_varying]
-    constant = {
-        name: rng.choice(schema.domain(name)) for name in prop_names[spec.n_varying:]
-    }
-
-    entities = []
-    seen = set()
-    for i in range(spec.n_entities):
+    k, varying = spec.values_per_property, range(spec.n_varying)
+    # a value's slot is its index in schema.fields: property i's j-th value is i * k + j
+    keys, field_codes = tuple(schema.fields), tuple(schema.fields.values())
+    constant = [i * k + randbelow(k) for i in range(spec.n_varying, spec.n_properties)]
+    constant_code = sum(map(field_codes.__getitem__, constant))
+    slot_masks = [0] * len(keys)
+    by_id, label_masks = {}, {}  # by_id holds the entities in order
+    codes: dict[int, None] = {}  # the drawn codes, in entity order
+    for n in range(spec.n_entities):
         while True:
-            assignment = {name: rng.choice(schema.domain(name)) for name in varying}
-            assignment.update(constant)
-            key = tuple(assignment[p] for p in prop_names)
-            if key not in seen:
-                seen.add(key)
+            slots = [i * k + randbelow(k) for i in varying]
+            code = constant_code + sum(map(field_codes.__getitem__, slots))
+            if code not in codes:
+                codes[code] = None
                 break
-        group = i // spec.group_size
-        entities.append(
-            Entity(
-                id=f"e{i + 1:02d}",
-                label=f"type{group + 1} widget",
-                type_name=f"type{group + 1}",
-                assignment=assignment,
-            )
+        bit = 1 << n
+        for slot in slots:
+            slot_masks[slot] |= bit
+        type_name = f"type{n // spec.group_size + 1}"
+        label = type_name + " widget"
+        label_masks[label] = label_masks.get(label, 0) | bit
+        entity_id = f"e{n + 1:02d}"
+        by_id[entity_id] = _prebuilt(
+            Entity, id=entity_id, label=label, type_name=type_name,
+            assignment=MappingProxyType(dict(map(keys.__getitem__, slots + constant))),
         )
-    return World(schema=schema, entities=tuple(entities))
+    for slot in constant:
+        slot_masks[slot] = (1 << spec.n_entities) - 1
+    return _prebuilt(
+        World, schema=schema, entities=tuple(by_id.values()), min_sets={}, model_questions={},
+        codes=tuple(codes), value_masks=MappingProxyType(dict(zip(keys, slot_masks))),
+        label_masks=MappingProxyType(label_masks), _by_id=by_id,
+    )
 
 
 @functools.cache

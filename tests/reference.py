@@ -12,6 +12,11 @@ composer and a strict subclass of its safe constructor, which is how
 refquest read one before it read documents in one pass over the parser's
 events. It refuses YAML 1.1's merge key (<<) as refquest does. Both must
 give the same World, or both refuse the document.
+
+The reference generator, `random_world`, draws a random world with
+`Random.choice` and builds it with the checked `Entity` and `World`
+constructors, which is how refquest generated one before it tabled
+worlds as it drew them. Both must give equal Worlds, table for table.
 """
 
 import itertools
@@ -22,7 +27,8 @@ import re
 import yaml
 
 from refquest.minset import EXACT_LIMIT_DEFAULT
-from refquest.world import _MAX_DEPTH, WorldFormatError, _world_from_tree
+from refquest.world import _MAX_DEPTH, Entity, World, WorldFormatError, _world_from_tree
+from refquest.worlds import RandomWorldSpec, _schema
 
 
 def distinct(candidates, props) -> int:
@@ -223,3 +229,41 @@ def load_world(text: str, parser):
     except yaml.YAMLError as exc:
         raise WorldFormatError(f"world config does not parse: {exc}") from exc
     return _world_from_tree(doc)
+
+
+def random_world(spec: RandomWorldSpec) -> World:
+    """Deterministic random world for a spec.
+
+    The first `n_varying` properties get values sampled independently
+    per entity; the rest are constant across all entities. Full
+    assignments are resampled on collision until unique.
+    """
+    spec.validate()
+    rng = random.Random(spec.seed)
+    schema = _schema(spec.n_properties, spec.values_per_property)
+    prop_names = schema.names
+    varying = prop_names[: spec.n_varying]
+    constant = {
+        name: rng.choice(schema.domain(name)) for name in prop_names[spec.n_varying:]
+    }
+
+    entities = []
+    seen = set()
+    for i in range(spec.n_entities):
+        while True:
+            assignment = {name: rng.choice(schema.domain(name)) for name in varying}
+            assignment.update(constant)
+            key = tuple(assignment[p] for p in prop_names)
+            if key not in seen:
+                seen.add(key)
+                break
+        group = i // spec.group_size
+        entities.append(
+            Entity(
+                id=f"e{i + 1:02d}",
+                label=f"type{group + 1} widget",
+                type_name=f"type{group + 1}",
+                assignment=assignment,
+            )
+        )
+    return World(schema=schema, entities=tuple(entities))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from refquest.minset import EXACT_LIMIT_DEFAULT
 from refquest.world import Entity, PropertySchema, World
+from refquest.worlds import RandomWorldSpec
 
 # domain sizes on both sides of each field-width step of a packed code
 # (1 | 2-3 | 4-7 | 8-15 values)
@@ -74,3 +75,30 @@ def worlds(draw, kinds=KINDS):
         for i, row in zip(ids, rows)
     ]
     return World(schema, tuple(entities))
+
+
+@st.composite
+def random_world_specs(draw, refused=True):
+    """A RandomWorldSpec: 1-8 properties, n_varying of them from 0 up, 1-5
+    values per property, groups of 1-8 and up to 30 entities. A spec the
+    generator accepts has at least twice as many value combinations as
+    entities, or one entity, so drawing unique rows takes few redraws.
+    With `refused`, about one spec in four may also vary one property too
+    many, or have no entities, groups of none, or too few combinations for
+    its entities, all of which the generator refuses."""
+    refuse = refused and draw(st.integers(0, 3)) == 0
+    least = 0 if refuse else 1
+    n_properties = draw(st.integers(1, 8))
+    n_varying = draw(st.integers(0, n_properties + refuse))
+    values = draw(st.integers(1, 5))
+    n_entities = draw(st.integers(least, 30))
+    combinations = values ** n_varying
+    # too few combinations to draw unique rows quickly: a refused spec keeps
+    # too few for its entities, and any other takes half as many entities
+    if n_entities > 1 and combinations < 2 * n_entities and not (refuse and combinations < n_entities):
+        n_entities = max(1, combinations // 2)
+    return RandomWorldSpec(
+        n_entities=n_entities, n_properties=n_properties, n_varying=n_varying,
+        values_per_property=values, group_size=draw(st.integers(least, 8)),
+        seed=draw(st.integers(-2**63, 2**64)),
+    )

@@ -30,7 +30,7 @@ from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
 
 import reference as ref
-from strategies import worlds
+from strategies import random_world_specs, worlds
 
 
 def test_oracle_wh_answer_is_ground_truth():
@@ -600,6 +600,13 @@ def test_records_and_beliefs_are_built_as_their_constructors_build_them(w, seed,
                 belief = apply_answer(belief, q, word)
                 assert_built_as_constructed(belief)
             assert record.resolved_id == ref.referent(belief) == e.id
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_world_specs(refused=False))
+def test_generated_entities_are_built_as_their_constructor_builds_them(spec):
+    for e in generate_random_world(spec).entities:
+        assert_built_as_constructed(e)
 
 
 def test_a_baseline_with_nothing_to_draw_from_raises_instead_of_hanging():

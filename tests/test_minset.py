@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -174,6 +175,18 @@ def test_candidate_masks_match_the_tuple_reference(w, exact_limit, data):
     mask = any_mask(data, w)
     assert (compute_min_set(w, mask, exact_limit)
             == ref.min_set(w.schema.properties, members(w, mask), exact_limit))
+
+
+@settings(max_examples=40, deadline=None)
+@given(worlds())
+def test_every_two_candidates_match_the_tuple_reference(w):
+    # two candidates skip both searches; exact_limit 0 names the greedy path
+    for pair in itertools.combinations(range(len(w.entities)), 2):
+        mask = sum(1 << i for i in pair)
+        candidates = [w.entities[i] for i in pair]
+        for exact_limit in EXACT_LIMITS:
+            assert (compute_min_set(w, mask, exact_limit)
+                    == ref.min_set(w.schema.properties, candidates, exact_limit))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,9 +1,15 @@
+import dataclasses
+import gc
+import sys
+from types import MappingProxyType
+
 import pytest
+from hypothesis import given, settings
 
 from refquest.belief import init_belief
 from refquest.dnet import wh_entropy
 from refquest.minset import compute_min_set
-from refquest.world import load_world, serialize_world
+from refquest.world import World, load_world, serialize_world
 from refquest.worlds import (
     InfeasibleSpecError,
     RandomWorldSpec,
@@ -11,6 +17,9 @@ from refquest.worlds import (
     spacecraft_world,
 )
 from refquest.belief import Belief
+
+import reference as ref
+from strategies import random_world_specs
 
 
 def entity_level_entropy(world, prop):
@@ -89,3 +98,61 @@ def test_spacecraft_layout():
 def test_zero_count_rejected(count):
     with pytest.raises(InfeasibleSpecError, match="^all counts must be at least 1$"):
         generate_random_world(RandomWorldSpec(**{count: 0}))
+
+
+def holds_fields_inline(obj) -> bool:
+    """Whether obj keeps its fields in the object itself, with no __dict__
+    built (CPython 3.11 on, until __dict__ is read or written): the garbage
+    collector then finds each field's value among obj's referents, where
+    it would otherwise find the one dict that holds them."""
+    referents = gc.get_referents(obj)
+    return all(any(r is getattr(obj, f.name) for r in referents)
+               for f in dataclasses.fields(obj))
+
+
+INLINE_FIELDS = sys.implementation.name == "cpython" and sys.version_info >= (3, 11)
+
+
+def assert_generated_as_the_reference_generates(spec):
+    """generate_random_world(spec) equals tests/reference.py's random_world,
+    table for table and in every order, or both refuse spec alike."""
+    try:
+        expected = ref.random_world(spec)
+    except InfeasibleSpecError as exc:
+        with pytest.raises(InfeasibleSpecError) as refused:
+            generate_random_world(spec)
+        assert str(refused.value) == str(exc)
+        return
+    w = generate_random_world(spec)
+    if INLINE_FIELDS:
+        assert holds_fields_inline(w)
+        assert all(holds_fields_inline(e) for e in w.entities)
+    assert w == expected
+    assert ([list(e.assignment.items()) for e in w.entities]
+            == [list(e.assignment.items()) for e in expected.entities])
+    assert w.codes == expected.codes
+    for table in ("value_masks", "label_masks", "_by_id"):
+        assert list(getattr(w, table).items()) == list(getattr(expected, table).items())
+    assert all(w.by_id(e.id) is e for e in w.entities)
+    assert ([type(getattr(w, f.name)) for f in dataclasses.fields(World)]
+            == [type(getattr(expected, f.name)) for f in dataclasses.fields(World)])
+    assert all(type(e.assignment) is MappingProxyType for e in w.entities)
+    assert list(vars(w)) == list(vars(expected))
+    # each world's memo is its own, and starts empty
+    again = generate_random_world(spec)
+    assert w.min_sets == w.model_questions == {}
+    memos = (w.min_sets, w.model_questions, again.min_sets, again.model_questions)
+    assert len(set(map(id, memos))) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_world_specs())
+def test_generated_worlds_equal_the_reference_generators_table_for_table(spec):
+    assert_generated_as_the_reference_generates(spec)
+
+
+@pytest.mark.parametrize("n_varying", [3, 7])
+def test_benchmark_worlds_equal_the_reference_generators(n_varying):
+    # the random environments' shape: 20 entities, 7 properties of 4 values, groups of 7
+    for seed in (*range(20), 2**32 + 5, -1, 2**70):
+        assert_generated_as_the_reference_generates(RandomWorldSpec(n_varying=n_varying, seed=seed))
