@@ -41,8 +41,9 @@ class Belief:
     beyond the world's entities is refused at construction; the beliefs
     this module derives from a label mask or by narrowing a checked mask
     cannot hold such bits, and skip the check: each is built with
-    `object.__new__`, its fields written into its `__dict__` as `__init__`
-    would write them.
+    `object.__new__`, its fields written straight into its `__dict__`. That
+    gives the instance a real dict, which one from `__init__` does not
+    hold: `__init__` sets each field with `object.__setattr__`.
     """
 
     world: World

@@ -157,7 +157,8 @@ def _draw(rng: random.Random, n: int) -> int:
 @dataclass(frozen=True)
 class EpisodeRecord:
     """One episode's outcome; `run_episode` builds it as a derived Belief is
-    built, its fields written into its `__dict__` as `__init__` would."""
+    built, its fields written straight into its `__dict__`, not set with
+    `object.__setattr__` as `__init__` sets them."""
 
     instruction_label: str
     target_id: str

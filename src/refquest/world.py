@@ -30,9 +30,9 @@ class WorldFormatError(Exception):
 # libyaml's parser when PyYAML was built with it, else the pure-Python one;
 # both emit the same events, and _read builds the document from them
 _Loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-# the resolver both loaders use: it reads yes as true, ~ as null, << as
-# YAML 1.1's merge key (refused, as its other 1.1 types such as !!set are)
-# and = as YAML's "value" key. It tries its patterns only on a plain scalar
+# the resolver both loaders use: it reads yes as true, ~ as null, and << and
+# = as YAML 1.1's merge and "value" keys, which are refused, as its other
+# 1.1 types such as !!set are. It tries its patterns only on a plain scalar
 # whose first character one of them is filed under (none is filed for
 # every scalar) and reads any other scalar as text, so _read calls it only
 # for those.
@@ -53,11 +53,10 @@ _NO_KEY = object()  # a mapping awaiting a key
 _MAX_DEPTH = 256
 
 
-def _scalar(tag: str, event, is_key: bool):
+def _scalar(tag: str, event):
     """The value of a scalar whose tag is not one of _TEXT_TAGS: booleans
-    and nulls as parsed, for _text to refuse; = as text in a key, where YAML
-    reads it as the "value" key; any other tag, such as !!binary or the
-    merge key <<, refused."""
+    and nulls as parsed, for _text to refuse; any other tag, such as
+    !!binary or the merge (<<) and "value" (=) keys, refused."""
     line = event.start_mark.line + 1
     if tag == _YAML + "null":
         return None
@@ -68,8 +67,6 @@ def _scalar(tag: str, event, is_key: bool):
         except KeyError:
             raise WorldFormatError(
                 f"!!bool {event.value!r} on line {line} is not a boolean") from None
-    if is_key and tag == _YAML + "value":
-        return event.value
     raise WorldFormatError(f"tag {tag!r} on line {line} is not allowed")
 
 
@@ -77,37 +74,34 @@ def _read(text: str):
     """The value of the one YAML document in `text`, or None if it has none,
     read in one pass over the parser's events: no node tree is composed.
 
-    Anchors bind the value itself, so an alias costs one reference and a
-    collection may hold itself. No mapping may repeat a key, and
-    collections may not be keys. The merge key (<<), a YAML 1.1 type that
-    YAML 1.2 dropped, is refused with its line, as a value or a key. Faults
-    PyYAML's composer and constructor would find raise their errors.
+    The document is a plain tree: every anchor (&) and alias (*) is refused
+    with its line, so no value is shared or holds itself. No mapping may
+    repeat a key, and collections may not be keys. The merge (<<) and
+    "value" (=) keys, YAML 1.1 types that YAML 1.2 dropped, are refused
+    with their line, as a value or a key. Faults PyYAML's composer and
+    constructor would find raise their errors.
     """
     doc = root = None
     # the innermost open collection, the key its mapping awaits, and where it starts
     container, key, start = None, _NO_KEY, None
     stack = []  # the enclosing collections' (container, key, start)
-    anchors = {}  # anchor -> (value, where its node starts)
     for event in yaml.parse(text, Loader=_Loader):
         kind = event.__class__
-        # each branch that yields a value also yields `mark`, where its node
-        # starts, which for an alias is where the anchor is
+        # each branch that yields a value also yields `mark`, where its node starts
         if kind is yaml.ScalarEvent:
+            if event.anchor is not None:
+                raise _not_allowed("anchor &", event)
             value, tag, mark = event.value, event.tag, event.start_mark
             if tag is None or tag == "!":
                 tag = (_RESOLVER.resolve(yaml.ScalarNode, value, event.implicit)
                        if event.implicit[0] and value[:1] in _PATTERN_STARTS else _STR)
             if tag not in _TEXT_TAGS:
-                value = _scalar(tag, event, key is _NO_KEY and container.__class__ is dict)
-            if event.anchor is not None:
-                _bind(anchors, event, value)
+                value = _scalar(tag, event)
         elif kind is yaml.AliasEvent:
-            try:
-                value, mark = anchors[event.anchor]
-            except KeyError:
-                raise yaml.composer.ComposerError(None, None, f"found undefined alias"
-                                                  f" {event.anchor!r}", event.start_mark) from None
+            raise _not_allowed("alias *", event)
         elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
+            if event.anchor is not None:
+                raise _not_allowed("anchor &", event)
             line = event.start_mark.line + 1
             if event.tag not in _COLLECTION_TAGS[kind]:
                 raise WorldFormatError(f"tag {event.tag!r} on line {line} is not allowed")
@@ -118,8 +112,6 @@ def _read(text: str):
             stack.append((container, key, start))
             container = {} if kind is yaml.MappingStartEvent else []
             key, start = _NO_KEY, event.start_mark
-            if event.anchor is not None:
-                _bind(anchors, event, container)
             continue
         elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
             value, mark = container, start
@@ -147,12 +139,10 @@ def _read(text: str):
     return doc
 
 
-def _bind(anchors: dict, event, value) -> None:
-    if event.anchor in anchors:
-        raise yaml.composer.ComposerError(
-            f"found duplicate anchor {event.anchor!r}; first occurrence", anchors[event.anchor][1],
-            "second occurrence", event.start_mark)
-    anchors[event.anchor] = value, event.start_mark
+def _not_allowed(what: str, event) -> WorldFormatError:
+    """The refusal of an anchor or alias event, `what` naming it with its sign."""
+    return WorldFormatError(f"{what}{event.anchor} on line {event.start_mark.line + 1}"
+                            " is not allowed")
 
 
 @dataclass(frozen=True)
@@ -357,9 +347,9 @@ def _prebuilt(cls, **fields):
 
 
 # Most characters of a refused value that a message shows. reprlib.repr
-# limits depth (6) and items per level (6) but not the total, and values
-# that branch through aliases reach its limits at every level: a list of
-# six-wide aliases eight deep shows as 345,295 characters.
+# limits depth (6), items per level (6) and text (30 characters) but not
+# the total, so a long or deep value still shows long: six-wide lists four
+# deep of 40-character texts show as 41,988 characters.
 _SHOWN_MAX = 200
 # Most identical pairs an invalid World's message names: n twins make n(n - 1)/2.
 _PAIRS_SHOWN = 10

@@ -10,8 +10,9 @@ transcripts must equal `transcript`'s.
 The reference loader, `load_world`, reads a world config with PyYAML's
 composer and a strict subclass of its safe constructor, which is how
 refquest read one before it read documents in one pass over the parser's
-events. It refuses YAML 1.1's merge key (<<) as refquest does. Both must
-give the same World, or both refuse the document.
+events. It refuses anchors, aliases and YAML 1.1's merge (<<) and "value"
+(=) keys as refquest does. Both must give the same World, or both refuse
+the document.
 
 The reference generator, `random_world`, draws a random world with
 `Random.choice` and builds it with the checked `Entity` and `World`
@@ -146,13 +147,14 @@ def transcript(world, target_id, system, seed=0) -> list[tuple[str, str | None, 
 class StrictConstructor:
     """The safe constructor, except that a mapping may not repeat a key (YAML's
     own loaders keep the last value), numbers and dates load as the text
-    written, and other tags are refused, among them the merge key (<<)."""
+    written, and other tags are refused, among them the merge (<<) and
+    "value" (=) keys."""
 
     def flatten_mapping(self, node):
-        # refuse a merge key before PyYAML's own flatten_mapping would merge
-        # it; that still reads the "value" key (=) as text
+        # refuse a merge or "value" key before PyYAML's own flatten_mapping
+        # would merge the one or read the other as text
         for key_node, _ in node.value:
-            if key_node.tag == _YAML + "merge":
+            if key_node.tag in (_YAML + "merge", _YAML + "value"):
                 self.refuse_tag(key_node)
         yaml.constructor.SafeConstructor.flatten_mapping(self, node)
 
@@ -192,22 +194,30 @@ StrictConstructor.yaml_constructors = {
 }
 
 
-def refuse_deep_nesting(text: str, parser) -> None:
-    """Raise WorldFormatError if the document's collections nest deeper than
-    _MAX_DEPTH, before the recursive composer reads it.
+def refuse_before_composing(text: str, parser) -> None:
+    """Raise WorldFormatError at the document's first anchor or alias, or
+    where its collections nest deeper than _MAX_DEPTH, before the recursive
+    composer reads it.
 
-    Every flow collection opens with [ or {. A block collection starts at a
-    column that only spaces, tabs, byte-order marks and the indicators - ? :
-    reach from its line's start, and one column holds at most two levels
-    of a chain (a mapping and a sequence written at its indent). So a
-    document with few brackets and no long run of those characters is
-    shallow enough without parsing; any other has its events counted.
+    Every anchor is written with & and every alias with *. Every flow
+    collection opens with [ or {. A block collection starts at a column
+    that only spaces, tabs, byte-order marks and the indicators - ? : reach
+    from its line's start, and one column holds at most two levels of a
+    chain (a mapping and a sequence written at its indent). So a document
+    with no & or *, few brackets and no long run of those characters is
+    a plain, shallow enough tree without parsing; any other has its events
+    read.
     """
     columns = (_MAX_DEPTH - text.count("[") - text.count("{")) // 2
-    if columns > 0 and not re.search(f"[ \t\ufeff?:-]{{{columns}}}", text):
+    if ("&" not in text and "*" not in text and columns > 0
+            and not re.search(f"[ \t\ufeff?:-]{{{columns}}}", text)):
         return
     depth = 0
     for event in yaml.parse(text, Loader=parser):
+        if isinstance(event, yaml.NodeEvent) and event.anchor is not None:
+            what = "alias *" if isinstance(event, yaml.AliasEvent) else "anchor &"
+            raise WorldFormatError(f"{what}{event.anchor} on line {event.start_mark.line + 1}"
+                                   " is not allowed")
         if isinstance(event, yaml.CollectionStartEvent):
             depth += 1
             if depth > _MAX_DEPTH:
@@ -224,7 +234,7 @@ def load_world(text: str, parser):
     (yaml.SafeLoader or yaml.CSafeLoader) with StrictConstructor's rules."""
     loader = type(parser.__name__, (StrictConstructor, parser), {})
     try:
-        refuse_deep_nesting(text, parser)
+        refuse_before_composing(text, parser)
         doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise WorldFormatError(f"world config does not parse: {exc}") from exc
