@@ -681,8 +681,32 @@ _DOUBLING = ("a0: &a0 [x]\n"
              + "schema:\n  - name: p\n    values: *a40\nentities: []\n")
 
 
+def _refused_by_both_loaders(doc, yaml_parser):
+    messages = []
+    for load in (load_world, lambda doc: reference.load_world(doc, yaml_parser)):
+        with pytest.raises(WorldFormatError) as exc:
+            load(doc)
+        messages.append(str(exc.value))
+    return messages
+
+
+def test_an_alias_blow_up_is_refused_at_once(yaml_parser):
+    # a40 would stand for 2**40 leaves, but the document is refused at its
+    # first anchor, before any alias is read
+    assert _refused_by_both_loaders(_DOUBLING, yaml_parser) == [
+        "anchor &a0 on line 1 is not allowed"] * 2
+
+
+def test_values_nested_through_aliases_are_refused_briefly(yaml_parser):
+    # each alias would add a level without nesting the document, 1,200 lists
+    # deep; the chain is refused at its first anchor, as briefly
+    chain = "".join(f"a{i}: &a{i}\n- *a{i - 1}\n" for i in range(1, 1200))
+    doc = "a0: &a0 [x]\n" + chain + "schema:\n  - name: p\n    values: *a1199\nentities: []\n"
+    assert _refused_by_both_loaders(doc, yaml_parser) == [
+        "anchor &a0 on line 1 is not allowed"] * 2
+
+
 @pytest.mark.parametrize("doc, message", [
-    (_DOUBLING, "anchor &a0 on line 1 is not allowed"),
     (_one_property_doc("{p: x, q: *u}"), "alias *u on line 3 is not allowed"),
     (_one_property_doc("{p: &x x, q: &x y}"), "anchor &x on line 3 is not allowed"),
     (_one_property_doc("{p: x, q: &s x}"), "anchor &s on line 3 is not allowed"),
@@ -692,15 +716,11 @@ _DOUBLING = ("a0: &a0 [x]\n"
      "anchor &b on line 1 is not allowed"),
     (_one_property_doc("{*p: x, q: x}"), "alias *p on line 3 is not allowed"),
     (_one_property_doc("{p: x, =: x}"), "tag 'tag:yaml.org,2002:value' on line 3 is not allowed"),
-], ids=["doubling", "undefined-alias", "repeated-anchor", "anchor-on-scalar",
+], ids=["undefined-alias", "repeated-anchor", "anchor-on-scalar",
         "anchor-on-flow-collection", "anchor-on-block-collection", "alias-as-key", "value-key"])
 def test_anchors_aliases_and_value_keys_are_refused_with_their_line(yaml_parser, doc, message):
-    # a world config is a plain tree: a40 would stand for 2**40 leaves, but
-    # the document is refused at its first anchor, before any alias is read
-    for load in (load_world, lambda doc: reference.load_world(doc, yaml_parser)):
-        with pytest.raises(WorldFormatError) as exc:
-            load(doc)
-        assert str(exc.value) == message
+    # a world config is a plain tree
+    assert _refused_by_both_loaders(doc, yaml_parser) == [message] * 2
 
 
 def test_a_value_branching_through_aliases_is_shown_briefly(yaml_parser):
