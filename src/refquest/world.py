@@ -30,21 +30,17 @@ class WorldFormatError(Exception):
 # libyaml's parser when PyYAML was built with it, else the pure-Python one;
 # both emit the same events, and _read builds the document from them
 _Loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-# the resolver both loaders use: it reads yes as true, ~ as null, and << and
-# = as YAML 1.1's merge and "value" keys, which are refused, as its other
-# 1.1 types such as !!set are. It tries its patterns only on a plain scalar
-# whose first character one of them is filed under (none is filed for
-# every scalar) and reads any other scalar as text, so _read calls it only
-# for those.
+# the resolver both loaders use, for a plain scalar only: it reads yes as
+# true, ~ as null, and << and = as YAML 1.1's merge and "value" keys, which
+# are refused. It tries its patterns only on a scalar whose first character
+# one of them is filed under (none is filed for every scalar) and reads any
+# other as text, so _read calls it only for those.
 _RESOLVER = yaml.resolver.Resolver()
 _PATTERN_STARTS = frozenset(_RESOLVER.yaml_implicit_resolvers)
 _BOOLS = yaml.constructor.SafeConstructor.bool_values
 _YAML = "tag:yaml.org,2002:"
-_STR = _YAML + "str"
 # numbers and dates load as written (parsed, 1:2 would read 62 and 010 read 8)
 _TEXT_TAGS = frozenset(_YAML + t for t in ("str", "int", "float", "timestamp"))
-_COLLECTION_TAGS = {yaml.MappingStartEvent: (None, "!", _YAML + "map"),
-                    yaml.SequenceStartEvent: (None, "!", _YAML + "seq")}
 _NO_KEY = object()  # a mapping awaiting a key
 
 # Deepest collection nesting a world config may have. _read needs no
@@ -53,96 +49,82 @@ _NO_KEY = object()  # a mapping awaiting a key
 _MAX_DEPTH = 256
 
 
-def _scalar(tag: str, event):
-    """The value of a scalar whose tag is not one of _TEXT_TAGS: booleans
-    and nulls as parsed, for _text to refuse; any other tag, such as
-    !!binary or the merge (<<) and "value" (=) keys, refused."""
-    line = event.start_mark.line + 1
-    if tag == _YAML + "null":
-        return None
-    if tag == _YAML + "bool":
-        # an explicit !!bool may tag any text, such as !!bool ~
-        try:
-            return _BOOLS[event.value.lower()]
-        except KeyError:
-            raise WorldFormatError(
-                f"!!bool {event.value!r} on line {line} is not a boolean") from None
-    raise WorldFormatError(f"tag {tag!r} on line {line} is not allowed")
-
-
 def _read(text: str):
     """The value of the one YAML document in `text`, or None if it has none,
     read in one pass over the parser's events: no node tree is composed.
 
-    The document is a plain tree: every anchor (&) and alias (*) is refused
-    with its line, so no value is shared or holds itself. No mapping may
-    repeat a key, and collections may not be keys. The merge (<<) and
-    "value" (=) keys, YAML 1.1 types that YAML 1.2 dropped, are refused
-    with their line, as a value or a key. Faults PyYAML's composer and
-    constructor would find raise their errors.
+    The document is a plain tree of plain or quoted scalars, each loaded as
+    the text written, except that plain booleans and nulls (yes, ~) load as
+    parsed, for _text to refuse. Every anchor (&), alias (*) and tag (!),
+    every list or mapping used as a key and every second document is
+    refused with its line, and so are the merge (<<) and "value" (=) keys,
+    YAML 1.1 types that YAML 1.2 dropped, as a value or a key. No mapping
+    may repeat a key.
     """
-    doc = root = None
-    # the innermost open collection, the key its mapping awaits, and where it starts
-    container, key, start = None, _NO_KEY, None
-    stack = []  # the enclosing collections' (container, key, start)
+    # the open collections, outermost first: the stream's list of documents,
+    # then each collection with the key its mapping awaits
+    documents = container = []
+    key = _NO_KEY
+    stack = []  # the enclosing collections' (container, key)
     for event in yaml.parse(text, Loader=_Loader):
         kind = event.__class__
-        # each branch that yields a value also yields `mark`, where its node starts
         if kind is yaml.ScalarEvent:
-            if event.anchor is not None:
-                raise _not_allowed("anchor &", event)
-            value, tag, mark = event.value, event.tag, event.start_mark
-            if tag is None or tag == "!":
-                tag = (_RESOLVER.resolve(yaml.ScalarNode, value, event.implicit)
-                       if event.implicit[0] and value[:1] in _PATTERN_STARTS else _STR)
-            if tag not in _TEXT_TAGS:
-                value = _scalar(tag, event)
+            if event.anchor is not None or event.tag is not None:
+                raise _property_refused(event)
+            value = event.value
+            if event.implicit[0] and value[:1] in _PATTERN_STARTS:  # plain
+                tag = _RESOLVER.resolve(yaml.ScalarNode, value, event.implicit)
+                if tag == _YAML + "null":
+                    value = None
+                elif tag == _YAML + "bool":
+                    value = _BOOLS[value.lower()]
+                elif tag not in _TEXT_TAGS:
+                    raise _not_allowed(f"tag {tag!r}", event)
         elif kind is yaml.AliasEvent:
-            raise _not_allowed("alias *", event)
+            raise _not_allowed(f"alias *{event.anchor}", event)
         elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
-            if event.anchor is not None:
-                raise _not_allowed("anchor &", event)
-            line = event.start_mark.line + 1
-            if event.tag not in _COLLECTION_TAGS[kind]:
-                raise WorldFormatError(f"tag {event.tag!r} on line {line} is not allowed")
+            if event.anchor is not None or event.tag is not None:
+                raise _property_refused(event)
             if len(stack) == _MAX_DEPTH:
-                raise WorldFormatError(
-                    f"world config nests deeper than {_MAX_DEPTH} levels on line {line}"
-                )
-            stack.append((container, key, start))
+                raise WorldFormatError(f"world config nests deeper than {_MAX_DEPTH} levels"
+                                       f" on line {event.start_mark.line + 1}")
+            if key is _NO_KEY and container.__class__ is dict:
+                raise _not_allowed("list or mapping as a key", event)
+            stack.append((container, key))
             container = {} if kind is yaml.MappingStartEvent else []
-            key, start = _NO_KEY, event.start_mark
+            key = _NO_KEY
             continue
         elif kind is yaml.MappingEndEvent or kind is yaml.SequenceEndEvent:
-            value, mark = container, start
-            container, key, start = stack.pop()
-        elif kind is yaml.DocumentStartEvent and root is not None:
-            raise yaml.composer.ComposerError("expected a single document in the stream", root,
-                                              "but found another document", event.start_mark)
+            value = container
+            container, key = stack.pop()
+        elif kind is yaml.DocumentStartEvent and documents:
+            raise _not_allowed("second document", event)
         else:  # the stream's start and end, a document's start and end
             continue
         if key is _NO_KEY:
             if container.__class__ is dict:
-                if value.__class__ is dict or value.__class__ is list:
-                    raise yaml.constructor.ConstructorError(
-                        "while constructing a mapping", start, "found unhashable key", mark)
                 if value in container:
-                    raise WorldFormatError(f"duplicate key {value!r} on line {mark.line + 1}")
+                    raise WorldFormatError(
+                        f"duplicate key {value!r} on line {event.start_mark.line + 1}")
                 key = value
-            elif container is None:
-                doc, root = value, mark
             else:
                 container.append(value)
         else:
             container[key] = value
             key = _NO_KEY
-    return doc
+    return documents[0] if documents else None
 
 
 def _not_allowed(what: str, event) -> WorldFormatError:
-    """The refusal of an anchor or alias event, `what` naming it with its sign."""
-    return WorldFormatError(f"{what}{event.anchor} on line {event.start_mark.line + 1}"
-                            " is not allowed")
+    """The refusal of `what`, which starts where `event` does."""
+    return WorldFormatError(f"{what} on line {event.start_mark.line + 1} is not allowed")
+
+
+def _property_refused(event) -> WorldFormatError:
+    """The refusal of a node event's anchor, or else of its tag."""
+    if event.anchor is not None:
+        return _not_allowed(f"anchor &{event.anchor}", event)
+    return _not_allowed(f"tag {event.tag!r}", event)
 
 
 @dataclass(frozen=True)

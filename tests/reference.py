@@ -10,9 +10,10 @@ transcripts must equal `transcript`'s.
 The reference loader, `load_world`, reads a world config with PyYAML's
 composer and a strict subclass of its safe constructor, which is how
 refquest read one before it read documents in one pass over the parser's
-events. It refuses anchors, aliases and YAML 1.1's merge (<<) and "value"
-(=) keys as refquest does. Both must give the same World, or both refuse
-the document.
+events. As refquest does, it refuses with its line every anchor, alias
+and tag, every list or mapping used as a key, every second document and
+YAML 1.1's merge (<<) and "value" (=) keys. Both must give the same
+World, or both refuse the document.
 
 The reference generator, `random_world`, draws a random world with
 `Random.choice` and builds it with the checked `Entity` and `World`
@@ -146,14 +147,19 @@ def transcript(world, target_id, system, seed=0) -> list[tuple[str, str | None, 
 
 class StrictConstructor:
     """The safe constructor, except that a mapping may not repeat a key (YAML's
-    own loaders keep the last value), numbers and dates load as the text
-    written, and other tags are refused, among them the merge (<<) and
-    "value" (=) keys."""
+    own loaders keep the last value) or have a list or mapping as a key,
+    numbers and dates load as the text written, and other implicit tags are
+    refused, among them the merge (<<) and "value" (=) keys. Explicit tags
+    never reach it: refuse_before_composing refuses them."""
 
     def flatten_mapping(self, node):
-        # refuse a merge or "value" key before PyYAML's own flatten_mapping
-        # would merge the one or read the other as text
+        # refuse a collection key, which PyYAML would find unhashable, and a
+        # merge or "value" key, before PyYAML's own flatten_mapping would
+        # merge the one or read the other as text
         for key_node, _ in node.value:
+            if isinstance(key_node, yaml.CollectionNode):
+                raise WorldFormatError("list or mapping as a key on line"
+                                       f" {key_node.start_mark.line + 1} is not allowed")
             if key_node.tag in (_YAML + "merge", _YAML + "value"):
                 self.refuse_tag(key_node)
         yaml.constructor.SafeConstructor.flatten_mapping(self, node)
@@ -171,59 +177,59 @@ class StrictConstructor:
                 seen.add(key)
         return mapping
 
-    def construct_yaml_bool(self, node):
-        # an explicit !!bool may tag any text, such as !!bool ~
-        if self.construct_scalar(node).lower() not in self.bool_values:
-            raise WorldFormatError(f"!!bool {node.value!r} on line {node.start_mark.line + 1}"
-                                   " is not a boolean")
-        return yaml.constructor.SafeConstructor.construct_yaml_bool(self, node)
-
     def refuse_tag(self, node):
         raise WorldFormatError(f"tag {node.tag!r} on line {node.start_mark.line + 1} is not allowed")
 
 
 # numbers and dates load as written, booleans and nulls as parsed for the
-# World's checks to refuse; other tags such as !!binary are refused
+# World's checks to refuse; other implicit tags are refused
 _YAML = "tag:yaml.org,2002:"
 StrictConstructor.yaml_constructors = {
     None: StrictConstructor.refuse_tag,
     **{_YAML + t: yaml.constructor.BaseConstructor.construct_scalar
        for t in ("str", "int", "float", "timestamp")},
-    **{_YAML + t: yaml.SafeLoader.yaml_constructors[_YAML + t] for t in ("seq", "map", "null")},
-    _YAML + "bool": StrictConstructor.construct_yaml_bool,
+    **{_YAML + t: yaml.SafeLoader.yaml_constructors[_YAML + t]
+       for t in ("seq", "map", "null", "bool")},
 }
 
 
 def refuse_before_composing(text: str, parser) -> None:
-    """Raise WorldFormatError at the document's first anchor or alias, or
-    where its collections nest deeper than _MAX_DEPTH, before the recursive
-    composer reads it.
+    """Raise WorldFormatError at the document's first anchor, alias or tag,
+    at its second document, or where its collections nest deeper than
+    _MAX_DEPTH, before the recursive composer reads it.
 
-    Every anchor is written with & and every alias with *. Every flow
-    collection opens with [ or {. A block collection starts at a column
-    that only spaces, tabs, byte-order marks and the indicators - ? : reach
-    from its line's start, and one column holds at most two levels of a
-    chain (a mapping and a sequence written at its indent). So a document
-    with no & or *, few brackets and no long run of those characters is
-    a plain, shallow enough tree without parsing; any other has its events
-    read.
+    Every anchor is written with &, every alias with * and every tag with
+    !, and a second document starts with --- (after ... or not). Every
+    flow collection opens with [ or {. A block collection starts at a
+    column that only spaces, tabs, byte-order marks and the indicators
+    - ? : reach from its line's start, and one column holds at most two
+    levels of a chain (a mapping and a sequence written at its indent).
+    So a document with none of & * ! --- ..., few brackets and no long run
+    of those characters is one plain, shallow enough tree without parsing;
+    any other has its events read.
     """
     columns = (_MAX_DEPTH - text.count("[") - text.count("{")) // 2
-    if ("&" not in text and "*" not in text and columns > 0
+    if (not any(mark in text for mark in ("&", "*", "!", "---", "...")) and columns > 0
             and not re.search(f"[ \t\ufeff?:-]{{{columns}}}", text)):
         return
-    depth = 0
+    depth = documents = 0
     for event in yaml.parse(text, Loader=parser):
+        line = event.start_mark.line + 1
         if isinstance(event, yaml.NodeEvent) and event.anchor is not None:
             what = "alias *" if isinstance(event, yaml.AliasEvent) else "anchor &"
-            raise WorldFormatError(f"{what}{event.anchor} on line {event.start_mark.line + 1}"
-                                   " is not allowed")
-        if isinstance(event, yaml.CollectionStartEvent):
+            raise WorldFormatError(f"{what}{event.anchor} on line {line} is not allowed")
+        if (isinstance(event, (yaml.ScalarEvent, yaml.CollectionStartEvent))
+                and event.tag is not None):
+            raise WorldFormatError(f"tag {event.tag!r} on line {line} is not allowed")
+        if isinstance(event, yaml.DocumentStartEvent):
+            documents += 1
+            if documents > 1:
+                raise WorldFormatError(f"second document on line {line} is not allowed")
+        elif isinstance(event, yaml.CollectionStartEvent):
             depth += 1
             if depth > _MAX_DEPTH:
                 raise WorldFormatError(
-                    f"world config nests deeper than {_MAX_DEPTH} levels"
-                    f" on line {event.start_mark.line + 1}"
+                    f"world config nests deeper than {_MAX_DEPTH} levels on line {line}"
                 )
         elif isinstance(event, yaml.CollectionEndEvent):
             depth -= 1

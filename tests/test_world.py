@@ -559,8 +559,8 @@ def world_documents(draw, noise=st.integers(0, 3)):
     the mapping may first anchor two drawn trees, any node may be another
     tree, any scalar quoted otherwise, tagged, anchored or an alias, and
     the first entity's assignment may be anchored and a later one's hold a
-    merge key naming it. Both loaders refuse every anchor, alias and merge
-    key, so a noiseless document holds none."""
+    merge key naming it. Both loaders refuse every anchor, alias, tag and
+    merge key, so a noiseless document holds none."""
     noise = draw(noise)
     trees = _trees(noise)
 
@@ -716,10 +716,33 @@ def test_values_nested_through_aliases_are_refused_briefly(yaml_parser):
      "anchor &b on line 1 is not allowed"),
     (_one_property_doc("{*p: x, q: x}"), "alias *p on line 3 is not allowed"),
     (_one_property_doc("{p: x, =: x}"), "tag 'tag:yaml.org,2002:value' on line 3 is not allowed"),
+    (_one_property_doc("{p: !!str x, q: x}"),
+     "tag 'tag:yaml.org,2002:str' on line 3 is not allowed"),
+    (_one_property_doc("{p: ! x, q: x}"), "tag '!' on line 3 is not allowed"),
+    (_one_property_doc("!!map {p: x, q: x}"),
+     "tag 'tag:yaml.org,2002:map' on line 3 is not allowed"),
+    ("schema: !!seq\n- {name: p, values: [x]}\n"
+     "entities: [{id: a, label: w, type: w, assignment: {p: x}}]\n",
+     "tag 'tag:yaml.org,2002:seq' on line 1 is not allowed"),
+    (_one_property_doc("{p: !!bool ~, q: x}"),
+     "tag 'tag:yaml.org,2002:bool' on line 3 is not allowed"),
+    (_one_property_doc("{[p]: x, q: x}"), "list or mapping as a key on line 3 is not allowed"),
+    (_one_property_doc("{{p: x}: y, q: x}"), "list or mapping as a key on line 3 is not allowed"),
+    ("schema: [{name: p, values: [x]}]\n"
+     "entities:\n- id: a\n  label: w\n  type: w\n  assignment:\n    ? - p\n    : x\n",
+     "list or mapping as a key on line 7 is not allowed"),
+    (_one_property_doc("{p: x, q: x}") + "---\n" + _one_property_doc("{p: y, q: y}"),
+     "second document on line 4 is not allowed"),
+    (_one_property_doc("{p: x, q: x}") + "...\n---\n" + _one_property_doc("{p: y, q: y}"),
+     "second document on line 5 is not allowed"),
 ], ids=["undefined-alias", "repeated-anchor", "anchor-on-scalar",
-        "anchor-on-flow-collection", "anchor-on-block-collection", "alias-as-key", "value-key"])
+        "anchor-on-flow-collection", "anchor-on-block-collection", "alias-as-key", "value-key",
+        "str-tag", "non-specific-tag", "map-tag-on-flow-mapping", "seq-tag-on-block-sequence",
+        "bool-tag-on-null", "list-key", "mapping-key", "block-list-key",
+        "second-document", "second-document-after-end"])
 def test_anchors_aliases_and_value_keys_are_refused_with_their_line(yaml_parser, doc, message):
-    # a world config is a plain tree
+    # a world config is one plain tree of untagged scalars: every anchor,
+    # alias, tag, list or mapping key and second document is refused
     assert _refused_by_both_loaders(doc, yaml_parser) == [message] * 2
 
 
@@ -748,6 +771,25 @@ def test_every_document_loads_as_written_or_is_refused(yaml_parser, drawn):
     w = assert_loads_as_reference(doc, yaml_parser)
     if w is not None:
         assert load_world(serialize_world(w)) == w
+
+
+_TAGS = tuple(p for p in _PROPERTIES if p.startswith("!"))  # the tags, without the anchors
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=world_documents(noise=st.just(0)), tag=st.sampled_from(_TAGS), data=st.data())
+def test_a_tag_on_any_scalar_is_refused_with_its_line(yaml_parser, drawn, tag, data):
+    # a noiseless document loads, and each of its double-quoted scalars
+    # escapes every " it holds, so every other " opens one: tag that one
+    doc, _ = drawn
+    openings = [i for i, c in enumerate(doc) if c == '"'][::2]
+    at = data.draw(st.sampled_from(openings))
+    name = tag.strip()
+    name = "tag:yaml.org,2002:" + name[2:] if name.startswith("!!") else name
+    line = doc.count("\n", 0, at) + 1
+    message = f"tag {name!r} on line {line} is not allowed"
+    assert _refused_by_both_loaders(doc[:at] + tag + doc[at:], yaml_parser) == [message] * 2
 
 
 @settings(max_examples=100, deadline=None,
