@@ -55,11 +55,7 @@ class Belief:
     mask: int  # surviving candidates
 
     def __post_init__(self):
-        if self.mask >> len(self.world.entities):
-            raise ValueError(
-                f"candidate mask {self.mask:#x} has bits beyond the world's "
-                f"{len(self.world.entities)} entities"
-            )
+        check_mask(self.world, self.mask)
 
     @property
     def candidate_ids(self) -> tuple[str, ...]:
@@ -70,9 +66,14 @@ class Belief:
     def distribution(self, prop: str) -> PropertyDistribution:
         """How many surviving candidates carry each value of `prop`, in
         domain order; values no candidate carries are left out."""
-        mask, value_masks = self.mask, self.world.value_masks
+        world = self.world
+        try:
+            domain = world.schema.domain(prop)
+        except KeyError:
+            raise _not_in_schema(world, prop, None) from None
+        mask, value_masks = self.mask, world.value_masks
         return PropertyDistribution(prop, {
-            v: c for v in self.world.schema.domain(prop)
+            v: c for v in domain
             if (c := (mask & value_masks[prop, v]).bit_count())
         })
 
@@ -110,9 +111,16 @@ class Belief:
         return belief
 
 
-def _not_in_schema(world: World, prop: str, value: str) -> KeyError:
-    """The error for an answer naming a (property, value) the world has no
-    value mask for."""
+def check_mask(world: World, mask: int) -> None:
+    """Refuse a candidate mask with bits beyond the world's entities."""
+    if mask >> len(world.entities):
+        raise ValueError(f"candidate mask {mask:#x} has bits beyond the world's"
+                         f" {len(world.entities)} entities")
+
+
+def _not_in_schema(world: World, prop: str, value: str | None) -> KeyError:
+    """The error for a question or answer naming a property, or a (property,
+    value), the world has no value mask for."""
     if prop not in world.schema.names:
         return KeyError(f"unknown property {prop!r}")
     return KeyError(f"value {value!r} not in domain of property {prop!r}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from operator import and_, countOf
 
+from refquest.belief import check_mask
 from refquest.world import World
 
 EXACT_LIMIT_DEFAULT = 16
@@ -36,8 +37,10 @@ def compute_min_set(world: World, mask: int, exact_limit: int = EXACT_LIMIT_DEFA
     injective subset in cardinality order, then combinations order over
     the schema. Greedy beyond that: repeatedly add
     the property that most increases the number of distinct projections,
-    ties going to the earlier schema property.
+    ties going to the earlier schema property. A mask with bits beyond the
+    world's entities is refused with ValueError.
     """
+    check_mask(world, mask)
     rest = mask & (mask - 1)
     if not rest:
         return []

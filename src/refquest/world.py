@@ -30,17 +30,17 @@ class WorldFormatError(Exception):
 # libyaml's parser when PyYAML was built with it, else the pure-Python one;
 # both emit the same events, and _read builds the document from them
 _Loader = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-# the resolver both loaders use, for a plain scalar only: it reads yes as
-# true, ~ as null, and << and = as YAML 1.1's merge and "value" keys, which
-# are refused. It tries its patterns only on a scalar whose first character
-# one of them is filed under (none is filed for every scalar) and reads any
-# other as text, so _read calls it only for those.
-_RESOLVER = yaml.resolver.Resolver()
-_PATTERN_STARTS = frozenset(_RESOLVER.yaml_implicit_resolvers)
-_BOOLS = yaml.constructor.SafeConstructor.bool_values
-_YAML = "tag:yaml.org,2002:"
-# numbers and dates load as written (parsed, 1:2 would read 62 and 010 read 8)
-_TEXT_TAGS = frozenset(_YAML + t for t in ("str", "int", "float", "timestamp"))
+# the plain scalars YAML 1.1 reads as other than text, each refused with its
+# line: its nulls and booleans, whose spelling is lost once parsed, and its
+# merge (<<) and "value" (=) keys, refused as the tags they resolve to. Any
+# other plain scalar, numbers and dates among them, is the text written.
+_NOT_TEXT = {
+    word: f"plain {word!r} on line {{}} is not allowed; quote it to keep it as text"
+    for word in ("", "~", *(case(word) for word in "null yes no true false on off".split()
+                            for case in (str.lower, str.capitalize, str.upper)))
+}
+_NOT_TEXT["<<"] = "tag 'tag:yaml.org,2002:merge' on line {} is not allowed"
+_NOT_TEXT["="] = "tag 'tag:yaml.org,2002:value' on line {} is not allowed"
 _NO_KEY = object()  # a mapping awaiting a key
 
 # Deepest collection nesting a world config may have. _read needs no
@@ -54,12 +54,10 @@ def _read(text: str):
     read in one pass over the parser's events: no node tree is composed.
 
     The document is a plain tree of plain or quoted scalars, each loaded as
-    the text written, except that plain booleans and nulls (yes, ~) load as
-    parsed, for _text to refuse. Every anchor (&), alias (*) and tag (!),
-    every list or mapping used as a key and every second document is
-    refused with its line, and so are the merge (<<) and "value" (=) keys,
-    YAML 1.1 types that YAML 1.2 dropped, as a value or a key. No mapping
-    may repeat a key.
+    the text written, so its value holds only str, list and dict. Every
+    anchor (&), alias (*) and tag (!), every list or mapping used as a key,
+    every second document and every plain scalar in _NOT_TEXT (yes, ~, <<)
+    is refused with its line, wherever it stands. No mapping may repeat a key.
     """
     # the open collections, outermost first: the stream's list of documents,
     # then each collection with the key its mapping awaits
@@ -72,14 +70,8 @@ def _read(text: str):
             if event.anchor is not None or event.tag is not None:
                 raise _property_refused(event)
             value = event.value
-            if event.implicit[0] and value[:1] in _PATTERN_STARTS:  # plain
-                tag = _RESOLVER.resolve(yaml.ScalarNode, value, event.implicit)
-                if tag == _YAML + "null":
-                    value = None
-                elif tag == _YAML + "bool":
-                    value = _BOOLS[value.lower()]
-                elif tag not in _TEXT_TAGS:
-                    raise _not_allowed(f"tag {tag!r}", event)
+            if event.implicit[0] and value in _NOT_TEXT:  # plain
+                raise WorldFormatError(_NOT_TEXT[value].format(event.start_mark.line + 1))
         elif kind is yaml.AliasEvent:
             raise _not_allowed(f"alias *{event.anchor}", event)
         elif kind is yaml.MappingStartEvent or kind is yaml.SequenceStartEvent:
@@ -345,19 +337,15 @@ def _shown(value) -> str:
 
 
 def _text(value, where: str, *names) -> str:
-    """A world name or value as its string token; YAML booleans and nulls are
-    refused because their spelling (yes, no, on, ~) is lost once parsed, and
-    lists and mappings because they are not one token; _read loads any
-    other value as the text written. A refusal says where the value stands,
-    `where` formatted with `names`: a config holds thousands of values, and
-    only a refused one needs that text."""
-    if value is None or isinstance(value, bool):
-        problem = f"parsed as {value!r}; quote it to keep it as text (e.g. 'yes')"
-    elif isinstance(value, (list, dict)):
-        problem = f"expected a single value, got {_shown(value)}"
-    else:
-        return value
-    raise WorldFormatError(f"{where.format(*names)}: {problem}")
+    """A world name or value as its string token; lists and mappings are
+    refused because they are not one token, and _read loads any other value
+    as the text written. A refusal says where the value stands, `where`
+    formatted with `names`: a config holds thousands of values, and only a
+    refused one needs that text."""
+    if isinstance(value, (list, dict)):
+        raise WorldFormatError(f"{where.format(*names)}: expected a single value,"
+                               f" got {_shown(value)}")
+    return value
 
 
 def load_world(text: str) -> World:

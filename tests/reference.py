@@ -12,8 +12,9 @@ composer and a strict subclass of its safe constructor, which is how
 refquest read one before it read documents in one pass over the parser's
 events. As refquest does, it refuses with its line every anchor, alias
 and tag, every list or mapping used as a key, every second document and
-YAML 1.1's merge (<<) and "value" (=) keys. Both must give the same
-World, or both refuse the document.
+every plain scalar YAML 1.1 reads as a null, a boolean, its merge (<<)
+key or its "value" (=) key. Both must give the same World, or both
+refuse the document.
 
 The reference generator, `random_world`, draws a random world with
 `Random.choice` and builds it with the checked `Entity` and `World`
@@ -149,8 +150,9 @@ class StrictConstructor:
     """The safe constructor, except that a mapping may not repeat a key (YAML's
     own loaders keep the last value) or have a list or mapping as a key,
     numbers and dates load as the text written, and other implicit tags are
-    refused, among them the merge (<<) and "value" (=) keys. Explicit tags
-    never reach it: refuse_before_composing refuses them."""
+    refused: nulls and booleans with their spelling, and the merge (<<) and
+    "value" (=) keys with their tag. Explicit tags never reach it:
+    refuse_before_composing refuses them."""
 
     def flatten_mapping(self, node):
         # refuse a collection key, which PyYAML would find unhashable, and a
@@ -180,16 +182,20 @@ class StrictConstructor:
     def refuse_tag(self, node):
         raise WorldFormatError(f"tag {node.tag!r} on line {node.start_mark.line + 1} is not allowed")
 
+    def refuse_plain(self, node):
+        raise WorldFormatError(f"plain {node.value!r} on line {node.start_mark.line + 1}"
+                               " is not allowed; quote it to keep it as text")
 
-# numbers and dates load as written, booleans and nulls as parsed for the
-# World's checks to refuse; other implicit tags are refused
+
+# numbers and dates load as written; booleans, nulls and other implicit tags
+# are refused
 _YAML = "tag:yaml.org,2002:"
 StrictConstructor.yaml_constructors = {
     None: StrictConstructor.refuse_tag,
     **{_YAML + t: yaml.constructor.BaseConstructor.construct_scalar
        for t in ("str", "int", "float", "timestamp")},
-    **{_YAML + t: yaml.SafeLoader.yaml_constructors[_YAML + t]
-       for t in ("seq", "map", "null", "bool")},
+    **{_YAML + t: yaml.SafeLoader.yaml_constructors[_YAML + t] for t in ("seq", "map")},
+    **{_YAML + t: StrictConstructor.refuse_plain for t in ("null", "bool")},
 }
 
 

@@ -106,6 +106,9 @@ def test_unknown_property_rejected():
         b.apply_wh_answer("colour", "red")
     with pytest.raises(KeyError, match="unknown property 'colour'"):
         b.apply_yn_answer("colour", "red", True)
+    with pytest.raises(KeyError) as exc:
+        b.distribution("colour")
+    assert exc.value.args == ("unknown property 'colour'",)
 
 
 def test_updates_never_grow_candidates():

@@ -103,6 +103,16 @@ def test_empty_clause_set_gives_empty_minset():
     assert compute_min_set(w, 0) == []
 
 
+@pytest.mark.parametrize("mask", [1 << 18, 1 | 1 << 18, 0b111 | 1 << 18 | 1 << 23],
+                         ids=["stray-bit", "two-candidates", "three-candidates"])
+def test_mask_beyond_the_world_is_refused(mask):
+    # the two-candidate path once indexed past the codes, and the search
+    # path solved the candidates in range as if the others were not there
+    with pytest.raises(ValueError) as exc:
+        compute_min_set(spacecraft_world(), mask)
+    assert str(exc.value) == f"candidate mask {mask:#x} has bits beyond the world's 18 entities"
+
+
 def test_color_only_difference():
     # two objects with the same shape and size but different colors
     s = schema_of("color", "shape", "size")

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -273,16 +274,20 @@ def test_load_world_rejects_nested_values():
                    "entities:\n  - {id: a, label: {w: 1}, type: w, assignment: {color: r}}\n")
 
 
-@pytest.mark.parametrize("schema_values, assigned", [
-    ("[yes, no]", "yes"),
-    ("['yes', 'no']", "no"),
-    ("['on', ~]", "'on'"),
-])
-def test_load_world_rejects_unquoted_booleans_and_nulls(schema_values, assigned):
+_QUOTE_IT = "is not allowed; quote it to keep it as text"
+
+
+@pytest.mark.parametrize("schema_values, assigned, refused", [
+    ("[yes, no]", "yes", "plain 'yes' on line 2"),
+    ("['yes', 'no']", "no", "plain 'no' on line 4"),
+    ("['on', ~]", "'on'", "plain '~' on line 2"),
+], ids=["[yes, no]-yes", "['yes', 'no']-no", "['on', ~]-'on'"])
+def test_load_world_rejects_unquoted_booleans_and_nulls(schema_values, assigned, refused):
     doc = (f"schema:\n  - {{name: lit, values: {schema_values}}}\n"
            f"entities:\n  - {{id: a, label: w, type: w, assignment: {{lit: {assigned}}}}}\n")
-    with pytest.raises(WorldFormatError, match="quote it"):
+    with pytest.raises(WorldFormatError) as exc:
         load_world(doc)
+    assert str(exc.value) == f"{refused} {_QUOTE_IT}"
     quoted = load_world("schema:\n  - {name: lit, values: ['yes', 'no']}\n"
                         "entities:\n  - {id: a, label: w, type: w, assignment: {lit: 'yes'}}\n")
     assert quoted.schema.domain("lit") == ("yes", "no")
@@ -294,16 +299,17 @@ def _one_entity_doc(name="lit", id="a", label="w", type="w", key=None):
             f"assignment: {{{key or name}: x}}}}\n")
 
 
-@pytest.mark.parametrize("field, fields", [
-    ("^property name", {"name": "on", "key": "'on'"}),
-    ("^entity id", {"id": "no"}),
-    ("entity 'a' label", {"label": "yes"}),
-    ("entity 'a' type", {"type": "~"}),
-    ("entity 'a' property name", {"key": "on", "name": "'on'"}),
+@pytest.mark.parametrize("refused, fields", [
+    ("plain 'on' on line 2", {"name": "on", "key": "'on'"}),
+    ("plain 'no' on line 4", {"id": "no"}),
+    ("plain 'yes' on line 4", {"label": "yes"}),
+    ("plain '~' on line 4", {"type": "~"}),
+    ("plain 'on' on line 4", {"key": "on", "name": "'on'"}),
 ], ids=["name", "id", "label", "type", "key"])
-def test_load_world_rejects_unquoted_booleans_and_nulls_in_names(field, fields):
-    with pytest.raises(WorldFormatError, match=f"{field}: parsed as .*quote it"):
+def test_load_world_rejects_unquoted_booleans_and_nulls_in_names(refused, fields):
+    with pytest.raises(WorldFormatError) as exc:
         load_world(_one_entity_doc(**fields))
+    assert str(exc.value) == f"{refused} {_QUOTE_IT}"
 
 
 def test_load_world_keeps_quoted_names_as_text():
@@ -450,15 +456,53 @@ def test_nel_round_trips_in_ids_names_and_values(yaml_parser):
     assert load_world(serialize_world(w)) == w
 
 
-@pytest.mark.parametrize("word", ["<<", "="])
+# the plain spellings YAML 1.1 reads as other than text: its nulls, its
+# booleans, and its merge (<<) and "value" (=) keys
+_NOT_TEXT_SPELLINGS = ("<<", "=", "", "~", *(
+    case(word) for word in ("null", "yes", "no", "true", "false", "on", "off")
+    for case in (str.lower, str.capitalize, str.upper)))
+
+
+@pytest.mark.parametrize("word", _NOT_TEXT_SPELLINGS)
 def test_a_world_spelled_as_a_yaml_key_word_round_trips(yaml_parser, word):
-    # read plain, << is the refused merge key and = the "value" key; saved,
-    # each is quoted and loads back as its text
+    # read plain, << is the refused merge key, = the "value" key and the
+    # rest nulls and booleans; saved, each is quoted (the empty key as
+    # ? '') and loads back as its text, as a property name, a value, an
+    # id, a label and a type
     w = World(PropertySchema(((word, (word, "x")),)),
               (Entity(word, word, word, {word: word}), Entity("b", word, word, {word: "x"})))
     saved = serialize_world(w)
-    assert f"'{word}': '{word}'" in saved
-    assert load_world(saved) == w
+    assert f"'{word}'" in saved
+    assert assert_loads_as_reference(saved, yaml_parser) == w
+
+
+def test_the_refused_plain_scalars_are_those_yaml_1_1_reads_as_other_than_text(yaml_parser):
+    # every string of up to 3 of the characters PyYAML's resolver files its
+    # patterns under, and every case of its null and boolean words; a plain
+    # scalar cannot start with an anchor, alias or tag indicator, and a lone
+    # - opens a list item, so those are not written plain
+    resolver = yaml.resolver.Resolver()
+    firsts = sorted(first for first in resolver.yaml_implicit_resolvers if first)
+    words = {"".join(chars) for n in range(4) for chars in itertools.product(firsts, repeat=n)}
+    words.update("".join(chars) for word in ("null", "yes", "no", "true", "false", "on", "off")
+                 for chars in itertools.product(*({c, c.upper()} for c in word)))
+    words = {word for word in words if not word.startswith(("!", "&", "*")) and word != "-"}
+    refused = {}
+    for word in words:
+        tag = resolver.resolve(yaml.ScalarNode, word, (True, False))
+        if tag in ("tag:yaml.org,2002:null", "tag:yaml.org,2002:bool"):
+            refused[word] = f"plain {word!r} on line 3 {_QUOTE_IT}"
+        elif tag in ("tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"):
+            refused[word] = f"tag {tag!r} on line 3 is not allowed"
+    assert sorted(refused) == sorted(_NOT_TEXT_SPELLINGS)
+    for word, message in refused.items():
+        with pytest.raises(WorldFormatError) as exc:
+            load_world(f"schema: []\nentities:\n- {word}\n")
+        assert str(exc.value) == message
+    texts = sorted(words - refused.keys())
+    doc = ("schema:\n- name: p\n  values:\n" + "".join(f"  - {text}\n" for text in texts)
+           + "entities:\n- {id: a, label: w, type: w, assignment: {p: '0'}}\n")
+    assert load_world(doc).schema.domain("p") == tuple(texts)
 
 
 def _nested_value_doc(depth):
@@ -541,13 +585,15 @@ def _flow_map(pairs):
 
 def _trees(noise):
     """Flow trees of lists, mappings and `_scalars`; with any noise, a key
-    may also be the merge key (<<) or the "value" key (=), which both
-    loaders refuse, or repeat in its mapping."""
+    may also be the merge key (<<), the "value" key (=) or another tree,
+    which both loaders refuse where it is a list or mapping, or repeat in
+    its mapping."""
     keys = _scalars(noise=noise) | st.sampled_from(("<<", "=")) if noise else _scalars(noise=0)
     unique_keys = None if noise else (lambda pair: pair[0])
     return st.recursive(_scalars(noise=noise), lambda inner: (
         st.lists(inner, max_size=3).map(_flow_seq)
-        | st.lists(st.tuples(keys, inner), max_size=3, unique_by=unique_keys).map(_flow_map)
+        | st.lists(st.tuples(keys | inner if noise else keys, inner), max_size=3,
+                   unique_by=unique_keys).map(_flow_map)
     ), max_leaves=6)
 
 
@@ -557,10 +603,12 @@ def world_documents(draw, noise=st.integers(0, 3)):
     a block mapping, and with it, at noise 0, the texts drawn: (names,
     domains, ids, labels, types, rows), else None. At a drawn noise level,
     the mapping may first anchor two drawn trees, any node may be another
-    tree, any scalar quoted otherwise, tagged, anchored or an alias, and
-    the first entity's assignment may be anchored and a later one's hold a
-    merge key naming it. Both loaders refuse every anchor, alias, tag and
-    merge key, so a noiseless document holds none."""
+    tree, any scalar quoted otherwise, tagged, anchored or an alias, the
+    first entity's assignment may be anchored and a later one's hold a
+    merge key naming it, an assignment's key may be a list or mapping, and
+    a second document may follow. Both loaders refuse every anchor, alias,
+    tag, merge key, collection key and second document, so a noiseless
+    document holds none."""
     noise = draw(noise)
     trees = _trees(noise)
 
@@ -587,11 +635,17 @@ def world_documents(draw, noise=st.integers(0, 3)):
         pairs = [(scalar(name), scalar(value)) for name, value in zip(names, row)]
         if i and draw(st.integers(0, 9)) < noise:
             pairs.insert(draw(st.integers(0, len(pairs))), ("<<", "*m"))
+        if pairs and rarely():
+            k = draw(st.integers(0, len(pairs) - 1))
+            key = draw(st.sampled_from(("[{}]", "{{{}: x}}"))).format(pairs[k][0])
+            pairs[k] = (key, pairs[k][1])
         assignment = ("&m " if i == 0 and rarely() else "") + _flow_map(pairs)
         entities.append(_flow_map([("id", scalar(entity_id)), ("label", scalar(label)),
                                    ("type", scalar(type_name)), ("assignment", maybe(assignment))]))
     doc = ((f"anchors: [&a {draw(trees)}, &b {draw(trees)}]\n" if rarely() else "")
            + f"schema: {maybe(_flow_seq(schema))}\nentities: {maybe(_flow_seq(entities))}\n")
+    if rarely():
+        doc += draw(st.sampled_from(("---\n", "...\n---\n"))) + doc
     return doc, (names, domains, ids, labels, types, rows) if noise == 0 else None
 
 
@@ -735,14 +789,24 @@ def test_values_nested_through_aliases_are_refused_briefly(yaml_parser):
      "second document on line 4 is not allowed"),
     (_one_property_doc("{p: x, q: x}") + "...\n---\n" + _one_property_doc("{p: y, q: y}"),
      "second document on line 5 is not allowed"),
+    (_one_property_doc("{p: yes, q: x}"), f"plain 'yes' on line 3 {_QUOTE_IT}"),
+    (_one_property_doc("{~: x, q: x}"), f"plain '~' on line 3 {_QUOTE_IT}"),
+    ("schema: [{name: p, values: [x]}]\n"
+     "entities:\n- id: a\n  label:\n  type: w\n  assignment: {p: x}\n",
+     f"plain '' on line 4 {_QUOTE_IT}"),
+    (_one_property_doc("{p: x, q: x}") + "notes:\n  switch: Off\n",
+     f"plain 'Off' on line 5 {_QUOTE_IT}"),
 ], ids=["undefined-alias", "repeated-anchor", "anchor-on-scalar",
         "anchor-on-flow-collection", "anchor-on-block-collection", "alias-as-key", "value-key",
         "str-tag", "non-specific-tag", "map-tag-on-flow-mapping", "seq-tag-on-block-sequence",
         "bool-tag-on-null", "list-key", "mapping-key", "block-list-key",
-        "second-document", "second-document-after-end"])
+        "second-document", "second-document-after-end", "plain-yes-as-value", "plain-null-as-key",
+        "plain-empty-value", "plain-off-under-an-ignored-key"])
 def test_anchors_aliases_and_value_keys_are_refused_with_their_line(yaml_parser, doc, message):
     # a world config is one plain tree of untagged scalars: every anchor,
-    # alias, tag, list or mapping key and second document is refused
+    # alias, tag, list or mapping key and second document is refused, and so
+    # is every plain null or boolean, its spelling lost once parsed, even
+    # under a key no world reads
     assert _refused_by_both_loaders(doc, yaml_parser) == [message] * 2
 
 
