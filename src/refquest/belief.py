@@ -72,10 +72,12 @@ class Belief:
         except KeyError:
             raise _not_in_schema(world, prop, None) from None
         mask, value_masks = self.mask, world.value_masks
-        return PropertyDistribution(prop, {
+        dist = _new(PropertyDistribution)
+        dist.__dict__.update(property=prop, counts={
             v: c for v in domain
             if (c := (mask & value_masks[prop, v]).bit_count())
         })
+        return dist
 
     def apply_wh_answer(self, prop: str, value: str) -> "Belief":
         """Keep candidates whose `prop` equals the answered value."""

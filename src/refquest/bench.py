@@ -7,9 +7,11 @@ count. Reported mean/SD are over the per-iteration means. Everything
 derives deterministically from the base seed via a counter-based split,
 so runs are reproducible and iterations are order-independent.
 
-Every episode gets a fresh agent from `make_agent`. Model agents hold no
-state: each world memoises its min-sets and model questions, so a world's
-candidate set is solved once, whichever system or call asks.
+Model agents hold no state, so one agent per model system serves every
+episode of a call: each world memoises its min-sets and model questions,
+so a world's candidate set is solved once, whichever system or call asks.
+Each baseline episode gets a fresh `BaselineAgent`, seeded from its
+iteration's seed and its target's index.
 """
 
 from __future__ import annotations
@@ -115,16 +117,15 @@ def world_for(environment: str, seed: int, n_entities: int) -> World:
 
 def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
     means: dict[str, list[float]] = {system: [] for system in spec.systems}
+    models = {system: make_agent(system, 0) for system in spec.systems if system != "baseline"}
     total = 0
     for it in range(spec.iterations):
         it_seed = _split_seed(spec.base_seed, it)
         world = world_for(spec.environment, it_seed, spec.trials)
         for system, iteration_means in means.items():
-            counts = []
-            for t, entity in enumerate(world.entities):
-                agent = make_agent(system, _split_seed(it_seed, t))
-                record = run_episode(world, entity.id, agent)
-                counts.append(record.question_count)
+            agent = models.get(system)
+            counts = [run_episode(world, e.id, agent or BaselineAgent(_split_seed(it_seed, t)))
+                      .question_count for t, e in enumerate(world.entities)]
             total += len(counts)
             iteration_means.append(statistics.fmean(counts))
     results = tuple(

@@ -136,22 +136,26 @@ class BaselineAgent:
             if not mask & ~value_masks[asked, lowest]:
                 self.known.add(asked)
                 unknown.remove(asked)
-        i = _draw(self.rng, 2 * len(unknown))
+        i = _draw(self.rng.getrandbits, 2 * len(unknown))
         prop = self.asked = unknown[i >> 1]
         schema = world.schema
         if not i & 1:
             return schema.questions[prop, None]
         values = [v for v in schema.domain(prop) if mask & value_masks[prop, v]]
-        return schema.questions[prop, values[_draw(self.rng, len(values))]]
+        return schema.questions[prop, values[_draw(self.rng.getrandbits, len(values))]]
 
 
-def _draw(rng: random.Random, n: int) -> int:
-    """The index `rng.choice` draws into a sequence of length n, from the
-    same bits, with no sequence built. Random._randbelow(0) would never
-    return, so n = 0 raises choice's IndexError."""
+def _draw(getrandbits, n: int) -> int:
+    """The index `rng.choice` draws into a sequence of length n, from the same
+    bits by `Random._randbelow`'s rejection loop over `rng.getrandbits`. With
+    n = 0 that loop would never end (getrandbits(0) is 0): IndexError, as choice."""
     if n <= 0:
         raise IndexError("Cannot choose from an empty sequence")
-    return rng._randbelow(n)
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 @dataclass(frozen=True)
@@ -195,10 +199,10 @@ def run_episode(
 
     The agent is only asked to choose each question from the current
     belief. `oracle` defaults to a truthful simulated oracle for the
-    target; each answer is the word said, read by `apply_answer`.
-    `on_turn(question, word)`, when given, is the loop's one per-turn
-    observer, called after each answer is applied. The referent is read
-    off the final one-bit mask.
+    target; each answer is the word said, read by `apply_answer` for a
+    confirm. `on_turn(question, word)`, when given, is the loop's one
+    per-turn observer, called after each answer is applied. The referent
+    is read off the final one-bit mask.
     """
     if max_questions < 0:
         raise ValueError(f"max_questions must be 0 or more, got {max_questions}")
@@ -218,7 +222,8 @@ def run_episode(
             )
         q = choose(belief)
         word = answer(q)
-        belief = apply_answer(belief, q, word)
+        belief = (belief.apply_wh_answer(q.property, word) if q.value is None
+                  else apply_answer(belief, q, word))
         append((q, word))
         if on_turn is not None:
             on_turn(q, word)

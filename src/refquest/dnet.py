@@ -48,7 +48,7 @@ def wh_entropy(dist: PropertyDistribution) -> float:
     """
     counts = sorted(dist.counts.values())
     n = sum(counts)
-    return (n * math.log2(n) - sum(c * math.log2(c) for c in counts)) / n
+    return (n * math.log2(n) - sum([c * math.log2(c) for c in counts])) / n
 
 
 def yn_expected_entropy(dist: PropertyDistribution) -> float:
@@ -82,12 +82,14 @@ def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
     if min_set is None:
         min_set = world.min_sets[mask] = tuple(compute_min_set(world, mask))
     table = world.schema.questions
-    questions = tuple(table[prop, None] for prop in min_set)
-    if policy == ENTROPY:
-        scores = (wh_entropy(belief.distribution(q.property)) for q in questions)
-    else:
-        scores = (COLOR_BOOST if q.property == "color" else 1.0 for q in questions)
-    return DecisionNetwork(questions, dict(zip(questions, scores)))
+    questions = tuple([table[prop, None] for prop in min_set])
+    net = object.__new__(DecisionNetwork)
+    net.__dict__.update(questions=questions, utilities={
+        q: wh_entropy(belief.distribution(q.property)) if policy == ENTROPY
+        else COLOR_BOOST if q.property == "color" else 1.0
+        for q in questions
+    })
+    return net
 
 
 def select_question(net: DecisionNetwork) -> Question:

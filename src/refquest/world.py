@@ -7,8 +7,8 @@ instruction-facing name) -- that is what creates referential ambiguity --
 but every entity's full assignment must be unique. A World checks this
 when it is constructed, whether it is built by hand or loaded from a
 config document. The random generator draws unique assignments from a
-schema it built and tables them as it draws, so it hands its entities
-and tables to `_prebuilt`, which skips the checks and the tabling.
+schema it built and tables them as it draws, so it builds its entities
+and hands its tables to `_prebuilt`, skipping the checks and the tabling.
 """
 
 from __future__ import annotations
@@ -240,10 +240,10 @@ class World:
     mutable part, a memo of pure functions of the world freed with it, is
     `min_sets` by candidate mask and `model_questions` by (policy, mask).
 
-    The random generator hands its Worlds and their Entities to
-    `_prebuilt` with tables equal to those this constructor would build,
-    which `_prebuilt` sets with object.__setattr__, as this constructor
-    does: a written __dict__ would slow every later attribute read."""
+    The random generator hands its Worlds to `_prebuilt` with tables equal
+    to those this constructor would build, and `_prebuilt` sets them, as
+    the generator sets its Entities' fields, with object.__setattr__, as
+    this constructor does: a written __dict__ would slow every later read."""
 
     schema: PropertySchema
     entities: tuple[Entity, ...]

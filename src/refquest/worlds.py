@@ -17,6 +17,8 @@ from types import MappingProxyType
 
 from refquest.world import Entity, PropertySchema, World, _prebuilt, load_world
 
+_new, setattr_ = object.__new__, object.__setattr__
+
 
 class InfeasibleSpecError(Exception):
     """The spec cannot produce the requested number of unique entities."""
@@ -64,19 +66,30 @@ def generate_random_world(spec: RandomWorldSpec) -> World:
     are skipped.
     """
     spec.validate()
-    randbelow = random.Random(spec.seed)._randbelow
+    getrandbits = random.Random(spec.seed).getrandbits
     schema = _schema(spec.n_properties, spec.values_per_property)
     k, varying = spec.values_per_property, range(spec.n_varying)
+    bits = k.bit_length()  # Random._randbelow(k) draws this many bits until they read below k
+
+    def draw(properties) -> list[int]:  # one value slot per property
+        slots = []
+        for i in properties:
+            j = getrandbits(bits)
+            while j >= k:
+                j = getrandbits(bits)
+            slots.append(i * k + j)
+        return slots
+
     # a value's slot is its index in schema.fields: property i's j-th value is i * k + j
     keys, field_codes = tuple(schema.fields), tuple(schema.fields.values())
-    constant = [i * k + randbelow(k) for i in range(spec.n_varying, spec.n_properties)]
+    constant = draw(range(spec.n_varying, spec.n_properties))
     constant_code = sum(map(field_codes.__getitem__, constant))
     slot_masks = [0] * len(keys)
     by_id, label_masks = {}, {}  # by_id holds the entities in order
     codes: dict[int, None] = {}  # the drawn codes, in entity order
     for n in range(spec.n_entities):
         while True:
-            slots = [i * k + randbelow(k) for i in varying]
+            slots = draw(varying)
             code = constant_code + sum(map(field_codes.__getitem__, slots))
             if code not in codes:
                 codes[code] = None
@@ -88,10 +101,12 @@ def generate_random_world(spec: RandomWorldSpec) -> World:
         label = type_name + " widget"
         label_masks[label] = label_masks.get(label, 0) | bit
         entity_id = f"e{n + 1:02d}"
-        by_id[entity_id] = _prebuilt(
-            Entity, id=entity_id, label=label, type_name=type_name,
-            assignment=MappingProxyType(dict(map(keys.__getitem__, slots + constant))),
-        )
+        entity = by_id[entity_id] = _new(Entity)
+        setattr_(entity, "id", entity_id)
+        setattr_(entity, "label", label)
+        setattr_(entity, "type_name", type_name)
+        setattr_(entity, "assignment",
+                 MappingProxyType(dict(map(keys.__getitem__, slots + constant))))
     for slot in constant:
         slot_masks[slot] = (1 << spec.n_entities) - 1
     return _prebuilt(

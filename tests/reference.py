@@ -7,14 +7,15 @@ a list that each answer filters, and each min-set is searched afresh over
 their rows. However the engine represents and caches its work, its
 transcripts must equal `transcript`'s.
 
-The reference loader, `load_world`, reads a world config with PyYAML's
-composer and a strict subclass of its safe constructor, which is how
-refquest read one before it read documents in one pass over the parser's
-events. As refquest does, it refuses with its line every anchor, alias
-and tag, every list or mapping used as a key, every second document and
-every plain scalar YAML 1.1 reads as a null, a boolean, its merge (<<)
-key or its "value" (=) key. Both must give the same World, or both
-refuse the document.
+The reference loader, `load_world`, reads a world config with a strict
+subclass of PyYAML's composer, whose resolver tags each plain scalar, and
+its safe constructor, which is how refquest read one before it read
+documents in one pass over the parser's events. As refquest does, it
+refuses with its line every anchor, alias and tag, every list or mapping
+used as a key, every repeated key, every second document and every plain
+scalar YAML 1.1 reads as a null, a boolean, its merge (<<) key or its
+"value" (=) key, the first in the document, as it composes. Both must
+give the same World, or refuse the document in the same words.
 
 The reference generator, `random_world`, draws a random world with
 `Random.choice` and builds it with the checked `Entity` and `World`
@@ -25,7 +26,6 @@ worlds as it drew them. Both must give equal Worlds, table for table.
 import itertools
 import math
 import random
-import re
 
 import yaml
 
@@ -146,107 +146,81 @@ def transcript(world, target_id, system, seed=0) -> list[tuple[str, str | None, 
     return turns
 
 
+class StrictComposer(yaml.composer.Composer):
+    """PyYAML's composer, refusing as it composes, so in document order:
+    every anchor, alias and tag, every collection nested deeper than
+    _MAX_DEPTH, every list or mapping used as a key, every key its mapping
+    repeats (YAML's own loaders keep the last value), every plain scalar
+    the resolver reads as a null, a boolean, the merge (<<) key or the
+    "value" (=) key, and a second document. Each node is checked as it
+    starts, before its children or its mapping's later entries are read."""
+
+    depth = 0  # collections open around the node being composed
+
+    def compose_document(self):
+        node = yaml.composer.Composer.compose_document(self)
+        if self.check_event(yaml.DocumentStartEvent):
+            raise _refused("second document", self.peek_event())
+        return node
+
+    def compose_node(self, parent, index):
+        # a mapping's value is composed with its key as `index`, while the
+        # mapping holds only the entries before it
+        if isinstance(index, yaml.ScalarNode) and index.value in [k.value for k, _ in parent.value]:
+            raise WorldFormatError(
+                f"duplicate key {index.value!r} on line {index.start_mark.line + 1}")
+        event = self.peek_event()
+        if isinstance(event, yaml.AliasEvent):
+            raise _refused(f"alias *{event.anchor}", event)
+        if event.anchor is not None:
+            raise _refused(f"anchor &{event.anchor}", event)
+        if event.tag is not None:
+            raise _refused(f"tag {event.tag!r}", event)
+        if isinstance(event, yaml.ScalarEvent):
+            node = yaml.composer.Composer.compose_node(self, parent, index)
+            if node.tag in (_YAML + "null", _YAML + "bool"):
+                raise WorldFormatError(f"plain {node.value!r} on line {node.start_mark.line + 1}"
+                                       " is not allowed; quote it to keep it as text")
+            if node.tag in (_YAML + "merge", _YAML + "value"):
+                raise _refused(f"tag {node.tag!r}", node)
+            return node
+        if self.depth == _MAX_DEPTH:
+            raise WorldFormatError(f"world config nests deeper than {_MAX_DEPTH} levels"
+                                   f" on line {event.start_mark.line + 1}")
+        if isinstance(parent, yaml.MappingNode) and index is None:
+            raise _refused("list or mapping as a key", event)
+        self.depth += 1
+        node = yaml.composer.Composer.compose_node(self, parent, index)
+        self.depth -= 1
+        return node
+
+
+def _refused(what, event_or_node) -> WorldFormatError:
+    return WorldFormatError(f"{what} on line {event_or_node.start_mark.line + 1} is not allowed")
+
+
 class StrictConstructor:
-    """The safe constructor, except that a mapping may not repeat a key (YAML's
-    own loaders keep the last value) or have a list or mapping as a key,
-    numbers and dates load as the text written, and other implicit tags are
-    refused: nulls and booleans with their spelling, and the merge (<<) and
-    "value" (=) keys with their tag. Explicit tags never reach it:
-    refuse_before_composing refuses them."""
-
-    def flatten_mapping(self, node):
-        # refuse a collection key, which PyYAML would find unhashable, and a
-        # merge or "value" key, before PyYAML's own flatten_mapping would
-        # merge the one or read the other as text
-        for key_node, _ in node.value:
-            if isinstance(key_node, yaml.CollectionNode):
-                raise WorldFormatError("list or mapping as a key on line"
-                                       f" {key_node.start_mark.line + 1} is not allowed")
-            if key_node.tag in (_YAML + "merge", _YAML + "value"):
-                self.refuse_tag(key_node)
-        yaml.constructor.SafeConstructor.flatten_mapping(self, node)
-
-    def construct_mapping(self, node, deep=False):
-        mapping = yaml.constructor.SafeConstructor.construct_mapping(self, node, deep=deep)
-        if len(mapping) != len(node.value):  # a repeated key
-            seen = set()
-            for key_node, _ in node.value:
-                key = self.construct_object(key_node)
-                if key in seen:
-                    raise WorldFormatError(
-                        f"duplicate key {key!r} on line {key_node.start_mark.line + 1}"
-                    )
-                seen.add(key)
-        return mapping
-
-    def refuse_tag(self, node):
-        raise WorldFormatError(f"tag {node.tag!r} on line {node.start_mark.line + 1} is not allowed")
-
-    def refuse_plain(self, node):
-        raise WorldFormatError(f"plain {node.value!r} on line {node.start_mark.line + 1}"
-                               " is not allowed; quote it to keep it as text")
+    """The safe constructor, except that numbers and dates load as the text
+    written. StrictComposer has refused every other tag a node can carry."""
 
 
-# numbers and dates load as written; booleans, nulls and other implicit tags
-# are refused
 _YAML = "tag:yaml.org,2002:"
 StrictConstructor.yaml_constructors = {
-    None: StrictConstructor.refuse_tag,
     **{_YAML + t: yaml.constructor.BaseConstructor.construct_scalar
        for t in ("str", "int", "float", "timestamp")},
     **{_YAML + t: yaml.SafeLoader.yaml_constructors[_YAML + t] for t in ("seq", "map")},
-    **{_YAML + t: StrictConstructor.refuse_plain for t in ("null", "bool")},
 }
 
 
-def refuse_before_composing(text: str, parser) -> None:
-    """Raise WorldFormatError at the document's first anchor, alias or tag,
-    at its second document, or where its collections nest deeper than
-    _MAX_DEPTH, before the recursive composer reads it.
-
-    Every anchor is written with &, every alias with * and every tag with
-    !, and a second document starts with --- (after ... or not). Every
-    flow collection opens with [ or {. A block collection starts at a
-    column that only spaces, tabs, byte-order marks and the indicators
-    - ? : reach from its line's start, and one column holds at most two
-    levels of a chain (a mapping and a sequence written at its indent).
-    So a document with none of & * ! --- ..., few brackets and no long run
-    of those characters is one plain, shallow enough tree without parsing;
-    any other has its events read.
-    """
-    columns = (_MAX_DEPTH - text.count("[") - text.count("{")) // 2
-    if (not any(mark in text for mark in ("&", "*", "!", "---", "...")) and columns > 0
-            and not re.search(f"[ \t\ufeff?:-]{{{columns}}}", text)):
-        return
-    depth = documents = 0
-    for event in yaml.parse(text, Loader=parser):
-        line = event.start_mark.line + 1
-        if isinstance(event, yaml.NodeEvent) and event.anchor is not None:
-            what = "alias *" if isinstance(event, yaml.AliasEvent) else "anchor &"
-            raise WorldFormatError(f"{what}{event.anchor} on line {line} is not allowed")
-        if (isinstance(event, (yaml.ScalarEvent, yaml.CollectionStartEvent))
-                and event.tag is not None):
-            raise WorldFormatError(f"tag {event.tag!r} on line {line} is not allowed")
-        if isinstance(event, yaml.DocumentStartEvent):
-            documents += 1
-            if documents > 1:
-                raise WorldFormatError(f"second document on line {line} is not allowed")
-        elif isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > _MAX_DEPTH:
-                raise WorldFormatError(
-                    f"world config nests deeper than {_MAX_DEPTH} levels on line {line}"
-                )
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
-
-
 def load_world(text: str, parser):
-    """The World in `text`, composed and constructed by PyYAML over `parser`
-    (yaml.SafeLoader or yaml.CSafeLoader) with StrictConstructor's rules."""
-    loader = type(parser.__name__, (StrictConstructor, parser), {})
+    """The World in `text`, composed by StrictComposer over `parser`
+    (yaml.SafeLoader or yaml.CSafeLoader) and constructed by PyYAML with
+    StrictConstructor's rules. StrictComposer comes before the parser, so
+    it composes over libyaml's events too, in place of its C composer, and
+    the parser's __init__ is kept, as Composer's takes no stream."""
+    loader = type(parser.__name__, (StrictComposer, StrictConstructor, parser),
+                  {"__init__": parser.__init__})
     try:
-        refuse_before_composing(text, parser)
         doc = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise WorldFormatError(f"world config does not parse: {exc}") from exc

@@ -1,12 +1,25 @@
 import dataclasses
 import hashlib
+import itertools
+import statistics
+from collections import Counter
 
 import pytest
 
 import refquest.bench
 import refquest.dialogue
 import refquest.dnet
-from refquest.bench import BenchmarkSpec, emit_report, run_benchmark
+from refquest.bench import (
+    ENVIRONMENTS,
+    SYSTEMS,
+    BenchmarkSpec,
+    _split_seed,
+    emit_report,
+    make_agent,
+    run_benchmark,
+    world_for,
+)
+from refquest.dialogue import BaselineAgent, ModelAgent, run_episode
 from refquest.worlds import spacecraft_world
 
 
@@ -184,3 +197,43 @@ def test_agent_names_are_their_systems():
     # perfbench groups the episodes it times by agent.name
     systems = refquest.bench.SYSTEMS
     assert tuple(refquest.bench.make_agent(s, 0).name for s in systems) == systems
+
+
+def fresh_agent_means(spec):
+    """Each system's iteration means when every episode gets a fresh agent
+    from `make_agent`, seeded as the benchmark seeds a baseline episode."""
+    means = {system: [] for system in spec.systems}
+    for it in range(spec.iterations):
+        it_seed = _split_seed(spec.base_seed, it)
+        world = world_for(spec.environment, it_seed, spec.trials)
+        for system, iteration_means in means.items():
+            iteration_means.append(statistics.fmean(
+                run_episode(world, e.id, make_agent(system, _split_seed(it_seed, t))).question_count
+                for t, e in enumerate(world.entities)
+            ))
+    return means
+
+
+@pytest.mark.parametrize("base_seed", [0, 7, -3])
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+def test_a_run_shares_one_model_agent_per_system_and_means_as_fresh_agents(
+        monkeypatch, environment, base_seed):
+    built = Counter()
+    for cls in (ModelAgent, BaselineAgent):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for r in range(1, len(SYSTEMS) + 1):
+        for systems in itertools.permutations(SYSTEMS, r):
+            spec = BenchmarkSpec(systems=systems, environment=environment, iterations=2,
+                                 base_seed=base_seed)
+            built.clear()
+            report = run_benchmark(spec)
+            episodes = report.total_episodes // len(systems)  # per system
+            assert built == Counter(ModelAgent=len(set(systems) - {"baseline"}),
+                                    BaselineAgent=episodes * ("baseline" in systems))
+            assert {r.system: list(r.iteration_means) for r in report.results} == (
+                fresh_agent_means(spec))
+            assert [r.system for r in report.results] == list(systems)

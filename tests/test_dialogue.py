@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -571,15 +572,23 @@ def test_every_turn_passes_each_probe_point_once(w, seed):
         w.model_questions)
 
 
+def _hash(obj):
+    """The object's hash, or the error hashing it raises (a dict field)."""
+    try:
+        return hash(obj)
+    except TypeError as exc:
+        return str(exc)
+
+
 def assert_built_as_constructed(obj):
     """An object the engine builds without its dataclass __init__ holds the
     fields, in the order, that the public constructor gives it, equals,
-    hashes and prints as that one, and is as frozen."""
+    hashes (or refuses to) and prints as that one, and is as frozen."""
     fields = dataclasses.fields(obj)
     built = type(obj)(**{f.name: getattr(obj, f.name) for f in fields})
     assert list(vars(obj).items()) == list(vars(built).items())
     assert obj == built
-    assert hash(obj) == hash(built)
+    assert _hash(obj) == _hash(built)
     assert repr(obj) == repr(built)
     for f in fields:
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -603,10 +612,52 @@ def test_records_and_beliefs_are_built_as_their_constructors_build_them(w, seed,
 
 
 @settings(max_examples=40, deadline=None)
+@given(worlds(), st.integers())
+def test_distributions_and_networks_are_built_as_their_constructors_build_them(w, seed):
+    w = dataclasses.replace(w)  # a cold memo: every model question is built here
+    built = {"distribution": [], "build_network": []}  # (kwargs, object built) per call
+    saved = [(owner, name, vars(owner)[name])
+             for owner, name in ((Belief, "distribution"), (refquest.dialogue, "build_network"))]
+
+    def keeping(name, fn):
+        def kept(*args, **kwargs):
+            obj = fn(*args, **kwargs)
+            built[name].append((kwargs, obj))
+            return obj
+        return kept
+
+    try:
+        for owner, name, fn in saved:
+            setattr(owner, name, keeping(name, fn))
+        for system in SYSTEMS:
+            for i, e in enumerate(w.entities):
+                run_episode(w, e.id, make_agent(system, seed + i))
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+    assert len(built["build_network"]) == len(w.model_questions)
+    # an entropy network reads one distribution per question it scores
+    assert len(built["distribution"]) == sum(
+        len(net.questions) for kwargs, net in built["build_network"]
+        if kwargs["policy"] == "entropy")
+    for _, obj in built["distribution"] + built["build_network"]:
+        assert_built_as_constructed(obj)
+
+
+@settings(max_examples=40, deadline=None)
 @given(random_world_specs(refused=False))
 def test_generated_entities_are_built_as_their_constructor_builds_them(spec):
     for e in generate_random_world(spec).entities:
         assert_built_as_constructed(e)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_the_baselines_draws_are_random_randbelows(seed):
+    for n in range(1, 71):
+        rng, expected = random.Random(seed), random.Random(seed)
+        drawn = [refquest.dialogue._draw(rng.getrandbits, n) for _ in range(5)]
+        assert drawn == [expected._randbelow(n) for _ in range(5)]
+        assert rng.getstate() == expected.getstate()
 
 
 def test_a_baseline_with_nothing_to_draw_from_raises_instead_of_hanging():

@@ -651,12 +651,14 @@ def world_documents(draw, noise=st.integers(0, 3)):
 
 def assert_loads_as_reference(doc, parser):
     """The World `doc` loads as, which must equal the reference loader's
-    over the same parser, or None when both loaders refuse it."""
+    over the same parser, or None when both loaders refuse it, in the
+    same words: both refuse at the document's first fault."""
     try:
         w = load_world(doc)
-    except WorldFormatError:
-        with pytest.raises(WorldFormatError):
+    except WorldFormatError as exc:
+        with pytest.raises(WorldFormatError) as reference_exc:
             reference.load_world(doc, parser)
+        assert str(reference_exc.value) == str(exc)
         return None
     assert reference.load_world(doc, parser) == w
     return w
@@ -807,6 +809,28 @@ def test_anchors_aliases_and_value_keys_are_refused_with_their_line(yaml_parser,
     # alias, tag, list or mapping key and second document is refused, and so
     # is every plain null or boolean, its spelling lost once parsed, even
     # under a key no world reads
+    assert _refused_by_both_loaders(doc, yaml_parser) == [message] * 2
+
+
+@pytest.mark.parametrize("doc, message", [
+    ("a:\n  b: yes\nc: no\n", f"plain 'yes' on line 2 {_QUOTE_IT}"),
+    ("a: ~\n<<: {b: c}\n", f"plain '~' on line 1 {_QUOTE_IT}"),
+    ("a: yes\nb: &x c\n", f"plain 'yes' on line 1 {_QUOTE_IT}"),
+    ("a: [b, {c: on}]\nd: !!str e\n", f"plain 'on' on line 1 {_QUOTE_IT}"),
+    ("a: x\na: {b: yes}\n", "duplicate key 'a' on line 2"),
+    ("a: {[b]: c}\nd: &x e\n", "list or mapping as a key on line 1 is not allowed"),
+    ("a: yes\n---\nb: c\n", f"plain 'yes' on line 1 {_QUOTE_IT}"),
+    ("a: null\nb: [\n", f"plain 'null' on line 1 {_QUOTE_IT}"),
+    ("a: yes\nb: " + "[" * 300 + "]" * 300 + "\n", f"plain 'yes' on line 1 {_QUOTE_IT}"),
+    ("b: " + "{a: " * 300 + "x" + "}" * 300 + "\na: yes\n",
+     "world config nests deeper than 256 levels on line 1"),
+], ids=["nested-before-later-entry", "null-before-merge-key", "plain-before-anchor",
+        "plain-before-tag", "repeat-before-nested-plain", "collection-key-before-anchor",
+        "plain-before-second-document", "plain-before-parse-error", "plain-before-deep-nesting",
+        "deep-nesting-before-plain"])
+def test_both_loaders_refuse_a_documents_first_fault(yaml_parser, doc, message):
+    # faults are refused in document order, a key before its value and a
+    # collection's entries before the entries after it
     assert _refused_by_both_loaders(doc, yaml_parser) == [message] * 2
 
 

@@ -1,7 +1,8 @@
 import dataclasses
 import gc
+import random
 import sys
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from refquest.belief import init_belief
 from refquest.dnet import wh_entropy
 from refquest.minset import compute_min_set
+import refquest.worlds
 from refquest.world import World, load_world, serialize_world
 from refquest.worlds import (
     InfeasibleSpecError,
@@ -156,3 +158,26 @@ def test_benchmark_worlds_equal_the_reference_generators(n_varying):
     # the random environments' shape: 20 entities, 7 properties of 4 values, groups of 7
     for seed in (*range(20), 2**32 + 5, -1, 2**70):
         assert_generated_as_the_reference_generates(RandomWorldSpec(n_varying=n_varying, seed=seed))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_the_generator_draws_as_random_randbelow(monkeypatch, seed):
+    # one entity of three properties, two varying: three draws over the
+    # domain, the constant property's first, and no redraw
+    generators = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            generators.append(self)
+
+    monkeypatch.setattr(refquest.worlds, "random", SimpleNamespace(Random=Recorded))
+    for n in range(1, 71):
+        spec = RandomWorldSpec(n_entities=1, n_properties=3, n_varying=2,
+                               values_per_property=n, seed=seed)
+        w = generate_random_world(spec)
+        drawn = [w.schema.domain(p).index(w.entities[0].value(p))
+                 for p in ("prop3", "prop1", "prop2")]
+        expected = random.Random(seed)
+        assert drawn == [expected._randbelow(n) for _ in range(3)]
+        assert generators[-1].getstate() == expected.getstate()
