@@ -25,15 +25,16 @@ class ContradictoryAnswerError(Exception):
     """An answer eliminated every remaining candidate (impossible with a truthful oracle)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PropertyDistribution:
     property: str
     counts: dict[str, float]  # value -> candidates carrying it (any positive weights)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Belief:
-    """Immutable evidence state; updates return a new Belief.
+    """Evidence state; the engine never mutates one: an update returns a
+    new Belief.
 
     The surviving candidates are one int over the world's entities, bit i
     standing for `world.entities[i]`, so an answer is an AND with one of
@@ -41,14 +42,7 @@ class Belief:
     beyond the world's entities is refused at construction; the beliefs
     this module derives from a label mask or by narrowing a checked mask
     cannot hold such bits, and skip the check: each is built with
-    `object.__new__`, its fields written straight into its `__dict__`. That
-    gives the instance a real dict, which one from `__init__` does not
-    hold: `__init__` sets each field with `object.__setattr__`. The dict
-    makes each later attribute read slower on CPython 3.11, but setting the
-    fields with `object.__setattr__` here, and in `run_episode`'s
-    EpisodeRecord, costs more in calls than the reads save: perfbench's
-    desk p50 per episode rose from 8.4-9.0 to 8.9-9.8 µs (5 alternating
-    4 s runs each, 2-core Xeon VM).
+    `object.__new__` and its two slots assigned.
     """
 
     world: World
@@ -72,12 +66,10 @@ class Belief:
         except KeyError:
             raise _not_in_schema(world, prop, None) from None
         mask, value_masks = self.mask, world.value_masks
-        dist = _new(PropertyDistribution)
-        dist.__dict__.update(property=prop, counts={
+        return PropertyDistribution(prop, {
             v: c for v in domain
             if (c := (mask & value_masks[prop, v]).bit_count())
         })
-        return dist
 
     def apply_wh_answer(self, prop: str, value: str) -> "Belief":
         """Keep candidates whose `prop` equals the answered value."""
@@ -91,8 +83,7 @@ class Belief:
                 f"no candidate has {prop}={value!r} (answer contradicts evidence)"
             )
         belief = _new(Belief)
-        fields = belief.__dict__
-        fields["world"], fields["mask"] = world, kept
+        belief.world, belief.mask = world, kept
         return belief
 
     def apply_yn_answer(self, prop: str, value: str, yes: bool) -> "Belief":
@@ -108,8 +99,7 @@ class Belief:
                 f"answer {'yes' if yes else 'no'} to {prop}={value!r} eliminates all candidates"
             )
         belief = _new(Belief)
-        fields = belief.__dict__
-        fields["world"], fields["mask"] = world, kept
+        belief.world, belief.mask = world, kept
         return belief
 
 
@@ -134,6 +124,5 @@ def init_belief(world: World, instruction_label: str) -> Belief:
     if mask is None:
         raise UnknownReferentError(f"no entity labelled {instruction_label!r}")
     belief = _new(Belief)
-    fields = belief.__dict__
-    fields["world"], fields["mask"] = world, mask
+    belief.world, belief.mask = world, mask
     return belief

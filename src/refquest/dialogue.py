@@ -15,7 +15,6 @@ from refquest.dnet import DATA, ENTROPY, build_network, select_question
 from refquest.world import Entity, Question, World
 
 MAX_QUESTIONS_DEFAULT = 50
-_new = object.__new__
 
 
 class BudgetExceededError(Exception):
@@ -158,13 +157,9 @@ def _draw(getrandbits, n: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EpisodeRecord:
-    """One episode's outcome; `run_episode` builds it as a derived Belief is
-    built, its fields written straight into its `__dict__`, not set with
-    `object.__setattr__` as `__init__` sets them. A record is read a few
-    times at most, so the real dict this gives it costs less than the
-    per-field calls would (see Belief)."""
+    """One episode's outcome."""
 
     instruction_label: str
     target_id: str
@@ -227,9 +222,5 @@ def run_episode(
         append((q, word))
         if on_turn is not None:
             on_turn(q, word)
-    record = _new(EpisodeRecord)
-    fields = record.__dict__
-    fields["instruction_label"], fields["target_id"] = label, target_id
-    fields["resolved_id"] = world.entities[mask.bit_length() - 1].id
-    fields["transcript"] = tuple(transcript)
-    return record
+    return EpisodeRecord(label, target_id, world.entities[mask.bit_length() - 1].id,
+                         tuple(transcript))

@@ -34,7 +34,7 @@ class NoInformativeQuestionError(Exception):
     """Every question scored 0 while more than one candidate survives."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DecisionNetwork:
     questions: tuple[Question, ...]  # WH, one per min-set property; tie-break order
     utilities: dict[Question, float]
@@ -83,13 +83,11 @@ def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
         min_set = world.min_sets[mask] = tuple(compute_min_set(world, mask))
     table = world.schema.questions
     questions = tuple([table[prop, None] for prop in min_set])
-    net = object.__new__(DecisionNetwork)
-    net.__dict__.update(questions=questions, utilities={
+    return DecisionNetwork(questions, {
         q: wh_entropy(belief.distribution(q.property)) if policy == ENTROPY
         else COLOR_BOOST if q.property == "color" else 1.0
         for q in questions
     })
-    return net
 
 
 def select_question(net: DecisionNetwork) -> Question:

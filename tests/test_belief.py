@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -135,14 +133,17 @@ def test_entropy_zero_iff_agreement():
 
 
 def assert_same_as_checked(belief):
-    """A belief the engine derived without the bounds check equals, hashes
-    and prints as the one a caller builds, and is as frozen."""
+    """A belief the engine derived without the bounds check holds, equals,
+    hashes and prints as the one a caller builds, and as that one keeps
+    its fields in its two slots, with no __dict__ to take another."""
     checked = Belief(belief.world, belief.mask)
+    assert (belief.world, belief.mask) == (checked.world, checked.mask)
     assert belief == checked
     assert hash(belief) == hash(checked)
     assert repr(belief) == repr(checked)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        belief.mask = 0
+    assert not hasattr(belief, "__dict__") and not hasattr(checked, "__dict__")
+    with pytest.raises(AttributeError):
+        belief.undeclared = None
 
 
 def assert_matches_reference(belief, reference):

@@ -23,7 +23,7 @@ from refquest.dialogue import (
     run_episode,
 )
 import refquest.dialogue
-from refquest.bench import SYSTEMS, make_agent
+from refquest.bench import ENVIRONMENTS, SYSTEMS, make_agent, world_for
 from refquest.dnet import Question, build_network
 from refquest.minset import compute_min_set
 from refquest.belief import Belief, init_belief
@@ -131,6 +131,20 @@ def test_a_world_memo_holds_at_most_each_policy_trees_questions(w):
     bound = sum(mask.bit_count() - 1 for mask in w.label_masks.values())
     for policy in ("entropy", "data"):
         assert 0 < sum(p == policy for p, _ in w.model_questions) <= bound
+
+
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+def test_world_memos_key_on_ints_never_on_engine_objects(environment):
+    # Belief, PropertyDistribution, DecisionNetwork and EpisodeRecord are not
+    # frozen, so no memo may key on one: a changed key would corrupt it
+    w = dataclasses.replace(world_for(environment, 7, RandomWorldSpec.n_entities))
+    for system in SYSTEMS:
+        for i, e in enumerate(w.entities):
+            run_episode(w, e.id, make_agent(system, i))
+    assert w.min_sets and w.model_questions
+    assert all(type(mask) is int for mask in w.min_sets)
+    assert all(type(key) is tuple and len(key) == 2
+               and type(key[0]) is str and type(key[1]) is int for key in w.model_questions)
 
 
 def test_a_warm_turn_builds_no_question_and_checks_no_mask(monkeypatch):
@@ -581,18 +595,27 @@ def _hash(obj):
 
 
 def assert_built_as_constructed(obj):
-    """An object the engine builds without its dataclass __init__ holds the
-    fields, in the order, that the public constructor gives it, equals,
-    hashes (or refuses to) and prints as that one, and is as frozen."""
+    """An object the engine builds holds the fields, in the order, that the
+    public constructor gives it, equals, hashes (or refuses to) and prints
+    as that one, and takes no attribute beyond its fields. A frozen type's
+    fields live in its __dict__ and refuse assignment; the engine's slotted
+    value types hold no __dict__, and the engine never changes one it built."""
     fields = dataclasses.fields(obj)
     built = type(obj)(**{f.name: getattr(obj, f.name) for f in fields})
-    assert list(vars(obj).items()) == list(vars(built).items())
+    if "__slots__" in vars(type(obj)):
+        assert not hasattr(obj, "__dict__") and not hasattr(built, "__dict__")
+        assert ([(f.name, getattr(obj, f.name)) for f in fields]
+                == [(f.name, getattr(built, f.name)) for f in fields])
+        with pytest.raises(AttributeError):
+            obj.undeclared = None
+    else:
+        assert list(vars(obj).items()) == list(vars(built).items())
+        for f in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, None)
     assert obj == built
     assert _hash(obj) == _hash(built)
     assert repr(obj) == repr(built)
-    for f in fields:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, f.name, None)
 
 
 @settings(max_examples=40, deadline=None)
