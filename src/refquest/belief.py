@@ -62,13 +62,12 @@ class Belief:
         domain order; values no candidate carries are left out."""
         world = self.world
         try:
-            domain = world.schema.domain(prop)
+            row = world.value_rows[prop]
         except KeyError:
             raise _not_in_schema(world, prop, None) from None
-        mask, value_masks = self.mask, world.value_masks
+        mask = self.mask
         return PropertyDistribution(prop, {
-            v: c for v in domain
-            if (c := (mask & value_masks[prop, v]).bit_count())
+            q.value: c for m, q in row if (c := (mask & m).bit_count())
         })
 
     def apply_wh_answer(self, prop: str, value: str) -> "Belief":

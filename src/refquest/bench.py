@@ -40,7 +40,8 @@ class BenchmarkSpec:
     systems: tuple[str, ...] = SYSTEMS
     environment: str = "spacecraft"
     iterations: int = 100
-    # entity count for random worlds; spacecraft uses all 18 tools
+    # entity count for random worlds; spacecraft uses all 18 tools and
+    # refuses any other count than this default, which it would ignore
     trials: int = RandomWorldSpec.n_entities
     base_seed: int = 0
 
@@ -58,6 +59,10 @@ class BenchmarkSpec:
             )
         if min(self.iterations, self.trials) < 1:
             raise ValueError("iterations and trials must be at least 1")
+        if self.environment == "spacecraft" and self.trials != RandomWorldSpec.n_entities:
+            raise ValueError(f"trials sets the size of a random world; spacecraft always"
+                             f" runs its 18 tools, so leave trials at"
+                             f" {RandomWorldSpec.n_entities}, got {self.trials}")
 
 
 @dataclass(frozen=True)

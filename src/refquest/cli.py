@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--iterations", type=int, default=BenchmarkSpec.iterations)
     bench.add_argument("--trials", type=int, default=BenchmarkSpec.trials,
-                       help="entities per random world (spacecraft always uses its 18 tools)")
+                       help="entities per random world (spacecraft always uses its 18 tools"
+                            " and refuses any other value than the default)")
     bench.add_argument("--seed", type=int, default=None, help="base seed (default REFQUEST_SEED or 0)")
     bench.add_argument("--format", choices=FORMATS, default="table")
     bench.add_argument("--out", type=Path, default=None, help="write report to a file instead of stdout")

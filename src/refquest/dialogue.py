@@ -112,11 +112,15 @@ class BaselineAgent:
     The unlearned list is taken from `known` on the first turn and loses
     each property as `known` gains it. Learned properties persist, so each
     episode needs a fresh agent; every caller makes one per episode.
-    Questions are the schema's tabled ones. Both draws are `_draw`'s.
+    Questions are the schema's tabled ones: a confirm is drawn from the
+    property's row of the world's `value_rows`, whose value masks tell
+    which confirms the candidates leave. Both draws are `_draw`'s, over the
+    generator's `getrandbits`, bound once per agent.
     """
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
+        self.getrandbits = self.rng.getrandbits
         self.known: set[str] = set()
         self.asked: str | None = None
         self.unknown: list[str] = []  # unlearned properties, schema order
@@ -135,13 +139,12 @@ class BaselineAgent:
             if not mask & ~value_masks[asked, lowest]:
                 self.known.add(asked)
                 unknown.remove(asked)
-        i = _draw(self.rng.getrandbits, 2 * len(unknown))
+        i = _draw(self.getrandbits, 2 * len(unknown))
         prop = self.asked = unknown[i >> 1]
-        schema = world.schema
         if not i & 1:
-            return schema.questions[prop, None]
-        values = [v for v in schema.domain(prop) if mask & value_masks[prop, v]]
-        return schema.questions[prop, values[_draw(self.rng.getrandbits, len(values))]]
+            return world.schema.questions[prop, None]
+        confirms = [q for m, q in world.value_rows[prop] if mask & m]
+        return confirms[_draw(self.getrandbits, len(confirms))]
 
 
 def _draw(getrandbits, n: int) -> int:

@@ -236,7 +236,10 @@ class World:
     as `codes` (a tuple aligned with `entities`), and entity bitmasks, bit
     i standing for `entities[i]`: `value_masks` holds one per (property,
     value) of the schema, 0 where no entity has the value, and
-    `label_masks` one per label. All these tables are read-only. The one
+    `label_masks` one per label. `value_rows` holds, per property, one
+    (value mask, confirm Question) pair per value in domain order, so a
+    reader of a property's values walks one row instead of looking each
+    (property, value) up. All these tables are read-only. The one
     mutable part, a memo of pure functions of the world freed with it, is
     `min_sets` by candidate mask and `model_questions` by (policy, mask).
 
@@ -249,6 +252,9 @@ class World:
     entities: tuple[Entity, ...]
     codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
     value_masks: Mapping[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+    value_rows: Mapping[str, tuple[tuple[int, Question], ...]] = field(
+        init=False, repr=False, compare=False
+    )
     label_masks: Mapping[str, int] = field(init=False, repr=False, compare=False)
     _by_id: dict[str, Entity] = field(init=False, repr=False, compare=False)
     min_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -300,11 +306,23 @@ class World:
             raise WorldFormatError("invalid world: " + "; ".join(violations))
         object.__setattr__(self, "codes", tuple(codes))
         object.__setattr__(self, "value_masks", MappingProxyType(value_masks))
+        object.__setattr__(self, "value_rows", _value_rows(self.schema, value_masks))
         object.__setattr__(self, "label_masks", MappingProxyType(label_masks))
         object.__setattr__(self, "_by_id", by_id)
 
     def by_id(self, entity_id: str) -> Entity:
         return self._by_id[entity_id]
+
+
+def _value_rows(schema: PropertySchema,
+                value_masks: Mapping[tuple[str, str], int]) -> Mapping[str, tuple]:
+    """A World's `value_rows`: per property, (value mask, confirm Question)
+    for each value of its domain, in order."""
+    questions = schema.questions
+    return MappingProxyType({
+        name: tuple((value_masks[name, v], questions[name, v]) for v in values)
+        for name, values in schema.properties
+    })
 
 
 def _prebuilt(cls, **fields):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
 
-from refquest.world import Entity, PropertySchema, World, _prebuilt, load_world
+from refquest.world import Entity, PropertySchema, World, _prebuilt, _value_rows, load_world
 
 _new, setattr_ = object.__new__, object.__setattr__
 
@@ -109,9 +109,11 @@ def generate_random_world(spec: RandomWorldSpec) -> World:
                  MappingProxyType(dict(map(keys.__getitem__, slots + constant))))
     for slot in constant:
         slot_masks[slot] = (1 << spec.n_entities) - 1
+    value_masks = dict(zip(keys, slot_masks))
     return _prebuilt(
         World, schema=schema, entities=tuple(by_id.values()), min_sets={}, model_questions={},
-        codes=tuple(codes), value_masks=MappingProxyType(dict(zip(keys, slot_masks))),
+        codes=tuple(codes), value_masks=MappingProxyType(value_masks),
+        value_rows=_value_rows(schema, value_masks),
         label_masks=MappingProxyType(label_masks), _by_id=by_id,
     )
 

@@ -21,6 +21,10 @@ The reference generator, `random_world`, draws a random world with
 `Random.choice` and builds it with the checked `Entity` and `World`
 constructors, which is how refquest generated one before it tabled
 worlds as it drew them. Both must give equal Worlds, table for table.
+
+The exact baseline, `exact_baseline_moments`, makes no draw: it gives the
+mean and variance of a baseline episode's question count over every draw
+the baseline could make, which any uniform stream must reproduce.
 """
 
 import itertools
@@ -144,6 +148,62 @@ def transcript(world, target_id, system, seed=0) -> list[tuple[str, str | None, 
         turns.append((*question, word))
     assert candidates == [target]
     return turns
+
+
+def exact_baseline_mean(world, target_id) -> float:
+    """The expected number of questions the baseline asks to resolve
+    `target_id`, exactly, over its random draws (`exact_baseline_moments`)."""
+    return exact_baseline_moments(world, target_id)[0]
+
+
+def exact_baseline_moments(world, target_id) -> tuple[float, float]:
+    """The mean and variance of the number of questions the baseline asks to
+    resolve `target_id`, exactly, over its random draws: a dynamic program
+    over (candidates, unlearned properties). A turn asks each of the 2k
+    (WH, confirm) options of the k unlearned properties with equal chance,
+    a confirm each value the candidates carry with equal chance, and the
+    property asked is learned once the candidates left all carry one value
+    of it. No draw is made, so the moments hold for any uniform stream."""
+    domains = dict(world.schema.properties)
+    target = next(e for e in world.entities if e.id == target_id)
+    memo = {}
+
+    def moments(candidates, unknown) -> tuple[float, float]:
+        """E[N] and E[N^2] for the questions N still to ask."""
+        if len(candidates) == 1:
+            return 0.0, 0.0
+        key = (tuple(e.id for e in candidates), unknown)
+        if key not in memo:
+            outcomes = []  # (chance, candidates left, unlearned properties left)
+            chance = 1 / (2 * len(unknown))
+            for p in unknown:
+                learned = tuple(u for u in unknown if u != p)
+                # a WH question, or a confirm of the target's value answered
+                # yes, keeps the candidates that carry the target's value
+                actual = target.assignment[p]
+                same = [e for e in candidates if e.assignment[p] == actual]
+                outcomes.append((chance, same, learned))
+                carried = {e.assignment[p] for e in candidates}
+                values = [v for v in domains[p] if v in carried]
+                for v in values:
+                    # a confirm of any other value is answered no
+                    left = same if v == actual else [e for e in candidates
+                                                    if e.assignment[p] != v]
+                    constant = len({e.assignment[p] for e in left}) == 1
+                    outcomes.append((chance / len(values), left,
+                                     learned if constant else unknown))
+            # N = 1 + N', so E[N] = 1 + E[N'] and E[N^2] = 1 + 2 E[N'] + E[N'^2]
+            m1 = m2 = 0.0
+            for chance, left, rest in outcomes:
+                n1, n2 = moments(left, rest)
+                m1 += chance * n1
+                m2 += chance * n2
+            memo[key] = 1 + m1, 1 + 2 * m1 + m2
+        return memo[key]
+
+    candidates = [e for e in world.entities if e.label == target.label]
+    mean, square = moments(candidates, tuple(domains))
+    return mean, square - mean * mean
 
 
 class StrictComposer(yaml.composer.Composer):

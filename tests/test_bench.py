@@ -99,6 +99,18 @@ def test_unknown_format_rejected():
         emit_report(report, "pdf")
 
 
+def test_spacecraft_refuses_a_trials_count_it_would_ignore():
+    message = ("trials sets the size of a random world; spacecraft always runs its 18"
+               " tools, so leave trials at 20, got {}")
+    for trials in (3, 18, 21):
+        with pytest.raises(ValueError) as exc:
+            BenchmarkSpec(environment="spacecraft", trials=trials)
+        assert str(exc.value) == message.format(trials)
+    # the default, which the spacecraft reports record, and any count for a random world
+    assert BenchmarkSpec(environment="spacecraft").trials == 20
+    assert BenchmarkSpec(environment="random-low", trials=3).trials == 3
+
+
 def test_random_environment_uses_fresh_world_per_iteration():
     report = run_benchmark(
         BenchmarkSpec(systems=("baseline",), environment="random-low",

@@ -63,6 +63,13 @@ def test_bench_unknown_system_exits_1(capsys):
     assert "oracle-cheat" in err
 
 
+def test_bench_spacecraft_with_trials_exits_1(capsys):
+    code, out, err = run_cli(capsys, "bench", "--env", "spacecraft", "--trials", "3")
+    assert (code, out) == (1, "")
+    assert err == ("refquest: error: trials sets the size of a random world; spacecraft"
+                   " always runs its 18 tools, so leave trials at 20, got 3\n")
+
+
 def test_episode_sim(capsys):
     code, out, _ = run_cli(
         capsys, "episode", "--world", "spacecraft", "--target", "emitter_2",

@@ -189,6 +189,20 @@ def test_every_question_asked_is_the_schemas_tabled_one(w, seed, data):
             assert all(q is table[q.property, q.value] for q, _ in record.transcript)
 
 
+def test_a_baseline_confirm_is_the_question_its_row_tables():
+    w = spacecraft_world()
+    belief = init_belief(w, "megaband module")
+    confirms = 0
+    for seed in range(40):
+        q = BaselineAgent(seed).choose(belief)
+        if q.value is not None:
+            confirms += 1
+            (tabled,) = [t for _, t in w.value_rows[q.property] if t.value == q.value]
+            assert q is tabled is w.schema.questions[q.property, q.value]
+            assert belief.mask & w.value_masks[q.property, q.value]
+    assert confirms
+
+
 @settings(max_examples=60, deadline=None)
 @given(worlds(kinds=("small", "wide")), st.data())
 def test_model_transcripts_ignore_entity_order(w, data):

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import refquest.world
 from refquest.belief import init_belief
+from refquest.bench import world_for
 from refquest.dialogue import ModelAgent, run_episode
 from refquest.world import (
     Entity,
@@ -199,6 +200,40 @@ def test_the_schema_tables_one_question_per_word_of_its_alphabet(w):
     assert all(q == Question(*key) for key, q in schema.questions.items())
     with pytest.raises(TypeError):
         schema.questions[schema.names[0], None] = Question(schema.names[0])
+
+
+def assert_value_rows_tabled(w):
+    """Each property's row of `value_rows` is its (value mask, tabled confirm
+    Question) per value of its domain, in order, and the table is read-only."""
+    schema = w.schema
+    assert list(w.value_rows) == list(schema.names)
+    for p in schema.names:
+        row = w.value_rows[p]
+        assert row == tuple((w.value_masks[p, v], schema.questions[p, v])
+                            for v in schema.domain(p))
+        assert all(q is schema.questions[p, q.value] for _, q in row)
+    with pytest.raises(TypeError):
+        w.value_rows[schema.names[0]] = ()
+
+
+def test_value_rows_of_spacecraft_a_loaded_config_and_generated_worlds():
+    loaded = load_world(
+        "schema:\n- {name: color, values: [red, blue, green]}\n- {name: shape, values: [tall]}\n"
+        "entities:\n- {id: a, label: block, type: block, assignment: {color: green, shape: tall}}\n"
+        "- {id: b, label: block, type: block, assignment: {color: red, shape: tall}}\n")
+    assert loaded.value_rows["color"] == (
+        (0b10, Question("color", "red")), (0, Question("color", "blue")),
+        (0b01, Question("color", "green")))
+    generated = [world_for(env, seed, 20) for env in ("random-low", "random-high")
+                 for seed in range(5)]
+    for w in (spacecraft_world(), loaded, *generated):
+        assert_value_rows_tabled(w)
+
+
+@settings(max_examples=50, deadline=None)
+@given(worlds())
+def test_every_world_tables_its_value_rows(w):
+    assert_value_rows_tabled(w)
 
 
 def test_incomplete_assignment_flagged():
