@@ -197,10 +197,10 @@ def run_episode(
 
     The agent is only asked to choose each question from the current
     belief. `oracle` defaults to a truthful simulated oracle for the
-    target; each answer is the word said, read by `apply_answer` for a
-    confirm. `on_turn(question, word)`, when given, is the loop's one
-    per-turn observer, called after each answer is applied. The referent
-    is read off the final one-bit mask.
+    target; each answer is the word said, applied by `apply_answer`.
+    `on_turn(question, word)`, when given, is the loop's one per-turn
+    observer, called after each answer is applied. The referent is read
+    off the final one-bit mask.
     """
     if max_questions < 0:
         raise ValueError(f"max_questions must be 0 or more, got {max_questions}")
@@ -220,8 +220,7 @@ def run_episode(
             )
         q = choose(belief)
         word = answer(q)
-        belief = (belief.apply_wh_answer(q.property, word) if q.value is None
-                  else apply_answer(belief, q, word))
+        belief = apply_answer(belief, q, word)
         append((q, word))
         if on_turn is not None:
             on_turn(q, word)

@@ -7,8 +7,8 @@ instruction-facing name) -- that is what creates referential ambiguity --
 but every entity's full assignment must be unique. A World checks this
 when it is constructed, whether it is built by hand or loaded from a
 config document. The random generator draws unique assignments from a
-schema it built and tables them as it draws, so it builds its entities
-and hands its tables to `_prebuilt`, skipping the checks and the tabling.
+schema it built, so `_unchecked_world` skips the checks for it; either
+way `_table` builds the World's tables from each entity's value slots.
 """
 
 from __future__ import annotations
@@ -243,10 +243,10 @@ class World:
     mutable part, a memo of pure functions of the world freed with it, is
     `min_sets` by candidate mask and `model_questions` by (policy, mask).
 
-    The random generator hands its Worlds to `_prebuilt` with tables equal
-    to those this constructor would build, and `_prebuilt` sets them, as
-    the generator sets its Entities' fields, with object.__setattr__, as
-    this constructor does: a written __dict__ would slow every later read."""
+    This constructor checks each entity and looks up its value slots;
+    `_unchecked_world` takes the random generator's, drawn unique. Both
+    hand them to `_table`, which sets every table with object.__setattr__,
+    as the frozen dataclass does: a __dict__ would slow every later read."""
 
     schema: PropertySchema
     entities: tuple[Entity, ...]
@@ -262,25 +262,21 @@ class World:
 
     def __post_init__(self):
         violations = []
-        by_id: dict[str, Entity] = {}
-        fields = self.schema.fields
-        value_masks = dict.fromkeys(fields, 0)
-        label_masks: dict[str, int] = {}
-        groups: dict[int, list[int]] = {}  # code -> entity indices, world order
-        codes = []
+        ids = set()
+        slots = {key: slot for slot, key in enumerate(self.schema.fields)}
+        rows = []  # each entity's value slots
+        groups: dict[frozenset, list[int]] = {}  # slot set -> entity indices, world order
         for i, e in enumerate(self.entities):
-            if e.id in by_id:
+            if e.id in ids:
                 violations.append(f"duplicate entity id {e.id!r}")
-            by_id[e.id] = e
-            bit = 1 << i
-            label_masks[e.label] = label_masks.get(e.label, 0) | bit
+            ids.add(e.id)
             missing = [p for p in self.schema.names if p not in e.assignment]
             if missing:
                 violations.append(f"entity {e.id!r}: incomplete assignment, missing {missing}")
-            code = 0
+            row = []
             for key in e.assignment.items():
                 try:
-                    code += fields[key]
+                    row.append(slots[key])
                 except KeyError:
                     prop, value = key
                     violations.append(f"entity {e.id!r}: " + (
@@ -289,11 +285,10 @@ class World:
                         else f"unknown property {prop!r} (value {value!r})"
                     ))
                     break
-                value_masks[key] |= bit
             else:
-                codes.append(code)
-                groups.setdefault(code, []).append(i)
-        if len(groups) < len(codes):  # some entities share an assignment
+                rows.append(row)
+                groups.setdefault(frozenset(row), []).append(i)
+        if len(groups) < len(rows):  # some entities share an assignment
             # each group's pairs come in world order, so merging lists only the first
             pairs = merge(*(combinations(g, 2) for g in groups.values() if len(g) > 1))
             for i, j in islice(pairs, _PAIRS_SHOWN):
@@ -304,38 +299,59 @@ class World:
                 violations.append(f"and {more} more identical pair{'s' * (more > 1)}")
         if violations:
             raise WorldFormatError("invalid world: " + "; ".join(violations))
-        object.__setattr__(self, "codes", tuple(codes))
-        object.__setattr__(self, "value_masks", MappingProxyType(value_masks))
-        object.__setattr__(self, "value_rows", _value_rows(self.schema, value_masks))
-        object.__setattr__(self, "label_masks", MappingProxyType(label_masks))
-        object.__setattr__(self, "_by_id", by_id)
+        _table(self, rows)
 
     def by_id(self, entity_id: str) -> Entity:
         return self._by_id[entity_id]
 
 
-def _value_rows(schema: PropertySchema,
-                value_masks: Mapping[tuple[str, str], int]) -> Mapping[str, tuple]:
-    """A World's `value_rows`: per property, (value mask, confirm Question)
-    for each value of its domain, in order."""
+def _table(world: World, rows) -> None:
+    """Set `world`'s tables from its entities' value slots, `rows[i]` holding
+    those of `entities[i]`, a slot being an index into `schema.fields`. The
+    checked constructor and `_unchecked_world` both table through here, so
+    a World's tables are the same however it was built."""
+    schema, setattr_ = world.schema, object.__setattr__
+    keys, field_codes = tuple(schema.fields), tuple(schema.fields.values())
+    slot_masks, label_masks, bit = [0] * len(keys), {}, 1
+    for e, row in zip(world.entities, rows):
+        for slot in row:
+            slot_masks[slot] |= bit
+        label_masks[e.label] = label_masks.get(e.label, 0) | bit
+        bit <<= 1
+    value_masks = dict(zip(keys, slot_masks))
     questions = schema.questions
-    return MappingProxyType({
+    setattr_(world, "codes", tuple([sum(map(field_codes.__getitem__, row)) for row in rows]))
+    setattr_(world, "value_masks", MappingProxyType(value_masks))
+    setattr_(world, "value_rows", MappingProxyType({
         name: tuple((value_masks[name, v], questions[name, v]) for v in values)
         for name, values in schema.properties
-    })
+    }))
+    setattr_(world, "label_masks", MappingProxyType(label_masks))
+    setattr_(world, "_by_id", {e.id: e for e in world.entities})
 
 
-def _prebuilt(cls, **fields):
-    """An instance of the frozen dataclass `cls` built without its checked
-    constructor, holding `fields`, which the caller gives in the order the
-    constructor sets them, with every table already built. Each is set with
-    object.__setattr__ as the constructor sets it: writing the instance's
-    __dict__ instead would give it a real dict, and on CPython 3.11 every
-    later attribute read would then take about three times as long."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+def _unchecked_world(schema: PropertySchema, drawn) -> World:
+    """The World of `drawn`, one (id, label, type name, value slots) per
+    entity, drawn over `schema` with unique ids and rows: what the checked
+    constructors would build, without their checks. Fields are set in their
+    order with object.__setattr__, as they set them; a written __dict__
+    would make every later attribute read about three times as slow."""
+    new, setattr_, keys = object.__new__, object.__setattr__, tuple(schema.fields)
+    entities = []
+    for entity_id, label, type_name, row in drawn:
+        e = new(Entity)
+        setattr_(e, "id", entity_id)
+        setattr_(e, "label", label)
+        setattr_(e, "type_name", type_name)
+        setattr_(e, "assignment", MappingProxyType(dict(map(keys.__getitem__, row))))
+        entities.append(e)
+    world = new(World)
+    setattr_(world, "schema", schema)
+    setattr_(world, "entities", tuple(entities))
+    setattr_(world, "min_sets", {})
+    setattr_(world, "model_questions", {})
+    _table(world, [d[3] for d in drawn])
+    return world
 
 
 # Most characters of a refused value that a message shows. reprlib.repr

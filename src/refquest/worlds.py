@@ -4,7 +4,9 @@ A random world's entities differ on its first `n_varying` properties;
 the rest are constant decoys. The benchmark's low-variance regime varies
 a few properties and its high-variance regime all of them. Entities are
 grouped under shared instruction labels, which is what creates the
-ambiguity each episode must resolve.
+ambiguity each episode must resolve. The generator only draws each
+entity's value slots and names it; `world._unchecked_world` builds the
+World and its tables from them, as the checked constructor would.
 """
 
 from __future__ import annotations
@@ -13,11 +15,8 @@ import functools
 import random
 from dataclasses import dataclass
 from importlib import resources
-from types import MappingProxyType
 
-from refquest.world import Entity, PropertySchema, World, _prebuilt, _value_rows, load_world
-
-_new, setattr_ = object.__new__, object.__setattr__
+from refquest.world import PropertySchema, World, _unchecked_world, load_world
 
 
 class InfeasibleSpecError(Exception):
@@ -61,9 +60,9 @@ def generate_random_world(spec: RandomWorldSpec) -> World:
     per entity; the rest are constant across all entities. Full
     assignments are resampled on collision until unique. Each value is
     drawn as its domain index, from the bits `Random.choice` would use on
-    the domain, and the World's tables are built as the values are drawn:
-    they equal what `World(schema, entities)` would build, so its checks
-    are skipped.
+    the domain, and kept as its value slot. The entities' names and slots
+    go to `_unchecked_world`: they are drawn unique and complete, so the
+    World's checks are skipped.
     """
     spec.validate()
     getrandbits = random.Random(spec.seed).getrandbits
@@ -71,51 +70,26 @@ def generate_random_world(spec: RandomWorldSpec) -> World:
     k, varying = spec.values_per_property, range(spec.n_varying)
     bits = k.bit_length()  # Random._randbelow(k) draws this many bits until they read below k
 
-    def draw(properties) -> list[int]:  # one value slot per property
+    def draw(properties) -> tuple[int, ...]:  # one value slot per property
         slots = []
         for i in properties:
             j = getrandbits(bits)
             while j >= k:
                 j = getrandbits(bits)
             slots.append(i * k + j)
-        return slots
+        return tuple(slots)
 
     # a value's slot is its index in schema.fields: property i's j-th value is i * k + j
-    keys, field_codes = tuple(schema.fields), tuple(schema.fields.values())
     constant = draw(range(spec.n_varying, spec.n_properties))
-    constant_code = sum(map(field_codes.__getitem__, constant))
-    slot_masks = [0] * len(keys)
-    by_id, label_masks = {}, {}  # by_id holds the entities in order
-    codes: dict[int, None] = {}  # the drawn codes, in entity order
+    seen, entities = set(), []  # the varying slots drawn; each entity's names and slots
     for n in range(spec.n_entities):
-        while True:
+        slots = draw(varying)
+        while slots in seen:
             slots = draw(varying)
-            code = constant_code + sum(map(field_codes.__getitem__, slots))
-            if code not in codes:
-                codes[code] = None
-                break
-        bit = 1 << n
-        for slot in slots:
-            slot_masks[slot] |= bit
+        seen.add(slots)
         type_name = f"type{n // spec.group_size + 1}"
-        label = type_name + " widget"
-        label_masks[label] = label_masks.get(label, 0) | bit
-        entity_id = f"e{n + 1:02d}"
-        entity = by_id[entity_id] = _new(Entity)
-        setattr_(entity, "id", entity_id)
-        setattr_(entity, "label", label)
-        setattr_(entity, "type_name", type_name)
-        setattr_(entity, "assignment",
-                 MappingProxyType(dict(map(keys.__getitem__, slots + constant))))
-    for slot in constant:
-        slot_masks[slot] = (1 << spec.n_entities) - 1
-    value_masks = dict(zip(keys, slot_masks))
-    return _prebuilt(
-        World, schema=schema, entities=tuple(by_id.values()), min_sets={}, model_questions={},
-        codes=tuple(codes), value_masks=MappingProxyType(value_masks),
-        value_rows=_value_rows(schema, value_masks),
-        label_masks=MappingProxyType(label_masks), _by_id=by_id,
-    )
+        entities.append((f"e{n + 1:02d}", type_name + " widget", type_name, slots + constant))
+    return _unchecked_world(schema, entities)
 
 
 @functools.cache

@@ -18,3 +18,23 @@ def test_no_source_reads_or_writes_an_instance_dict():
              for node in ast.walk(ast.parse(path.read_text("utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "__dict__"]
     assert found == []
+
+
+def test_worlds_imports_only_the_unchecked_entry_point_of_world():
+    # the generator draws slots and names entities; world.py builds and
+    # tables its Worlds, so no other private name of world.py is reached
+    module = ast.parse((Path(refquest.__file__).parent / "worlds.py").read_text("utf-8"))
+    imported = [alias.name for node in ast.walk(module) if isinstance(node, ast.ImportFrom)
+                and node.module == "refquest.world" for alias in node.names]
+    assert [name for name in imported if name.startswith("_")] == ["_unchecked_world"]
+    assert not [node for node in ast.walk(module) if isinstance(node, ast.Import)
+                and any(alias.name == "refquest.world" for alias in node.names)]
+
+
+def test_only_world_py_calls_object_setattr():
+    # frozen engine objects are built in world.py alone: by their
+    # constructors, or by _unchecked_world for a generated World
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES if path.name != "world.py"
+             for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "__setattr__"]
+    assert found == []

@@ -85,9 +85,12 @@ def test_same_entity_listed_twice_is_refused():
 
 
 def test_duplicate_assignment_names_both_ids():
-    with pytest.raises(WorldFormatError,
-                       match="^invalid world: entities 'a' and 'b' share an identical assignment$"):
-        World(SCHEMA, (ent("a", "red", "tall"), ent("b", "red", "tall")))
+    # also when the two assignments list their properties in different orders
+    swapped = Entity("b", "widget", "widget", {"shape": "tall", "color": "red"})
+    for b in (ent("b", "red", "tall"), swapped):
+        with pytest.raises(WorldFormatError,
+                           match="^invalid world: entities 'a' and 'b' share an identical assignment$"):
+            World(SCHEMA, (ent("a", "red", "tall"), b))
 
 
 def test_duplicate_assignments_reported_pairwise_in_world_order():
@@ -234,6 +237,41 @@ def test_value_rows_of_spacecraft_a_loaded_config_and_generated_worlds():
 @given(worlds())
 def test_every_world_tables_its_value_rows(w):
     assert_value_rows_tabled(w)
+
+
+def assert_tabled_alike(w, other):
+    """`other` equals `w` and tables the same codes, value masks, value rows
+    and label masks, item for item and in the same order."""
+    assert other == w
+    assert other.codes == w.codes
+    for table in ("value_masks", "value_rows", "label_masks"):
+        assert list(getattr(other, table).items()) == list(getattr(w, table).items())
+
+
+def shuffled(mapping, rnd) -> dict:
+    return dict(rnd.sample(list(mapping.items()), len(mapping)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(worlds(), st.randoms(use_true_random=False))
+def test_a_worlds_tables_do_not_depend_on_its_assignments_key_order(w, rnd):
+    # every strategy builds assignments in schema order, but a loaded
+    # document keeps its keys in the order they are written
+    entities = tuple(Entity(e.id, e.label, e.type_name, shuffled(e.assignment, rnd))
+                     for e in w.entities)
+    assert_tabled_alike(w, World(w.schema, entities))
+
+
+@settings(max_examples=50, deadline=None)
+@given(worlds(), st.randoms(use_true_random=False))
+def test_a_config_written_with_shuffled_keys_loads_to_an_equal_world(w, rnd):
+    doc = yaml.safe_load(serialize_world(w))
+    doc["entities"] = [shuffled({**item, "assignment": shuffled(item["assignment"], rnd)}, rnd)
+                       for item in doc["entities"]]
+    loaded = load_world(yaml.safe_dump(doc, sort_keys=False))
+    assert ([list(e.assignment) for e in loaded.entities]
+            == [list(item["assignment"]) for item in doc["entities"]])
+    assert_tabled_alike(w, loaded)
 
 
 def test_incomplete_assignment_flagged():
