@@ -10,8 +10,9 @@ so runs are reproducible and iterations are order-independent.
 Model agents hold no state, so one agent per model system serves every
 episode of a call: each world memoises its min-sets and model questions,
 so a world's candidate set is solved once, whichever system or call asks.
-Each baseline episode gets a fresh `BaselineAgent`, seeded from its
-iteration's seed and its target's index.
+Each iteration seeds one `BaselineAgent` from its own seed, split at
+counter 0, and that agent runs every target of the iteration in world
+order, its random stream running on from one episode to the next.
 """
 
 from __future__ import annotations
@@ -95,12 +96,14 @@ class BenchmarkReport:
 
 
 def _split_seed(seed: int, counter: int) -> int:
-    """Iteration seeds from the base seed, baseline episode seeds from an iteration's."""
+    """Iteration seeds from the base seed, and an iteration's baseline seed
+    (counter 0) from the iteration's."""
     return seed * 1_000_003 + counter  # prime multiplier
 
 
 def make_agent(system: str, seed: int):
-    """A fresh agent for a system; only the baseline reads `seed`."""
+    """An agent for a system, which serves any number of episodes in turn;
+    only the baseline reads `seed`."""
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
     if system == "baseline":
@@ -128,9 +131,8 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchmarkReport:
         it_seed = _split_seed(spec.base_seed, it)
         world = world_for(spec.environment, it_seed, spec.trials)
         for system, iteration_means in means.items():
-            agent = models.get(system)
-            counts = [run_episode(world, e.id, agent or BaselineAgent(_split_seed(it_seed, t)))
-                      .question_count for t, e in enumerate(world.entities)]
+            agent = models.get(system) or BaselineAgent(_split_seed(it_seed, 0))
+            counts = [run_episode(world, e.id, agent).question_count for e in world.entities]
             total += len(counts)
             iteration_means.append(statistics.fmean(counts))
     results = tuple(

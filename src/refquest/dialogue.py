@@ -91,6 +91,9 @@ class ModelAgent:
     def name(self) -> str:
         return f"model-{self.policy}"
 
+    def start(self) -> None:
+        """Open an episode; a model agent holds no episode state."""
+
     def choose(self, belief: Belief) -> Question:
         memo, key = belief.world.model_questions, (self.policy, belief.mask)
         q = memo.get(key)
@@ -109,9 +112,11 @@ class BaselineAgent:
     the candidates, in domain order. The property asked last counts as
     learned once every candidate carries the lowest candidate's value of
     it (one value-mask test); every WH answer and every yes ensure that.
-    The unlearned list is taken from `known` on the first turn and loses
-    each property as `known` gains it. Learned properties persist, so each
-    episode needs a fresh agent; every caller makes one per episode.
+    The unlearned list is the schema's on an episode's first turn and
+    loses each property as it is learned. `run_episode` opens each episode
+    with `start`, which forgets what the last one learned, so one agent
+    serves any number of episodes; its stream runs on from one episode to
+    the next, so an episode's draws depend on the episodes played before.
     Questions are the schema's tabled ones: a confirm is drawn from the
     property's row of the world's `value_rows`, whose value masks tell
     which confirms the candidates leave. Both draws are `_draw`'s, over the
@@ -121,23 +126,25 @@ class BaselineAgent:
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
         self.getrandbits = self.rng.getrandbits
-        self.known: set[str] = set()
-        self.asked: str | None = None
+        self.asked: str | None = None  # None until an episode's first turn
         self.unknown: list[str] = []  # unlearned properties, schema order
 
     @property
     def name(self) -> str:
         return "baseline"
 
+    def start(self) -> None:
+        """Open an episode: nothing asked, so nothing learned yet."""
+        self.asked = None
+
     def choose(self, belief: Belief) -> Question:
         world, mask, asked = belief.world, belief.mask, self.asked
         value_masks, unknown = world.value_masks, self.unknown
         if asked is None:
-            unknown[:] = [p for p in world.schema.names if p not in self.known]
+            unknown[:] = world.schema.names
         else:
             lowest = world.entities[(mask & -mask).bit_length() - 1].assignment[asked]
             if not mask & ~value_masks[asked, lowest]:
-                self.known.add(asked)
                 unknown.remove(asked)
         i = _draw(self.getrandbits, 2 * len(unknown))
         prop = self.asked = unknown[i >> 1]
@@ -195,9 +202,10 @@ def run_episode(
 ) -> EpisodeRecord:
     """Ask-answer-filter loop until exactly one candidate remains.
 
-    The agent is only asked to choose each question from the current
-    belief. `oracle` defaults to a truthful simulated oracle for the
-    target; each answer is the word said, applied by `apply_answer`.
+    The agent's `start` opens the episode; then it is only asked to choose
+    each question from the current belief. `oracle` defaults to a truthful
+    simulated oracle for the target; each answer is the word said, applied
+    by `apply_answer`.
     `on_turn(question, word)`, when given, is the loop's one per-turn
     observer, called after each answer is applied. The referent is read
     off the final one-bit mask.
@@ -211,6 +219,7 @@ def run_episode(
     label = target.label
     belief = init_belief(world, label)
     transcript: list[tuple[Question, str]] = []
+    agent.start()
     choose, append = agent.choose, transcript.append
     answer = (oracle if oracle is not None else SimOracle(target)).answer
     while (mask := belief.mask) & (mask - 1):

@@ -95,10 +95,14 @@ def model_question(properties, candidates, policy) -> tuple[str, None]:
 class Baseline:
     """The slot-filling baseline as an options list: one draw over the
     (WH, confirm) options of the properties not yet learned, then, for a
-    confirm, one over the values the candidates carry."""
+    confirm, one over the values the candidates carry. `start` opens an
+    episode with nothing learned; the stream runs on across episodes."""
 
     def __init__(self, seed):
         self.rng = random.Random(seed)
+        self.start()
+
+    def start(self):
         self.known: set[str] = set()
         self.asked = None
 
@@ -131,13 +135,19 @@ def referent(belief) -> str | None:
     return ids[0] if len(ids) == 1 else None
 
 
-def transcript(world, target_id, system, seed=0) -> list[tuple[str, str | None, str]]:
+def transcript(world, target_id, system, seed=0,
+               baseline=None) -> list[tuple[str, str | None, str]]:
     """(property, confirmed value or None, word said) for each turn of a
-    `system` episode on `target_id`; `seed` seeds the baseline."""
+    `system` episode on `target_id`. The baseline is `baseline`, which
+    opens a new episode and draws on from where its last one stopped, or
+    else a fresh Baseline(seed)."""
     properties = world.schema.properties
     target = next(e for e in world.entities if e.id == target_id)
     candidates = [e for e in world.entities if e.label == target.label]
-    baseline, turns = Baseline(seed), []
+    if baseline is None:
+        baseline = Baseline(seed)
+    baseline.start()
+    turns = []
     while len(candidates) > 1:
         if system == "baseline":
             question = baseline.choose(properties, candidates)

@@ -64,9 +64,9 @@ def test_reproducible_structured_report():
 # sha256 of the structured report at iterations=10, seed 7; a refactor that
 # keeps behaviour keeps these bytes
 REPORT_SHA256 = {
-    "spacecraft": "2eaa1114ccd3ed539d0fd9490f852a1afff6528f7e9fd73705ad35f6e4bce2fc",
-    "random-low": "7e2eb09aa687dc7e5571f4024db00eba76e630a20e8f4b5e162277938d99e2e0",
-    "random-high": "5c81ee9271f137d788a90fed2fa3e52bbff15ddb113e6cac76a6676cc7b21038",
+    "spacecraft": "f1a9caeb42aed281f755b6db17f126e5c035a854d5a7fc7a4a517883808ed831",
+    "random-low": "3b7bbd00cc82bdbe798eee91fb734df350b2f9a817014facecff6f7e3b9df6d9",
+    "random-high": "e1eb9e76fe3dfc4210f1f13cceec8c4f76b8eba7b758ff1be1a64ea515a877f6",
 }
 
 
@@ -211,24 +211,24 @@ def test_agent_names_are_their_systems():
     assert tuple(refquest.bench.make_agent(s, 0).name for s in systems) == systems
 
 
-def fresh_agent_means(spec):
-    """Each system's iteration means when every episode gets a fresh agent
-    from `make_agent`, seeded as the benchmark seeds a baseline episode."""
+def one_agent_means(spec):
+    """Each system's iteration means when each iteration gets its own agents
+    from `make_agent`, the baseline's seeded as the benchmark seeds it, and
+    each agent plays every target of the iteration's world in turn."""
     means = {system: [] for system in spec.systems}
     for it in range(spec.iterations):
         it_seed = _split_seed(spec.base_seed, it)
         world = world_for(spec.environment, it_seed, spec.trials)
         for system, iteration_means in means.items():
+            agent = make_agent(system, _split_seed(it_seed, 0))
             iteration_means.append(statistics.fmean(
-                run_episode(world, e.id, make_agent(system, _split_seed(it_seed, t))).question_count
-                for t, e in enumerate(world.entities)
-            ))
+                run_episode(world, e.id, agent).question_count for e in world.entities))
     return means
 
 
 @pytest.mark.parametrize("base_seed", [0, 7, -3])
 @pytest.mark.parametrize("environment", ENVIRONMENTS)
-def test_a_run_shares_one_model_agent_per_system_and_means_as_fresh_agents(
+def test_a_run_shares_one_model_agent_per_system_and_one_baseline_agent_per_iteration(
         monkeypatch, environment, base_seed):
     built = Counter()
     for cls in (ModelAgent, BaselineAgent):
@@ -243,9 +243,48 @@ def test_a_run_shares_one_model_agent_per_system_and_means_as_fresh_agents(
                                  base_seed=base_seed)
             built.clear()
             report = run_benchmark(spec)
-            episodes = report.total_episodes // len(systems)  # per system
             assert built == Counter(ModelAgent=len(set(systems) - {"baseline"}),
-                                    BaselineAgent=episodes * ("baseline" in systems))
+                                    BaselineAgent=spec.iterations * ("baseline" in systems))
             assert {r.system: list(r.iteration_means) for r in report.results} == (
-                fresh_agent_means(spec))
+                one_agent_means(spec))
             assert [r.system for r in report.results] == list(systems)
+
+
+# questions asked per iteration by each model system at iterations=10, seed
+# 7: the model systems draw nothing, so how the baseline draws or shares its
+# agent cannot move them
+MODEL_QUESTIONS = {
+    "spacecraft": {"model-entropy": (30,) * 10, "model-data": (30,) * 10},
+    "random-low": {"model-entropy": (37, 35, 40, 37, 34, 37, 36, 37, 35, 35),
+                   "model-data": (38, 38, 40, 39, 34, 41, 37, 37, 35, 38)},
+    "random-high": {"model-entropy": (35, 35, 35, 38, 35, 34, 39, 34, 37, 36),
+                    "model-data": (34, 38, 37, 35, 36, 35, 38, 33, 36, 37)},
+}
+
+
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+def test_only_the_baseline_moves_and_each_iteration_opens_on_a_fresh_baseline(
+        monkeypatch, environment):
+    played = []  # (world, agent, record) for each baseline episode, in order
+    real = refquest.bench.run_episode
+
+    def recording(world, target_id, agent):
+        record = real(world, target_id, agent)
+        if agent.name == "baseline":
+            played.append((world, agent, record))
+        return record
+
+    monkeypatch.setattr(refquest.bench, "run_episode", recording)
+    spec = BenchmarkSpec(environment=environment, iterations=10, base_seed=7)
+    report = run_benchmark(spec)
+    n = len(played) // spec.iterations  # targets per iteration
+    for system, questions in MODEL_QUESTIONS[environment].items():
+        assert report.result(system).iteration_means == tuple(q / n for q in questions)
+    for it in range(spec.iterations):
+        episodes = played[it * n:(it + 1) * n]
+        world, agent, first = episodes[0]
+        assert {(id(w), id(a)) for w, a, _ in episodes} == {(id(world), id(agent))}
+        assert [r.target_id for _, _, r in episodes] == [e.id for e in world.entities]
+        fresh = BaselineAgent(_split_seed(_split_seed(spec.base_seed, it), 0))
+        assert first == run_episode(world, first.target_id, fresh)
+    assert len({id(a) for _, a, _ in played}) == spec.iterations

@@ -368,17 +368,31 @@ def test_baseline_transcripts_are_pinned():
 def test_baseline_skips_learned_property():
     w = spacecraft_world()
     agent = BaselineAgent(seed=0)
-    agent.known = set(w.schema.names) - {"pattern"}
+    # color was asked last, and every megaband module is green, so color is
+    # learned; of the rest, only pattern is unlearned
+    agent.asked, agent.unknown = "color", ["color", "pattern"]
     belief = init_belief(w, "megaband module")
     for _ in range(10):
         q = agent.choose(belief)
         assert q.property == "pattern"
+    assert agent.unknown == ["pattern"]
+
+
+def test_one_baseline_agent_serves_episodes_in_turn():
+    # each episode starts with nothing learned: an agent that kept what its
+    # last episodes had learned ran out of properties on the fourth target
+    w = spacecraft_world()
+    agent = BaselineAgent(3)
+    targets = [e.id for e in w.entities[:6]]
+    records = [run_episode(w, target, agent) for target in targets]
+    assert [r.resolved_id for r in records] == targets
+    assert records[0] == run_episode(w, targets[0], BaselineAgent(3))
 
 
 def compare_baselines(w: World, seed: int, target_id: str) -> list[int]:
     """Run the baseline and the reference's options-list baseline in
     lockstep on one target and check that they ask the same question, hold
-    the same learned set and draw the same randomness every turn. Returns,
+    the same unlearned list and draw the same randomness every turn. Returns,
     for each confirm answered no, how many of its property's values the
     candidates still carry."""
     agent, reference = BaselineAgent(seed), ref.Baseline(seed)
@@ -390,7 +404,7 @@ def compare_baselines(w: World, seed: int, target_id: str) -> list[int]:
         q = agent.choose(belief)
         question = (q.property, q.value)
         assert reference.choose(properties, candidates) == question
-        assert agent.known == reference.known
+        assert agent.unknown == [p for p in w.schema.names if p not in reference.known]
         assert agent.rng.getstate() == reference.rng.getstate()
         word = ref.answer(target, question)
         belief = apply_answer(belief, q, word)
@@ -714,7 +728,8 @@ def test_a_baseline_with_nothing_to_draw_from_raises_instead_of_hanging():
 
         w = spacecraft_world()
         agent = BaselineAgent(seed=0)
-        agent.known = set(w.schema.names)  # nothing unlearned
+        # color, asked last, is learned: every megaband module is green
+        agent.asked, agent.unknown = "color", ["color"]  # nothing else unlearned
         print(outcome(agent, init_belief(w, "megaband module")))
         # no candidates: a WH draw asks, a confirm has no value to draw
         print(sorted({outcome(BaselineAgent(seed), Belief(w, 0)) for seed in range(20)}))
