@@ -58,23 +58,24 @@ class Belief:
         return tuple(e.id for e in compress(self.world.entities, map("1".__eq__, bits)))
 
     def distribution(self, prop: str) -> PropertyDistribution:
-        """How many surviving candidates carry each value of `prop`, in
-        domain order; values no candidate carries are left out."""
+        """How many surviving candidates carry each value of `prop`, read
+        off its row of `world.value_masks` in domain order; values no
+        candidate carries are left out."""
         world = self.world
         try:
-            row = world.value_rows[prop]
+            row = world.value_masks[prop]
         except KeyError:
             raise _not_in_schema(world, prop, None) from None
         mask = self.mask
         return PropertyDistribution(prop, {
-            q.value: c for m, q in row if (c := (mask & m).bit_count())
+            v: c for v, m in row.items() if (c := (mask & m).bit_count())
         })
 
     def apply_wh_answer(self, prop: str, value: str) -> "Belief":
         """Keep candidates whose `prop` equals the answered value."""
         world = self.world
         try:
-            kept = self.mask & world.value_masks[prop, value]
+            kept = self.mask & world.value_masks[prop][value]
         except KeyError:
             raise _not_in_schema(world, prop, value) from None
         if not kept:
@@ -89,7 +90,7 @@ class Belief:
         """Yes keeps candidates with that value; no removes them."""
         world = self.world
         try:
-            value_mask = world.value_masks[prop, value]
+            value_mask = world.value_masks[prop][value]
         except KeyError:
             raise _not_in_schema(world, prop, value) from None
         kept = self.mask & (value_mask if yes else ~value_mask)

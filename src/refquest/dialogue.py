@@ -117,9 +117,9 @@ class BaselineAgent:
     with `start`, which forgets what the last one learned, so one agent
     serves any number of episodes; its stream runs on from one episode to
     the next, so an episode's draws depend on the episodes played before.
-    Questions are the schema's tabled ones: a confirm is drawn from the
-    property's row of the world's `value_rows`, whose value masks tell
-    which confirms the candidates leave. Both draws are `_draw`'s, over the
+    Questions are the schema's tabled ones: a confirm's value is drawn
+    from the property's row of the world's `value_masks`, whose masks tell
+    which values the candidates carry. Both draws are `_draw`'s, over the
     generator's `getrandbits`, bound once per agent.
     """
 
@@ -144,14 +144,14 @@ class BaselineAgent:
             unknown[:] = world.schema.names
         else:
             lowest = world.entities[(mask & -mask).bit_length() - 1].assignment[asked]
-            if not mask & ~value_masks[asked, lowest]:
+            if not mask & ~value_masks[asked][lowest]:
                 unknown.remove(asked)
         i = _draw(self.getrandbits, 2 * len(unknown))
         prop = self.asked = unknown[i >> 1]
         if not i & 1:
             return world.schema.questions[prop, None]
-        confirms = [q for m, q in world.value_rows[prop] if mask & m]
-        return confirms[_draw(self.getrandbits, len(confirms))]
+        carried = [v for v, m in value_masks[prop].items() if mask & m]
+        return world.schema.questions[prop, carried[_draw(self.getrandbits, len(carried))]]
 
 
 def _draw(getrandbits, n: int) -> int:

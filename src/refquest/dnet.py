@@ -40,13 +40,24 @@ class DecisionNetwork:
     utilities: dict[Question, float]
 
 
+def _weights(dist: PropertyDistribution) -> list:
+    """`dist.counts`' weights in ascending order; ValueError unless there
+    is one or more and every one is positive."""
+    counts = sorted(dist.counts.values())
+    if not counts or counts[0] <= 0:
+        raise ValueError(f"distribution of property {dist.property!r} has weights"
+                         f" {counts!r}; weights must be positive, one or more")
+    return counts
+
+
 def wh_entropy(dist: PropertyDistribution) -> float:
     """Shannon entropy (bits) of the value distribution with weights `dist.counts`.
 
     (n log2 n - sum of c log2 c) / n with n the total weight; exactly 0 for
-    one value.
+    one value. An empty distribution, or one with a weight <= 0, is refused
+    with ValueError.
     """
-    counts = sorted(dist.counts.values())
+    counts = _weights(dist)
     n = sum(counts)
     return (n * math.log2(n) - sum([c * math.log2(c) for c in counts])) / n
 
@@ -57,10 +68,11 @@ def yn_expected_entropy(dist: PropertyDistribution) -> float:
     Sum over values of p_i times the binary entropy of p_i, with p_i = c_i / n.
     With two values a confirm splits the candidates as a WH question does,
     so it scores wh_entropy exactly; with one, 0; with more, strictly less.
+    Refused as wh_entropy refuses.
     """
     if len(dist.counts) <= 2:
         return wh_entropy(dist)
-    counts = sorted(dist.counts.values())
+    counts = _weights(dist)
     n = sum(counts)
     n_log_n = n * math.log2(n)
     return sum(

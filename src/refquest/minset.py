@@ -7,7 +7,7 @@ path reads their packed codes from `world.codes` (see `PropertySchema`),
 so a projection is `code & mask` for the OR of the set's field masks.
 While few properties vary among the candidates, the smallest such set is
 found by cardinality-ordered exhaustive search; beyond that, properties
-are added greedily by partition refinement over `world.value_rows`:
+are added greedily by partition refinement over `world.value_masks`:
 the classes of equal projections are entity bitmasks, a property splits
 a class into its nonzero ANDs with the property's value masks, and each
 step adds the property that splits the classes into the most new ones.
@@ -78,8 +78,8 @@ def compute_min_set(world: World, mask: int, exact_limit: int = EXACT_LIMIT_DEFA
         raise AssertionError("all varying properties together separate distinct codes")
 
     # each varying property's parts: the candidates with each of its values
-    rows = world.value_rows
-    parts = {i: [p for m, _ in rows[names[i]] if (p := mask & m)] for i in varying}
+    value_masks = world.value_masks
+    parts = {i: [p for m in value_masks[names[i]].values() if (p := mask & m)] for i in varying}
     classes, chosen = [mask], []  # only classes of two or more candidates
 
     def splits(i: int) -> int:

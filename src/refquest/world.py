@@ -234,12 +234,11 @@ class World:
 
     A checked World tables its entities by id, their packed schema codes
     as `codes` (a tuple aligned with `entities`), and entity bitmasks, bit
-    i standing for `entities[i]`: `value_masks` holds one per (property,
-    value) of the schema, 0 where no entity has the value, and
-    `label_masks` one per label. `value_rows` holds, per property, one
-    (value mask, confirm Question) pair per value in domain order, so a
-    reader of a property's values walks one row instead of looking each
-    (property, value) up. All these tables are read-only. The one
+    i standing for `entities[i]`: `value_masks[prop][value]` holds one per
+    (property, value) of the schema, properties in schema order and each
+    one's values in domain order, 0 where no entity has the value, and
+    `label_masks` one per label. All these tables, both levels of
+    `value_masks` among them, are read-only. The one
     mutable part, a memo of pure functions of the world freed with it, is
     `min_sets` by candidate mask and `model_questions` by (policy, mask).
 
@@ -251,10 +250,7 @@ class World:
     schema: PropertySchema
     entities: tuple[Entity, ...]
     codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    value_masks: Mapping[tuple[str, str], int] = field(init=False, repr=False, compare=False)
-    value_rows: Mapping[str, tuple[tuple[int, Question], ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    value_masks: Mapping[str, Mapping[str, int]] = field(init=False, repr=False, compare=False)
     label_masks: Mapping[str, int] = field(init=False, repr=False, compare=False)
     _by_id: dict[str, Entity] = field(init=False, repr=False, compare=False)
     min_sets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -311,20 +307,17 @@ def _table(world: World, rows) -> None:
     checked constructor and `_unchecked_world` both table through here, so
     a World's tables are the same however it was built."""
     schema, setattr_ = world.schema, object.__setattr__
-    keys, field_codes = tuple(schema.fields), tuple(schema.fields.values())
-    slot_masks, label_masks, bit = [0] * len(keys), {}, 1
+    field_codes = tuple(schema.fields.values())
+    slot_masks, label_masks, bit = [0] * len(field_codes), {}, 1
     for e, row in zip(world.entities, rows):
         for slot in row:
             slot_masks[slot] |= bit
         label_masks[e.label] = label_masks.get(e.label, 0) | bit
         bit <<= 1
-    value_masks = dict(zip(keys, slot_masks))
-    questions = schema.questions
+    masks = iter(slot_masks)  # schema.fields' order: by property, then by value
     setattr_(world, "codes", tuple([sum(map(field_codes.__getitem__, row)) for row in rows]))
-    setattr_(world, "value_masks", MappingProxyType(value_masks))
-    setattr_(world, "value_rows", MappingProxyType({
-        name: tuple((value_masks[name, v], questions[name, v]) for v in values)
-        for name, values in schema.properties
+    setattr_(world, "value_masks", MappingProxyType({
+        name: MappingProxyType(dict(zip(values, masks))) for name, values in schema.properties
     }))
     setattr_(world, "label_masks", MappingProxyType(label_masks))
     setattr_(world, "_by_id", {e.id: e for e in world.entities})

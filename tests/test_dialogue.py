@@ -197,9 +197,8 @@ def test_a_baseline_confirm_is_the_question_its_row_tables():
         q = BaselineAgent(seed).choose(belief)
         if q.value is not None:
             confirms += 1
-            (tabled,) = [t for _, t in w.value_rows[q.property] if t.value == q.value]
-            assert q is tabled is w.schema.questions[q.property, q.value]
-            assert belief.mask & w.value_masks[q.property, q.value]
+            assert q is w.schema.questions[q.property, q.value]
+            assert belief.mask & w.value_masks[q.property][q.value]
     assert confirms
 
 

@@ -63,6 +63,14 @@ def test_yn_expected_entropy_degenerate():
     assert yn_expected_entropy(dist(a=1.0)) == 0.0
 
 
+@pytest.mark.parametrize("utility", [wh_entropy, yn_expected_entropy])
+@pytest.mark.parametrize("d", [dist(), dist(a=0, b=2), dist(a=-1, b=2), dist(a=0, b=1, c=2),
+                               Belief(spacecraft_world(), 0).distribution("color")])
+def test_entropies_refuse_a_distribution_without_positive_weights(utility, d):
+    with pytest.raises(ValueError, match=f"property {d.property!r} .*; weights must be positive"):
+        utility(d)
+
+
 @given(st.integers(0, 10_000))
 def test_yn_never_exceeds_wh(seed):
     d = random_dist(random.Random(seed))

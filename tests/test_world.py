@@ -5,10 +5,11 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import refquest.world
 from refquest.belief import init_belief
@@ -41,12 +42,14 @@ def test_valid_world_passes():
     assert w.by_id("b") is w.entities[1]
     assert w.label_masks == {"widget": 0b11}  # no entry for "gadget"
     assert init_belief(w, "widget").candidate_ids == ("a", "b")
-    assert w.value_masks == {("color", "red"): 0b01, ("color", "blue"): 0b10,
-                             ("shape", "tall"): 0b11, ("shape", "short"): 0}
+    assert w.value_masks == {"color": {"red": 0b01, "blue": 0b10},
+                             "shape": {"tall": 0b11, "short": 0}}
     with pytest.raises(TypeError):
         w.label_masks["widget"] = 0b01
     with pytest.raises(TypeError):
-        w.value_masks["color", "red"] = 0b11
+        w.value_masks["color"]["red"] = 0b11
+    with pytest.raises(TypeError):
+        w.value_masks["color"] = {"red": 0b11}
     with pytest.raises(KeyError):
         w.by_id("z")
 
@@ -205,47 +208,51 @@ def test_the_schema_tables_one_question_per_word_of_its_alphabet(w):
         schema.questions[schema.names[0], None] = Question(schema.names[0])
 
 
-def assert_value_rows_tabled(w):
-    """Each property's row of `value_rows` is its (value mask, tabled confirm
-    Question) per value of its domain, in order, and the table is read-only."""
-    schema = w.schema
-    assert list(w.value_rows) == list(schema.names)
-    for p in schema.names:
-        row = w.value_rows[p]
-        assert row == tuple((w.value_masks[p, v], schema.questions[p, v])
-                            for v in schema.domain(p))
-        assert all(q is schema.questions[p, q.value] for _, q in row)
-    with pytest.raises(TypeError):
-        w.value_rows[schema.names[0]] = ()
-
-
-def test_value_rows_of_spacecraft_a_loaded_config_and_generated_worlds():
-    loaded = load_world(
-        "schema:\n- {name: color, values: [red, blue, green]}\n- {name: shape, values: [tall]}\n"
-        "entities:\n- {id: a, label: block, type: block, assignment: {color: green, shape: tall}}\n"
-        "- {id: b, label: block, type: block, assignment: {color: red, shape: tall}}\n")
-    assert loaded.value_rows["color"] == (
-        (0b10, Question("color", "red")), (0, Question("color", "blue")),
-        (0b01, Question("color", "green")))
-    generated = [world_for(env, seed, 20) for env in ("random-low", "random-high")
-                 for seed in range(5)]
-    for w in (spacecraft_world(), loaded, *generated):
-        assert_value_rows_tabled(w)
+# a loaded config whose schema holds a colour that no entity carries
+THREE_COLOURS = (
+    "schema:\n- {name: color, values: [red, blue, green]}\n- {name: shape, values: [tall]}\n"
+    "entities:\n- {id: a, label: block, type: block, assignment: {color: green, shape: tall}}\n"
+    "- {id: b, label: block, type: block, assignment: {color: red, shape: tall}}\n")
 
 
 @settings(max_examples=50, deadline=None)
 @given(worlds())
-def test_every_world_tables_its_value_rows(w):
-    assert_value_rows_tabled(w)
+@example(spacecraft_world())
+@example(load_world(THREE_COLOURS))
+@example(world_for("random-low", 0, 20))
+@example(world_for("random-high", 0, 20))
+def test_every_world_tables_its_value_masks(w):
+    # value_masks[p][v] is the bitmask of the entities whose assignment
+    # carries v, 0 where none does, over the schema's properties and each
+    # one's domain, both in order; both levels are read-only, and every
+    # World table holds only ints, Entities and rows of value masks, never
+    # a Question
+    schema = w.schema
+    assert list(w.value_masks) == list(schema.names)
+    for p in schema.names:
+        row = w.value_masks[p]
+        assert list(row) == list(schema.domain(p))
+        for v, m in row.items():
+            assert m == sum(1 << i for i, e in enumerate(w.entities) if e.assignment[p] == v)
+        with pytest.raises(TypeError):
+            row[schema.domain(p)[0]] = 0
+    with pytest.raises(TypeError):
+        w.value_masks[schema.names[0]] = {}
+    rows = list(w.value_masks.values())
+    held = [*w.codes, *rows, *(m for row in rows for m in row.values()),
+            *w.label_masks.values(), *w._by_id.values()]
+    assert all(type(x) in (int, Entity, MappingProxyType) for x in held)
 
 
 def assert_tabled_alike(w, other):
-    """`other` equals `w` and tables the same codes, value masks, value rows
-    and label masks, item for item and in the same order."""
+    """`other` equals `w` and tables the same codes, value masks and label
+    masks, item for item and in the same order, each row of value masks too."""
     assert other == w
     assert other.codes == w.codes
-    for table in ("value_masks", "value_rows", "label_masks"):
+    for table in ("value_masks", "label_masks"):
         assert list(getattr(other, table).items()) == list(getattr(w, table).items())
+    assert ([list(row.items()) for row in other.value_masks.values()]
+            == [list(row.items()) for row in w.value_masks.values()])
 
 
 def shuffled(mapping, rnd) -> dict:

@@ -133,8 +133,10 @@ def assert_generated_as_the_reference_generates(spec):
     assert ([list(e.assignment.items()) for e in w.entities]
             == [list(e.assignment.items()) for e in expected.entities])
     assert w.codes == expected.codes
-    for table in ("value_masks", "value_rows", "label_masks", "_by_id"):
+    for table in ("value_masks", "label_masks", "_by_id"):
         assert list(getattr(w, table).items()) == list(getattr(expected, table).items())
+    assert ([list(row.items()) for row in w.value_masks.values()]
+            == [list(row.items()) for row in expected.value_masks.values()])
     assert all(w.by_id(e.id) is e for e in w.entities)
     assert ([type(getattr(w, f.name)) for f in dataclasses.fields(World)]
             == [type(getattr(expected, f.name)) for f in dataclasses.fields(World)])
