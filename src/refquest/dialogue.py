@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 
 from refquest.belief import Belief, UnknownReferentError, init_belief
-from refquest.dnet import DATA, ENTROPY, build_network, select_question
+from refquest.dnet import DATA, ENTROPY, active_properties, build_network, select_question
 from refquest.world import Entity, Question, World
 
 MAX_QUESTIONS_DEFAULT = 50
@@ -75,7 +75,9 @@ class HumanOracle:
 
 class ModelAgent:
     """Decision-network agent; builds the network over the surviving
-    candidates, so utilities always reflect the current evidence.
+    candidates, so utilities always reflect the current evidence. A min-set
+    of one property builds none: its question is the only one, and the
+    network would pick it under either policy (see `refquest.dnet`).
 
     The question depends only on the world, the policy and the candidates,
     so it is kept in the world's memo under (policy, mask), where every
@@ -98,7 +100,9 @@ class ModelAgent:
         memo, key = belief.world.model_questions, (self.policy, belief.mask)
         q = memo.get(key)
         if q is None:
-            q = memo[key] = select_question(build_network(belief, policy=self.policy))
+            props = active_properties(belief)
+            q = memo[key] = (belief.world.schema.questions[props[0], None] if len(props) == 1
+                             else select_question(build_network(belief, policy=self.policy)))
         return q
 
 

@@ -6,9 +6,11 @@ candidates, and its decision node holds one WH question for each active
 property. Its utilities score questions either by Shannon entropy of the
 belief-conditioned value distributions or by question-type preference,
 a fixed weight per property. Every active property varies among the
-candidates, so no question is about a property already known. No confirm
-(yes/no) question is built: under either utility none could beat its WH
-question (see `yn_expected_entropy`), and ties would go to WH.
+candidates, so no question is about a property already known, and a
+lone one scores above 0 under both utilities: a model agent asks it
+without building a network. No confirm (yes/no) question is built:
+under either utility none could beat its WH question (see
+`yn_expected_entropy`), and ties would go to WH.
 
 The entropy utilities read only a property's value counts and sum their
 terms over the counts in ascending order, so a question's utility is a
@@ -80,21 +82,24 @@ def yn_expected_entropy(dist: PropertyDistribution) -> float:
     ) / (n * n)
 
 
-def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
-    """Construct the decision network for the current candidate set.
-
-    Active properties come from the minimum disambiguating set over the
-    surviving candidates, solved once per mask of a world (`World.min_sets`);
-    constant and already-learned properties never enter the question list.
-    """
-    if policy not in (ENTROPY, DATA):
-        raise ValueError(f"unknown utility policy {policy!r}")
+def active_properties(belief: Belief) -> tuple[str, ...]:
+    """The minimum disambiguating set over the surviving candidates, solved
+    once per mask of a world (`World.min_sets`); constant and already-learned
+    properties never enter it."""
     world, mask = belief.world, belief.mask
     min_set = world.min_sets.get(mask)
     if min_set is None:
         min_set = world.min_sets[mask] = tuple(compute_min_set(world, mask))
-    table = world.schema.questions
-    questions = tuple([table[prop, None] for prop in min_set])
+    return min_set
+
+
+def build_network(belief: Belief, policy: str = ENTROPY) -> DecisionNetwork:
+    """Construct the decision network for the current candidate set: one
+    question per property of `active_properties(belief)`."""
+    if policy not in (ENTROPY, DATA):
+        raise ValueError(f"unknown utility policy {policy!r}")
+    table = belief.world.schema.questions
+    questions = tuple([table[prop, None] for prop in active_properties(belief)])
     return DecisionNetwork(questions, {
         q: wh_entropy(belief.distribution(q.property)) if policy == ENTROPY
         else COLOR_BOOST if q.property == "color" else 1.0

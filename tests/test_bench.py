@@ -163,8 +163,9 @@ def test_each_network_is_built_once_per_call(networks):
     assert len(networks) == len({(id(w), policy, c) for w, policy, c in networks})
 
 
-def test_each_candidate_set_is_solved_once(networks, monkeypatch):
-    # both model systems share each world's min-sets, so fewer solves than networks
+def test_each_candidate_set_is_solved_once(monkeypatch):
+    # both model systems share each world's min-sets, so fewer solves than
+    # memo entries, one per (policy, mask) asked about
     solved = []
     real = refquest.dnet.compute_min_set
 
@@ -174,7 +175,10 @@ def test_each_candidate_set_is_solved_once(networks, monkeypatch):
 
     monkeypatch.setattr(refquest.dnet, "compute_min_set", recording)
     run_benchmark(BenchmarkSpec(environment="random-high", iterations=3, base_seed=7))
-    assert len(solved) == len({(id(w), mask) for w, mask in solved}) < len(networks)
+    worlds = {id(w): w for w, _ in solved}.values()
+    assert len(worlds) == 3
+    assert len(solved) == len({(id(w), mask) for w, mask in solved}) < sum(
+        len(w.model_questions) for w in worlds)
 
 
 def test_spacecraft_networks_do_not_grow_with_iterations(networks, monkeypatch):
@@ -182,10 +186,12 @@ def test_spacecraft_networks_do_not_grow_with_iterations(networks, monkeypatch):
     world = dataclasses.replace(spacecraft_world())
     monkeypatch.setattr(refquest.bench, "spacecraft_world", lambda: world)
     run_benchmark(small_spec(iterations=1))
-    assert len(networks) == 24  # both model systems together
+    # both model systems together; a one-property min-set builds no network
+    assert (len(networks), len(world.model_questions)) == (12, 24)
     run_benchmark(small_spec(iterations=10))
     run_benchmark(small_spec())
-    assert len(networks) == 24  # the world's memo serves every later call
+    # the world's memo serves every later call
+    assert (len(networks), len(world.model_questions)) == (12, 24)
 
 
 @pytest.mark.parametrize("build, message", [

@@ -24,7 +24,8 @@ from refquest.dialogue import (
 )
 import refquest.dialogue
 from refquest.bench import ENVIRONMENTS, SYSTEMS, make_agent, world_for
-from refquest.dnet import Question, build_network
+from refquest.dnet import (
+    NoInformativeQuestionError, Question, build_network, select_question)
 from refquest.minset import compute_min_set
 from refquest.belief import Belief, init_belief
 from refquest.world import Entity, PropertySchema, World
@@ -610,7 +611,49 @@ def test_every_turn_passes_each_probe_point_once(w, seed):
     assert calls["BaselineAgent.choose"] == questions[True]
     assert calls["World.by_id"] == len(SYSTEMS) * len(w.entities)
     assert calls["dialogue.build_network"] == calls["dialogue.select_question"] == len(
-        w.model_questions)
+        networked(w))
+
+
+def networked(w):
+    """The (policy, mask) memo entries of `w` whose min-set has two or more
+    properties: the ones a model agent builds a network for."""
+    return [key for key in w.model_questions if len(w.min_sets[key[1]]) >= 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(worlds(kinds=("small", "wide")))
+def test_a_model_agent_asks_what_its_network_selects_and_builds_none_for_one_question(w):
+    w = dataclasses.replace(w)  # a cold memo: every model question is built here
+    built, real = [], refquest.dialogue.build_network
+
+    def recording(belief, policy):
+        built.append((policy, belief.mask))
+        return real(belief, policy)
+
+    refquest.dialogue.build_network = recording
+    try:
+        records = [(policy, run_episode(w, e.id, ModelAgent(policy)))
+                   for policy in ("entropy", "data") for e in w.entities]
+    finally:
+        refquest.dialogue.build_network = real
+    visited = set()
+    for policy, record in records:
+        belief = init_belief(w, record.instruction_label)
+        for q, word in record.transcript:
+            assert q == select_question(build_network(belief, policy))
+            visited.add((policy, belief.mask))
+            belief = apply_answer(belief, q, word)
+    assert len(built) == len(set(built))
+    assert set(built) == {(policy, mask) for policy, mask in visited
+                          if len(compute_min_set(w, mask)) >= 2}
+
+
+@pytest.mark.parametrize("policy", ["entropy", "data"])
+def test_a_model_agent_asks_nothing_of_one_candidate(policy):
+    # an empty min-set takes the network path, whose selection refuses it
+    w = dataclasses.replace(spacecraft_world())
+    with pytest.raises(NoInformativeQuestionError):
+        ModelAgent(policy).choose(Belief(w, 1))
 
 
 def _hash(obj):
@@ -685,7 +728,9 @@ def test_distributions_and_networks_are_built_as_their_constructors_build_them(w
     finally:
         for owner, name, fn in saved:
             setattr(owner, name, fn)
-    assert len(built["build_network"]) == len(w.model_questions)
+    # a network is built only for a min-set of two or more properties
+    assert len(built["build_network"]) == len(networked(w))
+    assert all(len(net.questions) >= 2 for _, net in built["build_network"])
     # an entropy network reads one distribution per question it scores
     assert len(built["distribution"]) == sum(
         len(net.questions) for kwargs, net in built["build_network"]

@@ -38,3 +38,13 @@ def test_only_world_py_calls_object_setattr():
              for node in ast.walk(ast.parse(path.read_text("utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "__setattr__"]
     assert found == []
+
+
+def test_only_dnet_py_calls_compute_min_set():
+    # the tracer's min-set probe wraps refquest.dnet.compute_min_set, so a
+    # solve started from any other module would run unseen
+    called = {path.name for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text("utf-8")))
+              if isinstance(node, ast.Call) and "compute_min_set" in (
+                  getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert called == {"dnet.py"}
