@@ -25,7 +25,7 @@ class ContradictoryAnswerError(Exception):
     """An answer eliminated every remaining candidate (impossible with a truthful oracle)."""
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class PropertyDistribution:
     property: str
     counts: dict[str, float]  # value -> candidates carrying it (any positive weights)

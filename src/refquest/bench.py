@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from refquest.dialogue import MAX_QUESTIONS_DEFAULT, BaselineAgent, ModelAgent, run_episode
 from refquest.world import World
-from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
+from refquest.worlds import RandomWorldSpec, check_seed, generate_random_world, spacecraft_world
 
 SYSTEMS = ("model-entropy", "model-data", "baseline")
 # varying properties (of RandomWorldSpec.n_properties) per random environment
@@ -58,6 +58,7 @@ class BenchmarkSpec:
             raise ValueError(
                 f"unknown environment {self.environment!r}; expected one of {ENVIRONMENTS}"
             )
+        check_seed(self.base_seed)
         if min(self.iterations, self.trials) < 1:
             raise ValueError("iterations and trials must be at least 1")
         if self.environment == "spacecraft" and self.trials != RandomWorldSpec.n_entities:
@@ -103,9 +104,10 @@ def _split_seed(seed: int, counter: int) -> int:
 
 def make_agent(system: str, seed: int):
     """An agent for a system, which serves any number of episodes in turn;
-    only the baseline reads `seed`."""
+    only the baseline reads `seed`, but every system refuses a negative one."""
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
+    check_seed(seed)
     if system == "baseline":
         return BaselineAgent(seed=seed)
     return ModelAgent(policy=system.removeprefix("model-"))  # the inverse of ModelAgent.name

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from refquest.belief import Belief, UnknownReferentError, init_belief
 from refquest.dnet import DATA, ENTROPY, active_properties, build_network, select_question
 from refquest.world import Entity, Question, World
+from refquest.worlds import check_seed
 
 MAX_QUESTIONS_DEFAULT = 50
 
@@ -128,6 +129,7 @@ class BaselineAgent:
     """
 
     def __init__(self, seed: int):
+        check_seed(seed)
         self.rng = random.Random(seed)
         self.getrandbits = self.rng.getrandbits
         self.asked: str | None = None  # None until an episode's first turn

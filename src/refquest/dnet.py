@@ -36,7 +36,7 @@ class NoInformativeQuestionError(Exception):
     """Every question scored 0 while more than one candidate survives."""
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class DecisionNetwork:
     questions: tuple[Question, ...]  # WH, one per min-set property; tie-break order
     utilities: dict[Question, float]

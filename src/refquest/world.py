@@ -438,9 +438,9 @@ def _world_from_tree(doc) -> World:
     return World(schema=schema, entities=tuple(entities))
 
 
-def serialize_world(world: World) -> str:
-    """Render a World back into the config-document format (round-trips)."""
-    doc = {
+def _document(world: World) -> dict:
+    """A World as the config document's plain dicts and lists."""
+    return {
         "schema": [
             {"name": name, "values": list(values)}
             for name, values in world.schema.properties
@@ -455,6 +455,10 @@ def serialize_world(world: World) -> str:
             for e in world.entities
         ],
     }
+
+
+def serialize_world(world: World) -> str:
+    """Render a World back into the config-document format (round-trips)."""
     # non-ASCII characters are written as escapes: written raw, a NEL
     # (U+0085) inside a single-quoted scalar would read back as a space
-    return yaml.safe_dump(doc, sort_keys=False)
+    return yaml.safe_dump(_document(world), sort_keys=False)

@@ -23,6 +23,14 @@ class InfeasibleSpecError(Exception):
     """The spec cannot produce the requested number of unique entities."""
 
 
+def check_seed(seed: int, error: type[Exception] = ValueError) -> None:
+    """Refuse a negative seed with `error`, in the one message every entry
+    point gives: `random.Random` seeds from abs(seed), so seed -3 would
+    silently draw what seed 3 draws."""
+    if seed < 0:
+        raise error(f"seed must be 0 or more, got {seed}")
+
+
 @dataclass(frozen=True)
 class RandomWorldSpec:
     n_entities: int = 20
@@ -33,6 +41,7 @@ class RandomWorldSpec:
     seed: int = 0
 
     def validate(self):
+        check_seed(self.seed, InfeasibleSpecError)
         if self.n_varying > self.n_properties:
             raise InfeasibleSpecError("n_varying exceeds n_properties")
         if self.values_per_property ** self.n_varying < self.n_entities:

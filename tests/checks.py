@@ -1,0 +1,131 @@
+"""The checks that several test modules share, each stated once: how a
+World is tabled, how an engine object is built, and a recorder of the
+calls a test watches. A change to a table's shape, a constructor or a
+probe point edits the one helper here, not every test that relies on it."""
+
+import dataclasses
+from collections import namedtuple
+from contextlib import contextmanager
+from types import MappingProxyType
+
+import pytest
+
+from refquest.world import Entity
+
+
+def assert_tabled(world):
+    """`world`'s tables are what its own schema and entities give, each
+    derived here with plain loops:
+    - `codes`, a tuple aligned with `entities`: property i's bit field,
+      w bits from bit i * w with w wide enough for the largest domain,
+      holds the entity's value's domain index + 1;
+    - `value_masks[p][v]`, bit i set when `entities[i]` carries v and 0
+      where none does, properties in schema order and each row's values
+      in domain order;
+    - `label_masks`, each label's entities as bits, labels in order of
+      first appearance;
+    - `by_id`, each entity under its id.
+    Both levels of `value_masks` and `label_masks` refuse writes, and the
+    tables hold only ints, Entities and rows of value masks: never a
+    Question."""
+    schema, entities = world.schema, world.entities
+    width = max((len(domain) for _, domain in schema.properties), default=0).bit_length()
+    codes, labels = [], {}
+    masks = {p: dict.fromkeys(domain, 0) for p, domain in schema.properties}
+    for i, e in enumerate(entities):
+        labels[e.label] = labels.get(e.label, 0) | 1 << i
+        code = 0
+        for j, (p, domain) in enumerate(schema.properties):
+            v = e.assignment[p]
+            code += (domain.index(v) + 1) << (j * width)
+            masks[p][v] |= 1 << i
+        codes.append(code)
+    assert world.codes == tuple(codes)
+    assert list(world.value_masks) == list(schema.names)
+    for p, domain in schema.properties:
+        row = world.value_masks[p]
+        assert list(row.items()) == list(masks[p].items())
+        with pytest.raises(TypeError):
+            row[domain[0]] = row[domain[0]]
+        with pytest.raises(TypeError):
+            world.value_masks[p] = row
+
+    assert list(world.label_masks.items()) == list(labels.items())
+    for label, mask in labels.items():
+        with pytest.raises(TypeError):
+            world.label_masks[label] = mask
+
+    assert list(world._by_id.items()) == [(e.id, e) for e in entities]
+    assert all(world.by_id(e.id) is e for e in entities)
+
+    rows = list(world.value_masks.values())
+    held = [*world.codes, *rows, *(m for row in rows for m in row.values()),
+            *world.label_masks.values(), *world._by_id.values()]
+    assert all(type(x) in (int, Entity, MappingProxyType) for x in held)
+
+
+def _hashes(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def assert_built_as_constructed(obj):
+    """An object the engine builds holds the fields, in the order, that the
+    public constructor gives it, equals and prints as that one, and takes
+    no attribute beyond its fields. It hashes as that one when every field
+    its hash would read hashes; otherwise its type declares no hash. A frozen type's
+    fields live in its __dict__ and refuse assignment; the engine's slotted
+    value types hold no __dict__, and the engine never changes one it built."""
+    fields = dataclasses.fields(obj)
+    built = type(obj)(**{f.name: getattr(obj, f.name) for f in fields})
+    if "__slots__" in vars(type(obj)):
+        assert not hasattr(obj, "__dict__") and not hasattr(built, "__dict__")
+        assert ([(f.name, getattr(obj, f.name)) for f in fields]
+                == [(f.name, getattr(built, f.name)) for f in fields])
+        with pytest.raises(AttributeError):
+            obj.undeclared = None
+    else:
+        assert list(vars(obj).items()) == list(vars(built).items())
+        for f in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, None)
+    assert obj == built
+    hashed = [f for f in fields if (f.compare if f.hash is None else f.hash)]
+    if all(_hashes(getattr(obj, f.name)) for f in hashed):
+        assert hash(obj) == hash(built)
+    else:  # a type that holds a dict declares no hash
+        assert type(obj).__hash__ is None
+        with pytest.raises(TypeError):
+            hash(obj)
+    assert repr(obj) == repr(built)
+
+
+# one call that returned: its arguments as passed, and its result
+Call = namedtuple("Call", "args kwargs result")
+
+
+@contextmanager
+def recorded_calls(points):
+    """Wrap the function or method at each (owner, name) of `points`, as
+    its callers look it up and as perfbench/tracer.py wraps it, so that
+    each call runs as before and, once it returns, appends its Call to
+    `calls[owner, name]`; yield `calls`, and put every original back after."""
+    calls, saved = {}, []
+    try:
+        for owner, name in points:
+            fn, log = vars(owner)[name], calls.setdefault((owner, name), [])
+
+            def recorded(*args, _fn=fn, _log=log, **kwargs):
+                result = _fn(*args, **kwargs)
+                _log.append(Call(args, kwargs, result))
+                return result
+
+            saved.append((owner, name, fn))
+            setattr(owner, name, recorded)
+        yield calls
+    finally:
+        for owner, name, fn in reversed(saved):
+            setattr(owner, name, fn)

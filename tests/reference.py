@@ -20,7 +20,8 @@ give the same World, or refuse the document in the same words.
 The reference generator, `random_world`, draws a random world with
 `Random.choice` and builds it with the checked `Entity` and `World`
 constructors, which is how refquest generated one before it tabled
-worlds as it drew them. Both must give equal Worlds, table for table.
+worlds as it drew them. Both must give equal Worlds, whose assignments
+list their properties in the same order.
 
 The exact baseline, `exact_baseline_moments`, makes no draw: it gives the
 mean and variance of a baseline episode's question count over every draw

@@ -8,6 +8,7 @@ from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import spacecraft_world
 
 import reference as ref
+from checks import assert_built_as_constructed
 from strategies import worlds
 
 
@@ -132,25 +133,11 @@ def test_entropy_zero_iff_agreement():
         assert (wh_entropy(b.distribution(prop)) == 0) == (len(values) == 1)
 
 
-def assert_same_as_checked(belief):
-    """A belief the engine derived without the bounds check holds, equals,
-    hashes and prints as the one a caller builds, and as that one keeps
-    its fields in its two slots, with no __dict__ to take another."""
-    checked = Belief(belief.world, belief.mask)
-    assert (belief.world, belief.mask) == (checked.world, checked.mask)
-    assert belief == checked
-    assert hash(belief) == hash(checked)
-    assert repr(belief) == repr(checked)
-    assert not hasattr(belief, "__dict__") and not hasattr(checked, "__dict__")
-    with pytest.raises(AttributeError):
-        belief.undeclared = None
-
-
 def assert_matches_reference(belief, reference):
     """The mask belief against a plain list of surviving entities; counts
     are compared as ordered lists, since their order is domain order."""
     assert belief.candidate_ids == tuple(e.id for e in reference)
-    assert_same_as_checked(belief)
+    assert_built_as_constructed(belief)
     assert ref.referent(belief) == (reference[0].id if len(reference) == 1 else None)
     properties = belief.world.schema.properties
     for prop, _ in properties:

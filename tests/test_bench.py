@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import itertools
 import statistics
-from collections import Counter
 
 import pytest
 
@@ -21,6 +20,8 @@ from refquest.bench import (
 )
 from refquest.dialogue import BaselineAgent, ModelAgent, run_episode
 from refquest.worlds import spacecraft_world
+
+from checks import recorded_calls
 
 
 def small_spec(**overrides):
@@ -128,53 +129,38 @@ def test_trials_flag_controls_random_world_size():
     assert report.total_episodes == 12
 
 
-def test_every_system_shares_each_iteration_world(monkeypatch):
-    generated = []
-    real = refquest.bench.generate_random_world
-
-    def counting(spec):
-        generated.append(spec.seed)
-        return real(spec)
-
-    monkeypatch.setattr(refquest.bench, "generate_random_world", counting)
-    report = run_benchmark(BenchmarkSpec(environment="random-low", iterations=3, base_seed=5))
+def test_every_system_shares_each_iteration_world():
+    point = (refquest.bench, "generate_random_world")
+    with recorded_calls([point]) as calls:
+        report = run_benchmark(BenchmarkSpec(environment="random-low", iterations=3, base_seed=5))
+    generated = [c.args[0].seed for c in calls[point]]
     assert len(generated) == 3
     assert len(set(generated)) == 3
     assert report.total_episodes == 3 * 3 * 20
 
 
 @pytest.fixture
-def networks(monkeypatch):
-    """Every (world, policy, candidate mask) a model agent builds a network for;
-    holding the worlds keeps their ids distinct."""
-    built = []
-    real = refquest.dialogue.build_network
-
-    def recording(belief, policy):
-        built.append((belief.world, policy, belief.mask))
-        return real(belief, policy)
-
-    monkeypatch.setattr(refquest.dialogue, "build_network", recording)
-    return built
+def networks():
+    """Every call a model agent makes to build a network; each holds its
+    belief, whose world it keeps alive, so the worlds' ids stay distinct."""
+    point = (refquest.dialogue, "build_network")
+    with recorded_calls([point]) as calls:
+        yield calls[point]
 
 
 def test_each_network_is_built_once_per_call(networks):
     run_benchmark(BenchmarkSpec(environment="random-high", iterations=3, base_seed=7))
-    assert len(networks) == len({(id(w), policy, c) for w, policy, c in networks})
+    assert len(networks) == len(
+        {(id(c.args[0].world), c.kwargs["policy"], c.args[0].mask) for c in networks})
 
 
-def test_each_candidate_set_is_solved_once(monkeypatch):
+def test_each_candidate_set_is_solved_once():
     # both model systems share each world's min-sets, so fewer solves than
     # memo entries, one per (policy, mask) asked about
-    solved = []
-    real = refquest.dnet.compute_min_set
-
-    def recording(world, mask):
-        solved.append((world, mask))
-        return real(world, mask)
-
-    monkeypatch.setattr(refquest.dnet, "compute_min_set", recording)
-    run_benchmark(BenchmarkSpec(environment="random-high", iterations=3, base_seed=7))
+    point = (refquest.dnet, "compute_min_set")
+    with recorded_calls([point]) as calls:
+        run_benchmark(BenchmarkSpec(environment="random-high", iterations=3, base_seed=7))
+    solved = [c.args for c in calls[point]]
     worlds = {id(w): w for w, _ in solved}.values()
     assert len(worlds) == 3
     assert len(solved) == len({(id(w), mask) for w, mask in solved}) < sum(
@@ -232,28 +218,24 @@ def one_agent_means(spec):
     return means
 
 
-@pytest.mark.parametrize("base_seed", [0, 7, -3])
+@pytest.mark.parametrize("base_seed", [0, 7, 2**40])
 @pytest.mark.parametrize("environment", ENVIRONMENTS)
 def test_a_run_shares_one_model_agent_per_system_and_one_baseline_agent_per_iteration(
-        monkeypatch, environment, base_seed):
-    built = Counter()
-    for cls in (ModelAgent, BaselineAgent):
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-            built[_name] += 1
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counted)
-    for r in range(1, len(SYSTEMS) + 1):
-        for systems in itertools.permutations(SYSTEMS, r):
-            spec = BenchmarkSpec(systems=systems, environment=environment, iterations=2,
-                                 base_seed=base_seed)
-            built.clear()
-            report = run_benchmark(spec)
-            assert built == Counter(ModelAgent=len(set(systems) - {"baseline"}),
-                                    BaselineAgent=spec.iterations * ("baseline" in systems))
-            assert {r.system: list(r.iteration_means) for r in report.results} == (
-                one_agent_means(spec))
-            assert [r.system for r in report.results] == list(systems)
+        environment, base_seed):
+    inits = [(ModelAgent, "__init__"), (BaselineAgent, "__init__")]
+    with recorded_calls(inits) as calls:
+        for r in range(1, len(SYSTEMS) + 1):
+            for systems in itertools.permutations(SYSTEMS, r):
+                spec = BenchmarkSpec(systems=systems, environment=environment, iterations=2,
+                                     base_seed=base_seed)
+                for log in calls.values():
+                    log.clear()
+                report = run_benchmark(spec)
+                assert [len(calls[point]) for point in inits] == [
+                    len(set(systems) - {"baseline"}), spec.iterations * ("baseline" in systems)]
+                assert {r.system: list(r.iteration_means) for r in report.results} == (
+                    one_agent_means(spec))
+                assert [r.system for r in report.results] == list(systems)
 
 
 # questions asked per iteration by each model system at iterations=10, seed
@@ -269,20 +251,14 @@ MODEL_QUESTIONS = {
 
 
 @pytest.mark.parametrize("environment", ENVIRONMENTS)
-def test_only_the_baseline_moves_and_each_iteration_opens_on_a_fresh_baseline(
-        monkeypatch, environment):
-    played = []  # (world, agent, record) for each baseline episode, in order
-    real = refquest.bench.run_episode
-
-    def recording(world, target_id, agent):
-        record = real(world, target_id, agent)
-        if agent.name == "baseline":
-            played.append((world, agent, record))
-        return record
-
-    monkeypatch.setattr(refquest.bench, "run_episode", recording)
+def test_only_the_baseline_moves_and_each_iteration_opens_on_a_fresh_baseline(environment):
+    point = (refquest.bench, "run_episode")
     spec = BenchmarkSpec(environment=environment, iterations=10, base_seed=7)
-    report = run_benchmark(spec)
+    with recorded_calls([point]) as calls:
+        report = run_benchmark(spec)
+    # (world, agent, record) for each baseline episode, in order
+    played = [(c.args[0], c.args[2], c.result) for c in calls[point]
+              if c.args[2].name == "baseline"]
     n = len(played) // spec.iterations  # targets per iteration
     for system, questions in MODEL_QUESTIONS[environment].items():
         assert report.result(system).iteration_means == tuple(q / n for q in questions)

@@ -7,8 +7,13 @@ from pathlib import Path
 import pytest
 
 import refquest.cli
+from refquest.bench import SYSTEMS, BenchmarkSpec, make_agent
 from refquest.cli import main
+from refquest.dialogue import BaselineAgent
 from refquest.world import load_world
+from refquest.worlds import InfeasibleSpecError, RandomWorldSpec, generate_random_world
+
+import reference
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +229,33 @@ def test_non_integer_seed_env_var_exits_1(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "genworld", "--variance", "low")
     assert code == 1
     assert "REFQUEST_SEED must be an integer, got 'abc'" in err
+
+
+def test_every_seed_entry_refuses_a_negative_seed(capsys, monkeypatch):
+    # random.Random seeds from abs(seed), so seed -1 would silently draw
+    # what seed 1 draws; each entry refuses it in one message, raising the
+    # type it raises for its other bad inputs
+    refused = "seed must be 0 or more, got -1"
+    entries = [
+        (ValueError, lambda: BenchmarkSpec(base_seed=-1)),
+        (InfeasibleSpecError, lambda: RandomWorldSpec(seed=-1).validate()),
+        (InfeasibleSpecError, lambda: generate_random_world(RandomWorldSpec(seed=-1))),
+        (InfeasibleSpecError, lambda: reference.random_world(RandomWorldSpec(seed=-1))),
+        (ValueError, lambda: BaselineAgent(-1)),
+        *((ValueError, lambda system=system: make_agent(system, -1)) for system in SYSTEMS),
+    ]
+    for error, enter in entries:
+        with pytest.raises(error) as exc:
+            enter()
+        assert str(exc.value) == refused
+    commands = [("bench", "--env", "spacecraft"), ("episode", "--target", "emitter_2"),
+                ("genworld", "--variance", "low")]
+    monkeypatch.delenv("REFQUEST_SEED", raising=False)
+    for command in commands:
+        assert run_cli(capsys, *command, "--seed", "-1") == (1, "", f"refquest: error: {refused}\n")
+    monkeypatch.setenv("REFQUEST_SEED", "-1")
+    for command in commands:
+        assert run_cli(capsys, *command) == (1, "", f"refquest: error: {refused}\n")
 
 
 def test_help_available(capsys):

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -32,6 +31,7 @@ from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
 
 import reference as ref
+from checks import assert_built_as_constructed, recorded_calls
 from strategies import random_world_specs, worlds
 
 
@@ -148,7 +148,7 @@ def test_world_memos_key_on_ints_never_on_engine_objects(environment):
                and type(key[0]) is str and type(key[1]) is int for key in w.model_questions)
 
 
-def test_a_warm_turn_builds_no_question_and_checks_no_mask(monkeypatch):
+def test_a_warm_turn_builds_no_question_and_checks_no_mask():
     worlds = [spacecraft_world(), generate_random_world(RandomWorldSpec(n_varying=7, seed=3))]
 
     def play():
@@ -158,29 +158,18 @@ def test_a_warm_turn_builds_no_question_and_checks_no_mask(monkeypatch):
                     run_episode(w, e.id, make_agent(system, i))
 
     play()  # every target once: each world's memo is now warm
-    built = {"questions": 0, "masks checked": 0}
-    question_init, belief_check = Question.__init__, Belief.__post_init__
-
-    def counted_question_init(self, *args, **kwargs):
-        built["questions"] += 1
-        question_init(self, *args, **kwargs)
-
-    def counted_belief_check(self):
-        built["masks checked"] += 1
-        belief_check(self)
-
-    monkeypatch.setattr(Question, "__init__", counted_question_init)
-    monkeypatch.setattr(Belief, "__post_init__", counted_belief_check)
-    play()
-    assert built == {"questions": 0, "masks checked": 0}
-    # the counters see what a caller builds
-    Question("color")
-    Belief(worlds[0], 1)
-    assert built == {"questions": 1, "masks checked": 1}
+    points = [(Question, "__init__"), (Belief, "__post_init__")]
+    with recorded_calls(points) as calls:
+        play()
+        assert [len(calls[point]) for point in points] == [0, 0]
+        # the recorder sees what a caller builds
+        Question("color")
+        Belief(worlds[0], 1)
+        assert [len(calls[point]) for point in points] == [1, 1]
 
 
 @settings(max_examples=40, deadline=None)
-@given(worlds(), st.integers(), st.data())
+@given(worlds(), st.integers(min_value=0), st.data())
 def test_every_question_asked_is_the_schemas_tabled_one(w, seed, data):
     table = w.schema.questions
     targets = data.draw(st.lists(st.sampled_from(w.entities), min_size=1, max_size=6))
@@ -419,7 +408,7 @@ def left_after_every_no(case):
     return [n for i, e in enumerate(w.entities) for n in compare_baselines(w, seed + i, e.id)]
 
 
-baseline_cases = st.tuples(worlds(kinds=("small", "wide")), st.integers())
+baseline_cases = st.tuples(worlds(kinds=("small", "wide")), st.integers(min_value=0))
 
 
 @settings(max_examples=80, deadline=None)
@@ -551,7 +540,7 @@ def test_a_confirm_answered_other_than_yes_or_no_is_refused(word):
 
 
 @settings(max_examples=40, deadline=None)
-@given(worlds(kinds=("small", "wide")), st.integers())
+@given(worlds(kinds=("small", "wide")), st.integers(min_value=0))
 def test_each_word_is_the_oracles_and_the_transcript_folds_to_the_referent(w, baseline_seed):
     for system in SYSTEMS:
         for i, e in enumerate(w.entities):
@@ -572,46 +561,25 @@ PROBE_POINTS = (
 )
 
 
-@contextmanager
-def counting_calls(points):
-    """Wrap each (owner, name) as the tracer does, counting calls by
-    "Owner.name" ("dialogue.name" for a module's), and restore them after."""
-    calls, saved = Counter(), []
-    try:
-        for owner, name in points:
-            fn = vars(owner)[name]
-            key = f"{owner.__name__.rpartition('.')[2]}.{name}"
-
-            def counted(*args, _fn=fn, _key=key, **kwargs):
-                calls[_key] += 1
-                return _fn(*args, **kwargs)
-
-            saved.append((owner, name, fn))
-            setattr(owner, name, counted)
-        yield calls
-    finally:
-        for owner, name, fn in reversed(saved):
-            setattr(owner, name, fn)
-
-
 @settings(max_examples=40, deadline=None)
-@given(worlds(), st.integers())
+@given(worlds(), st.integers(min_value=0))
 def test_every_turn_passes_each_probe_point_once(w, seed):
     w = dataclasses.replace(w)  # a cold memo: every model question is built here
     questions = Counter()
-    with counting_calls(PROBE_POINTS) as calls:
+    with recorded_calls(PROBE_POINTS) as calls:
         for system in SYSTEMS:
             for i, e in enumerate(w.entities):
                 record = run_episode(w, e.id, make_agent(system, seed + i))
                 questions[system == "baseline"] += record.question_count
+    n = {point: len(log) for point, log in calls.items()}
     turns = questions[False] + questions[True]
-    assert calls["Belief.apply_wh_answer"] + calls["Belief.apply_yn_answer"] == turns
-    assert calls["SimOracle.answer"] == turns
-    assert calls["ModelAgent.choose"] == questions[False]
-    assert calls["BaselineAgent.choose"] == questions[True]
-    assert calls["World.by_id"] == len(SYSTEMS) * len(w.entities)
-    assert calls["dialogue.build_network"] == calls["dialogue.select_question"] == len(
-        networked(w))
+    assert n[Belief, "apply_wh_answer"] + n[Belief, "apply_yn_answer"] == turns
+    assert n[SimOracle, "answer"] == turns
+    assert n[ModelAgent, "choose"] == questions[False]
+    assert n[BaselineAgent, "choose"] == questions[True]
+    assert n[World, "by_id"] == len(SYSTEMS) * len(w.entities)
+    assert n[refquest.dialogue, "build_network"] == n[refquest.dialogue, "select_question"] == (
+        len(networked(w)))
 
 
 def networked(w):
@@ -624,18 +592,11 @@ def networked(w):
 @given(worlds(kinds=("small", "wide")))
 def test_a_model_agent_asks_what_its_network_selects_and_builds_none_for_one_question(w):
     w = dataclasses.replace(w)  # a cold memo: every model question is built here
-    built, real = [], refquest.dialogue.build_network
-
-    def recording(belief, policy):
-        built.append((policy, belief.mask))
-        return real(belief, policy)
-
-    refquest.dialogue.build_network = recording
-    try:
+    point = (refquest.dialogue, "build_network")
+    with recorded_calls([point]) as calls:
         records = [(policy, run_episode(w, e.id, ModelAgent(policy)))
                    for policy in ("entropy", "data") for e in w.entities]
-    finally:
-        refquest.dialogue.build_network = real
+    built = [(c.kwargs["policy"], c.args[0].mask) for c in calls[point]]
     visited = set()
     for policy, record in records:
         belief = init_belief(w, record.instruction_label)
@@ -656,40 +617,8 @@ def test_a_model_agent_asks_nothing_of_one_candidate(policy):
         ModelAgent(policy).choose(Belief(w, 1))
 
 
-def _hash(obj):
-    """The object's hash, or the error hashing it raises (a dict field)."""
-    try:
-        return hash(obj)
-    except TypeError as exc:
-        return str(exc)
-
-
-def assert_built_as_constructed(obj):
-    """An object the engine builds holds the fields, in the order, that the
-    public constructor gives it, equals, hashes (or refuses to) and prints
-    as that one, and takes no attribute beyond its fields. A frozen type's
-    fields live in its __dict__ and refuse assignment; the engine's slotted
-    value types hold no __dict__, and the engine never changes one it built."""
-    fields = dataclasses.fields(obj)
-    built = type(obj)(**{f.name: getattr(obj, f.name) for f in fields})
-    if "__slots__" in vars(type(obj)):
-        assert not hasattr(obj, "__dict__") and not hasattr(built, "__dict__")
-        assert ([(f.name, getattr(obj, f.name)) for f in fields]
-                == [(f.name, getattr(built, f.name)) for f in fields])
-        with pytest.raises(AttributeError):
-            obj.undeclared = None
-    else:
-        assert list(vars(obj).items()) == list(vars(built).items())
-        for f in fields:
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, f.name, None)
-    assert obj == built
-    assert _hash(obj) == _hash(built)
-    assert repr(obj) == repr(built)
-
-
 @settings(max_examples=40, deadline=None)
-@given(worlds(), st.integers(), st.data())
+@given(worlds(), st.integers(min_value=0), st.data())
 def test_records_and_beliefs_are_built_as_their_constructors_build_them(w, seed, data):
     targets = data.draw(st.lists(st.sampled_from(w.entities), min_size=1, max_size=6))
     for system in SYSTEMS:
@@ -705,38 +634,23 @@ def test_records_and_beliefs_are_built_as_their_constructors_build_them(w, seed,
 
 
 @settings(max_examples=40, deadline=None)
-@given(worlds(), st.integers())
+@given(worlds(), st.integers(min_value=0))
 def test_distributions_and_networks_are_built_as_their_constructors_build_them(w, seed):
     w = dataclasses.replace(w)  # a cold memo: every model question is built here
-    built = {"distribution": [], "build_network": []}  # (kwargs, object built) per call
-    saved = [(owner, name, vars(owner)[name])
-             for owner, name in ((Belief, "distribution"), (refquest.dialogue, "build_network"))]
-
-    def keeping(name, fn):
-        def kept(*args, **kwargs):
-            obj = fn(*args, **kwargs)
-            built[name].append((kwargs, obj))
-            return obj
-        return kept
-
-    try:
-        for owner, name, fn in saved:
-            setattr(owner, name, keeping(name, fn))
+    with recorded_calls([(Belief, "distribution"), (refquest.dialogue, "build_network")]) as calls:
         for system in SYSTEMS:
             for i, e in enumerate(w.entities):
                 run_episode(w, e.id, make_agent(system, seed + i))
-    finally:
-        for owner, name, fn in saved:
-            setattr(owner, name, fn)
+    distributions = calls[Belief, "distribution"]
+    networks = calls[refquest.dialogue, "build_network"]
     # a network is built only for a min-set of two or more properties
-    assert len(built["build_network"]) == len(networked(w))
-    assert all(len(net.questions) >= 2 for _, net in built["build_network"])
+    assert len(networks) == len(networked(w))
+    assert all(len(c.result.questions) >= 2 for c in networks)
     # an entropy network reads one distribution per question it scores
-    assert len(built["distribution"]) == sum(
-        len(net.questions) for kwargs, net in built["build_network"]
-        if kwargs["policy"] == "entropy")
-    for _, obj in built["distribution"] + built["build_network"]:
-        assert_built_as_constructed(obj)
+    assert len(distributions) == sum(
+        len(c.result.questions) for c in networks if c.kwargs["policy"] == "entropy")
+    for c in distributions + networks:
+        assert_built_as_constructed(c.result)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,7 @@ from strategies import worlds
 
 
 @settings(max_examples=60, deadline=None)
-@given(worlds(kinds=("small", "wide")), st.permutations(SYSTEMS), st.integers(), st.data())
+@given(worlds(kinds=("small", "wide")), st.permutations(SYSTEMS), st.integers(min_value=0), st.data())
 def test_every_system_says_what_the_reference_says(w, systems, seed, data):
     # one World serves every system and target in a drawn order, so most
     # episodes meet a warm memo; the reference keeps none
@@ -25,7 +25,7 @@ def test_every_system_says_what_the_reference_says(w, systems, seed, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(worlds(kinds=("small", "wide")), st.integers(), st.data())
+@given(worlds(kinds=("small", "wide")), st.integers(min_value=0), st.data())
 def test_one_baseline_agent_says_over_its_targets_what_one_reference_baseline_says(
         w, seed, data):
     # as in a benchmark iteration, one agent plays every target in turn,
