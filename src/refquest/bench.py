@@ -67,7 +67,7 @@ class BenchmarkSpec:
                              f" {RandomWorldSpec.n_entities}, got {self.trials}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemResult:
     system: str
     iteration_means: tuple[float, ...] = field(hash=False)
@@ -83,7 +83,7 @@ class SystemResult:
         return statistics.stdev(self.iteration_means)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkReport:
     spec: BenchmarkSpec
     results: tuple[SystemResult, ...] = field(hash=False)

@@ -119,7 +119,7 @@ def _property_refused(event) -> WorldFormatError:
     return _not_allowed(f"tag {event.tag!r}", event)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     """A WH question about `property` when `value` is None ("What color is
     it?"), else a confirm question about that value ("Is it red?"). A
@@ -146,7 +146,7 @@ class Question:
         return f"{prefix}:{self.property}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertySchema:
     """Ordered list of (property name, ordered value domain).
 
@@ -207,7 +207,7 @@ class PropertySchema:
         return self._domains[name]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     """One object in the world, with a total property assignment. The
     assignment is a read-only copy, so a World's tables built from it
@@ -225,7 +225,7 @@ class Entity:
         return self.assignment[prop]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class World:
     """A schema and its entities, checked at construction: ids are unique,
     every entity assigns each property one value of its domain, and no two
@@ -238,14 +238,13 @@ class World:
     (property, value) of the schema, properties in schema order and each
     one's values in domain order, 0 where no entity has the value, and
     `label_masks` one per label. All these tables, both levels of
-    `value_masks` among them, are read-only. The one
-    mutable part, a memo of pure functions of the world freed with it, is
-    `min_sets` by candidate mask and `model_questions` by (policy, mask).
+    `value_masks` among them, are read-only. The one mutable part, a memo
+    of pure functions of the world freed with it, is `min_sets` by
+    candidate mask and `model_questions` by (policy, mask).
 
     This constructor checks each entity and looks up its value slots;
     `_unchecked_world` takes the random generator's, drawn unique. Both
-    hand them to `_table`, which sets every table with object.__setattr__,
-    as the frozen dataclass does: a __dict__ would slow every later read."""
+    hand them to `_table`, which sets every table."""
 
     schema: PropertySchema
     entities: tuple[Entity, ...]
@@ -326,9 +325,7 @@ def _table(world: World, rows) -> None:
 def _unchecked_world(schema: PropertySchema, drawn) -> World:
     """The World of `drawn`, one (id, label, type name, value slots) per
     entity, drawn over `schema` with unique ids and rows: what the checked
-    constructors would build, without their checks. Fields are set in their
-    order with object.__setattr__, as they set them; a written __dict__
-    would make every later attribute read about three times as slow."""
+    constructors would build, without their checks."""
     new, setattr_, keys = object.__new__, object.__setattr__, tuple(schema.fields)
     entities = []
     for entity_id, label, type_name, row in drawn:

@@ -42,6 +42,10 @@ class RandomWorldSpec:
 
     def validate(self):
         check_seed(self.seed, InfeasibleSpecError)
+        if min(self.n_entities, self.n_properties, self.values_per_property, self.group_size) < 1:
+            raise InfeasibleSpecError("all counts must be at least 1")
+        if self.n_varying < 0:
+            raise InfeasibleSpecError(f"n_varying must be 0 or more, got {self.n_varying}")
         if self.n_varying > self.n_properties:
             raise InfeasibleSpecError("n_varying exceeds n_properties")
         if self.values_per_property ** self.n_varying < self.n_entities:
@@ -49,8 +53,6 @@ class RandomWorldSpec:
                 f"{self.values_per_property}^{self.n_varying} < {self.n_entities}: "
                 "not enough combinations for unique entities"
             )
-        if min(self.n_entities, self.n_properties, self.values_per_property, self.group_size) < 1:
-            raise InfeasibleSpecError("all counts must be at least 1")
 
 
 @functools.lru_cache(maxsize=16)

@@ -89,15 +89,16 @@ def random_world_specs(draw, refused=True):
     generator accepts has at least twice as many value combinations as
     entities, or one entity, so drawing unique rows takes few redraws.
     With `refused`, about one spec in four may also vary one property too
-    many, or have no entities, groups of none, or too few combinations for
-    its entities, or a negative seed, all of which the generator refuses."""
+    many or a negative number of them, or have no entities, groups of none,
+    or too few combinations for its entities, or a negative seed, all of
+    which the generator refuses."""
     refuse = refused and draw(st.integers(0, 3)) == 0
     least = 0 if refuse else 1
     n_properties = draw(st.integers(1, 8))
-    n_varying = draw(st.integers(0, n_properties + refuse))
+    n_varying = draw(st.integers(-2 * refuse, n_properties + refuse))
     values = draw(st.integers(1, 5))
     n_entities = draw(st.integers(least, 30))
-    combinations = values ** n_varying
+    combinations = values ** max(n_varying, 0)
     # too few combinations to draw unique rows quickly: a refused spec keeps
     # too few for its entities, and any other takes half as many entities
     if n_entities > 1 and combinations < 2 * n_entities and not (refuse and combinations < n_entities):

@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -101,13 +100,20 @@ def run_every_model_episode(w):
 
 
 def test_a_world_memo_dies_with_its_world():
+    # a slotted World takes no weakref, so the live Worlds are counted instead
+    def live_worlds():
+        return sum(type(o) is World for o in gc.get_objects())
+
+    gc.collect()
+    before = live_worlds()
     w = generate_random_world(RandomWorldSpec(n_varying=7, seed=3))
     run_every_model_episode(w)
     assert w.min_sets and w.model_questions
-    ref = weakref.ref(w)
+    for memo in ("min_sets", "model_questions"):
+        assert gc.get_referrers(getattr(w, memo)) == [w]
     del w
     gc.collect()
-    assert ref() is None
+    assert live_worlds() == before
 
 
 def test_a_warm_memo_leaves_equality_hash_and_repr_alone():

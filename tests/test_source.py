@@ -1,6 +1,8 @@
 """Checks over the package's own source text."""
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import refquest
@@ -9,15 +11,27 @@ SOURCES = sorted(Path(refquest.__file__).parent.glob("*.py"))
 
 
 def test_no_source_reads_or_writes_an_instance_dict():
-    # every engine object is built by its constructor, or, for a derived
-    # Belief, by assigning its slots; a __dict__ would be a way round both.
-    # A docstring naming __dict__ is a string, not an attribute, and passes
+    # every engine value is a slotted dataclass, frozen for the world types,
+    # and the agents and oracles are plain classes: a __dict__ read or written
+    # would be a way round their constructors. A docstring naming __dict__
+    # is a string, not an attribute, and passes
     assert {"belief.py", "dialogue.py", "dnet.py", "world.py", "worlds.py"} <= {
         path.name for path in SOURCES}
     found = [f"{path.name}:{node.lineno}" for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text("utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "__dict__"]
     assert found == []
+
+
+def test_every_dataclass_but_the_two_specs_is_slotted():
+    # the CLI and BenchmarkSpec.trials read the specs' defaults off their
+    # classes, where slots would leave a member descriptor instead
+    classes = {name: cls for path in SOURCES if path.stem != "__init__"
+               for name, cls in vars(importlib.import_module(f"refquest.{path.stem}")).items()
+               if dataclasses.is_dataclass(cls) and cls.__module__ == f"refquest.{path.stem}"}
+    assert {"World", "Entity", "PropertySchema", "Question", "Belief"} <= set(classes)
+    assert sorted(name for name, cls in classes.items()
+                  if "__slots__" not in vars(cls)) == ["BenchmarkSpec", "RandomWorldSpec"]
 
 
 def test_worlds_imports_only_the_unchecked_entry_point_of_world():

@@ -27,7 +27,7 @@ from refquest.world import (
 from refquest.worlds import spacecraft_world
 
 import reference
-from checks import assert_tabled
+from checks import assert_built_as_constructed, assert_tabled
 from strategies import worlds
 
 SCHEMA = PropertySchema((("color", ("red", "blue")), ("shape", ("tall", "short"))))
@@ -192,7 +192,9 @@ def test_the_schema_tables_one_question_per_word_of_its_alphabet(w):
         {(p, None) for p in schema.names}
         | {(p, v) for p, values in schema.properties for v in values}
     )
-    assert all(q == Question(*key) for key, q in schema.questions.items())
+    for key, q in schema.questions.items():
+        assert q == Question(*key)
+        assert_built_as_constructed(q)
     with pytest.raises(TypeError):
         schema.questions[schema.names[0], None] = Question(schema.names[0])
 
@@ -246,27 +248,6 @@ def test_a_config_written_with_shuffled_keys_loads_to_an_equal_world(w, rnd):
             == [list(item["assignment"]) for item in doc["entities"]])
     assert loaded == w
     assert_tabled(loaded)
-
-
-def test_incomplete_assignment_flagged():
-    e = Entity(id="a", label="w", type_name="w", assignment={"color": "red"})
-    with pytest.raises(WorldFormatError, match="incomplete"):
-        World(SCHEMA, (e, ent("b", "blue", "tall")))
-
-
-def test_unknown_value_flagged():
-    with pytest.raises(WorldFormatError, match="'green'.*'color'"):
-        World(SCHEMA, (ent("a", "green", "tall"), ent("b", "blue", "tall")))
-
-
-def test_schema_rejects_duplicate_properties():
-    with pytest.raises(WorldFormatError):
-        PropertySchema((("color", ("red",)), ("color", ("blue",))))
-
-
-def test_schema_rejects_empty_domain():
-    with pytest.raises(WorldFormatError):
-        PropertySchema((("color", ()),))
 
 
 def test_load_world_round_trip():
@@ -483,7 +464,11 @@ def test_load_world_refuses_other_tags(yaml_parser, value, tag):
      "bad entity entry {'id': 'a', 'label': 'w', 'type': 'w'}: needs id/label/type/assignment"),
     (lambda: PropertySchema((("color", ("red", "blue", "red")),)),
      "property 'color' has duplicate values"),
-], ids=["not-a-mapping", "missing-key", "schema-entry", "entity-entry", "duplicate-values"])
+    (lambda: PropertySchema((("color", ("red",)), ("color", ("blue",)))),
+     "duplicate property names in schema: ['color', 'color']"),
+    (lambda: PropertySchema((("color", ()),)), "property 'color' has an empty domain"),
+], ids=["not-a-mapping", "missing-key", "schema-entry", "entity-entry", "duplicate-values",
+        "duplicate-properties", "empty-domain"])
 def test_malformed_worlds_are_refused_by_name(build, message):
     with pytest.raises(WorldFormatError) as exc:
         build()
