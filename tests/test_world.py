@@ -467,8 +467,12 @@ def test_load_world_refuses_other_tags(yaml_parser, value, tag):
     (lambda: PropertySchema((("color", ("red",)), ("color", ("blue",)))),
      "duplicate property names in schema: ['color', 'color']"),
     (lambda: PropertySchema((("color", ()),)), "property 'color' has an empty domain"),
+    (lambda: World(SCHEMA, (Entity("a", "w", "w", {"color": "red"}), ent("b", "blue", "tall"))),
+     "invalid world: entity 'a': incomplete assignment, missing ['shape']"),
+    (lambda: World(SCHEMA, (ent("a", "green", "tall"), ent("b", "blue", "tall"))),
+     "invalid world: entity 'a': value 'green' not in domain of property 'color'"),
 ], ids=["not-a-mapping", "missing-key", "schema-entry", "entity-entry", "duplicate-values",
-        "duplicate-properties", "empty-domain"])
+        "duplicate-properties", "empty-domain", "incomplete-assignment", "unknown-value"])
 def test_malformed_worlds_are_refused_by_name(build, message):
     with pytest.raises(WorldFormatError) as exc:
         build()
