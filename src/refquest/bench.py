@@ -18,7 +18,9 @@ order, its random stream running on from one episode to the next.
 from __future__ import annotations
 
 import json
+import math
 import statistics
+import sys
 from dataclasses import dataclass, field
 
 from refquest.dialogue import MAX_QUESTIONS_DEFAULT, BaselineAgent, ModelAgent, run_episode
@@ -78,9 +80,21 @@ class SystemResult:
 
     @property
     def sd(self) -> float:
-        if len(self.iteration_means) < 2:
+        """The sample SD over the iteration means, exact and correctly
+        rounded: their variance in integers, over the least common
+        denominator of their ratios, and its square root rounded once. So a
+        report prints the same bytes on Python 3.10 to 3.13, though
+        `statistics.stdev`'s last bit differs between 3.10 and 3.11. 0.0 for
+        fewer than two means, and for equal means."""
+        n = len(self.iteration_means)
+        if n < 2:
             return 0.0
-        return statistics.stdev(self.iteration_means)
+        ratios = [m.as_integer_ratio() for m in self.iteration_means]
+        common = math.lcm(*[d for _, d in ratios])
+        xs = [a * (common // d) for a, d in ratios]
+        total = sum(xs)
+        return _sqrt_of_ratio(n * sum([x * x for x in xs]) - total * total,
+                              n * (n - 1) * common * common)
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,6 +108,25 @@ class BenchmarkReport:
             if r.system == system:
                 return r
         raise KeyError(system)
+
+
+# Bits of the root that _sqrt_of_ratio rounds to odd before its one float
+# rounding: enough for that rounding to be correct for a 53-bit mantissa.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_ratio(n: int, m: int) -> float:
+    """The float nearest sqrt(n / m), for ints n >= 0 and m > 0: the root in
+    _SQRT_BITS bits, its last bit set when the root is inexact (round to odd),
+    so that dividing by a power of two rounds it once and correctly."""
+    q = (n.bit_length() - m.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 def _split_seed(seed: int, counter: int) -> int:

@@ -307,14 +307,17 @@ def _table(world: World, rows) -> None:
     a World's tables are the same however it was built."""
     schema, setattr_ = world.schema, object.__setattr__
     field_codes = tuple(schema.fields.values())
-    slot_masks, label_masks, bit = [0] * len(field_codes), {}, 1
+    slot_masks, label_masks, codes, bit = [0] * len(field_codes), {}, [], 1
     for e, row in zip(world.entities, rows):
+        code = 0
         for slot in row:
             slot_masks[slot] |= bit
+            code += field_codes[slot]
+        codes.append(code)
         label_masks[e.label] = label_masks.get(e.label, 0) | bit
         bit <<= 1
     masks = iter(slot_masks)  # schema.fields' order: by property, then by value
-    setattr_(world, "codes", tuple([sum(map(field_codes.__getitem__, row)) for row in rows]))
+    setattr_(world, "codes", tuple(codes))
     setattr_(world, "value_masks", MappingProxyType({
         name: MappingProxyType(dict(zip(values, masks))) for name, values in schema.properties
     }))
@@ -322,13 +325,13 @@ def _table(world: World, rows) -> None:
     setattr_(world, "_by_id", {e.id: e for e in world.entities})
 
 
-def _unchecked_world(schema: PropertySchema, drawn) -> World:
-    """The World of `drawn`, one (id, label, type name, value slots) per
-    entity, drawn over `schema` with unique ids and rows: what the checked
-    constructors would build, without their checks."""
+def _unchecked_world(schema: PropertySchema, names, rows) -> World:
+    """The World of entities named `names[i]`, an (id, label, type name), with
+    the value slots `rows[i]`, drawn over `schema` with unique ids and rows:
+    what the checked constructors would build, without their checks."""
     new, setattr_, keys = object.__new__, object.__setattr__, tuple(schema.fields)
     entities = []
-    for entity_id, label, type_name, row in drawn:
+    for (entity_id, label, type_name), row in zip(names, rows):
         e = new(Entity)
         setattr_(e, "id", entity_id)
         setattr_(e, "label", label)
@@ -340,7 +343,7 @@ def _unchecked_world(schema: PropertySchema, drawn) -> World:
     setattr_(world, "entities", tuple(entities))
     setattr_(world, "min_sets", {})
     setattr_(world, "model_questions", {})
-    _table(world, [d[3] for d in drawn])
+    _table(world, rows)
     return world
 
 

@@ -5,8 +5,8 @@ the rest are constant decoys. The benchmark's low-variance regime varies
 a few properties and its high-variance regime all of them. Entities are
 grouped under shared instruction labels, which is what creates the
 ambiguity each episode must resolve. The generator only draws each
-entity's value slots and names it; `world._unchecked_world` builds the
-World and its tables from them, as the checked constructor would.
+entity's value slots and takes its shape's names; `world._unchecked_world`
+builds the World and its tables from them, as the checked constructor would.
 """
 
 from __future__ import annotations
@@ -64,6 +64,14 @@ def _schema(n_properties: int, values_per_property: int) -> PropertySchema:
     ))
 
 
+@functools.lru_cache(maxsize=16)
+def _names(n_entities: int, group_size: int) -> tuple[tuple[str, str, str], ...]:
+    """Each entity's (id, label, type name) in a shape's worlds, shared by
+    every world generated in it."""
+    types = [f"type{n // group_size + 1}" for n in range(n_entities)]
+    return tuple((f"e{n + 1:02d}", t + " widget", t) for n, t in enumerate(types))
+
+
 def generate_random_world(spec: RandomWorldSpec) -> World:
     """Deterministic random world for a spec.
 
@@ -71,9 +79,9 @@ def generate_random_world(spec: RandomWorldSpec) -> World:
     per entity; the rest are constant across all entities. Full
     assignments are resampled on collision until unique. Each value is
     drawn as its domain index, from the bits `Random.choice` would use on
-    the domain, and kept as its value slot. The entities' names and slots
-    go to `_unchecked_world`: they are drawn unique and complete, so the
-    World's checks are skipped.
+    the domain, and kept as its value slot. The entities' slots and their
+    shape's names go to `_unchecked_world`: they are drawn unique and
+    complete, so the World's checks are skipped.
     """
     spec.validate()
     getrandbits = random.Random(spec.seed).getrandbits
@@ -92,15 +100,14 @@ def generate_random_world(spec: RandomWorldSpec) -> World:
 
     # a value's slot is its index in schema.fields: property i's j-th value is i * k + j
     constant = draw(range(spec.n_varying, spec.n_properties))
-    seen, entities = set(), []  # the varying slots drawn; each entity's names and slots
-    for n in range(spec.n_entities):
+    seen, rows = set(), []  # the varying slots drawn; each entity's slots
+    for _ in range(spec.n_entities):
         slots = draw(varying)
         while slots in seen:
             slots = draw(varying)
         seen.add(slots)
-        type_name = f"type{n // spec.group_size + 1}"
-        entities.append((f"e{n + 1:02d}", type_name + " widget", type_name, slots + constant))
-    return _unchecked_world(schema, entities)
+        rows.append(slots + constant)
+    return _unchecked_world(schema, _names(spec.n_entities, spec.group_size), rows)
 
 
 @functools.cache

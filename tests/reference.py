@@ -26,11 +26,16 @@ list their properties in the same order.
 The exact baseline, `exact_baseline_moments`, makes no draw: it gives the
 mean and variance of a baseline episode's question count over every draw
 the baseline could make, which any uniform stream must reproduce.
+
+The exact sample variance, `sample_variance`, reads each mean as the
+rational it holds and sums its squared deviations in Fractions, two
+passes and no common denominator, unlike the report's integer SD.
 """
 
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import yaml
 
@@ -159,6 +164,14 @@ def transcript(world, target_id, system, seed=0,
         turns.append((*question, word))
     assert candidates == [target]
     return turns
+
+
+def sample_variance(means) -> Fraction:
+    """The sample variance of `means` (floats, ints or Fractions), exactly:
+    the squared deviations from their mean, summed over n - 1."""
+    xs = [Fraction(m) for m in means]
+    mean = sum(xs) / len(xs)
+    return sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
 
 
 def exact_baseline_mean(world, target_id) -> float:

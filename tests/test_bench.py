@@ -1,9 +1,14 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import statistics
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refquest.bench
 import refquest.dialogue
@@ -12,6 +17,7 @@ from refquest.bench import (
     ENVIRONMENTS,
     SYSTEMS,
     BenchmarkSpec,
+    SystemResult,
     _split_seed,
     emit_report,
     make_agent,
@@ -22,6 +28,7 @@ from refquest.dialogue import BaselineAgent, ModelAgent, run_episode
 from refquest.worlds import spacecraft_world
 
 from checks import recorded_calls
+from reference import sample_variance
 
 
 def small_spec(**overrides):
@@ -76,6 +83,55 @@ def test_structured_report_bytes_are_pinned(environment):
     spec = BenchmarkSpec(environment=environment, iterations=10, base_seed=7)
     report = emit_report(run_benchmark(spec), "structured")
     assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256[environment]
+
+
+def test_the_100_iteration_spacecraft_report_is_pinned():
+    # CI pins this prefix for the installed script on every Python it runs.
+    # Python 3.10's statistics.stdev gave this baseline SD as
+    # 0.3256211269926034, and the report hashed to a1228460; the
+    # 10-iteration pins agree on 3.10 and 3.11 alike
+    report = run_benchmark(BenchmarkSpec(environment="spacecraft", iterations=100, base_seed=7))
+    assert report.result("baseline").sd == 0.32562112699260337
+    text = emit_report(report, "structured")
+    assert hashlib.sha256(text.encode()).hexdigest()[:8] == "d9414cbf"
+
+
+def is_nearest_root(sd: float, variance: Fraction) -> bool:
+    """Whether `sd` is a float nearest the square root of `variance`: the
+    root lies between sd's midpoints with its two neighbours, compared
+    exactly, as squares, with no square root taken."""
+    low = max((Fraction(math.nextafter(sd, -math.inf)) + Fraction(sd)) / 2, Fraction(0))
+    high = (Fraction(math.nextafter(sd, math.inf)) + Fraction(sd)) / 2
+    return low * low <= variance <= high * high
+
+
+MEANS = st.lists(st.one_of(
+    st.builds(lambda k, n: k / n, st.integers(0, 400), st.integers(1, 20)),  # question counts
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**6),
+), min_size=2, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MEANS)
+def test_the_sd_is_the_nearest_float_to_the_exact_root(means):
+    sd = SystemResult("s", tuple(means)).sd
+    assert is_nearest_root(sd, sample_variance(means))
+    if sys.version_info >= (3, 11):  # 3.10's stdev can miss by its last bit
+        assert sd == statistics.stdev(means)
+
+
+@pytest.mark.parametrize("means, sd", [
+    ((5.0,), 0.0),
+    ((1.5, 1.5, 1.5), 0.0),
+    ((6.142857142857143, 4.428571428571429, 5.428571428571429), 0.861101967620244),
+    ((4.0, 5.666666666666667, 6.333333333333333, 4.666666666666667), 1.0363754503432017),
+    ((Fraction(1, 3), 0.5, 2), 0.9179284245476836),  # over a common denominator of 6
+], ids=["one mean", "equal means", "three means", "four means", "a Fraction mean"])
+def test_pinned_sds(means, sd):
+    # Python 3.10's stdev gives ...2442 and ...2014 for the three and four means
+    assert SystemResult("s", means).sd == sd
 
 
 def test_delimited_format():

@@ -34,6 +34,19 @@ def test_every_dataclass_but_the_two_specs_is_slotted():
                   if "__slots__" not in vars(cls)) == ["BenchmarkSpec", "RandomWorldSpec"]
 
 
+def test_no_source_calls_a_statistics_spread():
+    # the last bit of statistics.stdev and its kin differs between Python
+    # 3.10 and 3.11, and the report's SD is pinned to the byte
+    spreads = {"stdev", "pstdev", "variance", "pvariance"}
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in spreads
+             and getattr(node.value, "id", None) == "statistics"
+             or isinstance(node, ast.ImportFrom) and node.module == "statistics"
+             and spreads & {alias.name for alias in node.names}]
+    assert found == []
+
+
 def test_worlds_imports_only_the_unchecked_entry_point_of_world():
     # the generator draws slots and names entities; world.py builds and
     # tables its Worlds, so no other private name of world.py is reached

@@ -144,6 +144,13 @@ def test_benchmark_worlds_equal_the_reference_generators(n_varying):
         assert_generated_as_the_reference_generates(RandomWorldSpec(n_varying=n_varying, seed=seed))
 
 
+def test_each_shape_names_its_entities_by_its_own_group_size():
+    # the names are cached per shape: shapes of one entity count that group
+    # their labels apart must not share them, in whichever order they come
+    for group_size in (7, 3, 20, 7):
+        assert_generated_as_the_reference_generates(RandomWorldSpec(group_size=group_size, seed=1))
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_the_generator_draws_as_random_randbelow(monkeypatch, seed):
     # one entity of three properties, two varying: three draws over the
