@@ -57,8 +57,9 @@ class HumanOracle:
                 self.say("please answer yes or no")
             else:
                 # a value equal to the reply as typed wins, then one equal to it with
-                # both stripped, then also ignoring case; the domain's spelling is kept
-                domain = self.world.schema.domain(q.property)
+                # both stripped, then also ignoring case; the domain's spelling is kept.
+                # A row of value masks holds the whole domain, carried or not
+                domain = self.world.value_masks[q.property]
                 matches = (
                     [v for v in domain if v == raw]
                     or [v for v in domain if v.strip() == reply]

@@ -151,8 +151,8 @@ class PropertySchema:
     """Ordered list of (property name, ordered value domain).
 
     Ordering is stable and significant: it drives deterministic
-    tie-breaking throughout the question-selection pipeline. Names and
-    domains are tabled once at construction.
+    tie-breaking throughout the question-selection pipeline. Names are
+    tabled once at construction.
 
     An entity packs into one int, its code: the sum of `fields[prop,
     value]` over its assignment. Property i owns the bit field of w bits
@@ -175,7 +175,6 @@ class PropertySchema:
     questions: Mapping[tuple[str, str | None], Question] = field(
         init=False, repr=False, compare=False
     )
-    _domains: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(name for name, _ in self.properties)
@@ -201,10 +200,6 @@ class PropertySchema:
             for name, values in self.properties
             for value in (None, *values)
         }))
-        object.__setattr__(self, "_domains", dict(self.properties))
-
-    def domain(self, name: str) -> tuple[str, ...]:
-        return self._domains[name]
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,12 +1,14 @@
 """The checks that several test modules share, each stated once: how a
-World is tabled, how an engine object is built, and a recorder of the
-calls a test watches. A change to a table's shape, a constructor or a
-probe point edits the one helper here, not every test that relies on it.
+World is tabled, how an engine object is built, how a refusal is worded,
+and a recorder of the calls a test watches. A change to a table's shape,
+a constructor or a probe point edits the one helper here, not every test
+that relies on it.
 Every engine object built as a value is a slotted dataclass, frozen for
 the world types (World, Entity, PropertySchema, Question), so none holds
 a __dict__."""
 
 import dataclasses
+import re
 from collections import namedtuple
 from contextlib import contextmanager
 from types import MappingProxyType
@@ -105,6 +107,29 @@ def assert_built_as_constructed(obj):
         with pytest.raises(TypeError):
             hash(obj)
     assert repr(obj) == repr(built)
+
+
+def refusals(rows):
+    """Parametrize a test over `rows`, {id: (call, error type, message)},
+    each case under its id: one refusal table per layer. An id that starts
+    with test_ names the one-case test the row was first written as, so
+    `pytest -k` on that name still selects it."""
+    return pytest.mark.parametrize("call, error, message", list(rows.values()), ids=list(rows))
+
+
+def assert_refused(call, error, message):
+    """`call()` raises `error` itself, not a subclass, with the one argument
+    `message`, compared whole: equal to it when a str, else a compiled
+    pattern it matches whole, for words that PyYAML writes after
+    refquest's own prefix."""
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    (said,) = exc.value.args
+    if isinstance(message, re.Pattern):
+        assert message.fullmatch(said), said
+    else:
+        assert said == message
 
 
 # one call that returned: its arguments as passed, and its result

@@ -323,15 +323,14 @@ def random_world(spec: RandomWorldSpec) -> World:
     schema = _schema(spec.n_properties, spec.values_per_property)
     prop_names = schema.names
     varying = prop_names[: spec.n_varying]
-    constant = {
-        name: rng.choice(schema.domain(name)) for name in prop_names[spec.n_varying:]
-    }
+    domains = dict(schema.properties)
+    constant = {name: rng.choice(domains[name]) for name in prop_names[spec.n_varying:]}
 
     entities = []
     seen = set()
     for i in range(spec.n_entities):
         while True:
-            assignment = {name: rng.choice(schema.domain(name)) for name in varying}
+            assignment = {name: rng.choice(domains[name]) for name in varying}
             assignment.update(constant)
             key = tuple(assignment[p] for p in prop_names)
             if key not in seen:

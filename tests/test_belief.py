@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from refquest.belief import Belief, ContradictoryAnswerError, UnknownReferentError, init_belief
@@ -8,7 +7,7 @@ from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import spacecraft_world
 
 import reference as ref
-from checks import assert_built_as_constructed
+from checks import assert_built_as_constructed, assert_refused, refusals
 from strategies import worlds
 
 
@@ -34,20 +33,9 @@ def test_init_belief_unique_label_already_resolved():
     assert ref.referent(b) == "d"
 
 
-def test_mask_beyond_the_world_is_named():
+def test_a_mask_of_the_last_entity_is_its_referent():
     w = spacecraft_world()
-    with pytest.raises(ValueError,
-                       match=r"^candidate mask 0x40000 has bits beyond the world's 18 entities$"):
-        Belief(w, 1 << 18)
-    # a stray bit beside a real candidate is named too, not read as resolved
-    with pytest.raises(ValueError, match=r"^candidate mask 0x40001 has bits beyond"):
-        Belief(w, (1 << 18) | 1)
     assert ref.referent(Belief(w, 1 << 17)) == w.entities[17].id
-
-
-def test_init_belief_unknown_label():
-    with pytest.raises(UnknownReferentError):
-        init_belief(small_world(), "flux widget")
 
 
 def test_distribution_counts():
@@ -74,12 +62,6 @@ def test_wh_answer_matching_all_keeps_set():
     assert b.apply_wh_answer("color", "red").candidate_ids == b.candidate_ids
 
 
-def test_wh_answer_contradiction():
-    b = init_belief(small_world(), "widget")
-    with pytest.raises(ContradictoryAnswerError):
-        b.apply_wh_answer("color", "green")
-
-
 def test_yn_answers():
     b = init_belief(small_world(), "widget")
     assert b.apply_yn_answer("color", "red", True).candidate_ids == ("a", "b")
@@ -89,25 +71,6 @@ def test_yn_answers():
 def test_yn_confirming_own_value_unchanged():
     b = init_belief(small_world(), "gadget")
     assert b.apply_yn_answer("color", "green", True).candidate_ids == ("d",)
-
-
-def test_value_outside_domain_rejected():
-    b = init_belief(small_world(), "widget")
-    with pytest.raises(KeyError, match="value 'mauve' not in domain of property 'color'"):
-        b.apply_wh_answer("color", "mauve")
-    with pytest.raises(KeyError, match="value 'mauve' not in domain of property 'color'"):
-        b.apply_yn_answer("color", "mauve", False)
-
-
-def test_unknown_property_rejected():
-    b = init_belief(small_world(), "widget")
-    with pytest.raises(KeyError, match="unknown property 'colour'"):
-        b.apply_wh_answer("colour", "red")
-    with pytest.raises(KeyError, match="unknown property 'colour'"):
-        b.apply_yn_answer("colour", "red", True)
-    with pytest.raises(KeyError) as exc:
-        b.distribution("colour")
-    assert exc.value.args == ("unknown property 'colour'",)
 
 
 def test_updates_never_grow_candidates():
@@ -160,17 +123,49 @@ def test_mask_belief_matches_tuple_filter_reference(w, data):
         reference = ref.keep(reference, (prop, value), word)
     assert_matches_reference(belief, reference)
     # a caller's mask is still checked, whatever the engine skips
-    stray = 1 << data.draw(st.integers(len(w.entities), len(w.entities) + 70))
-    with pytest.raises(ValueError, match="has bits beyond the world's"):
-        Belief(w, belief.mask | stray)
+    mask = belief.mask | 1 << data.draw(st.integers(len(w.entities), len(w.entities) + 70))
+    assert_refused(lambda: Belief(w, mask), ValueError,
+                   f"candidate mask {mask:#x} has bits beyond the world's"
+                   f" {len(w.entities)} entities")
 
 
-@pytest.mark.parametrize("label, yes, message", [
-    ("gadget", False, "answer no to color='green' eliminates all candidates"),
-    ("widget", True, "answer yes to color='green' eliminates all candidates"),
-], ids=["no", "yes"])
-def test_confirm_that_empties_the_candidates_is_refused(label, yes, message):
-    b = init_belief(small_world(), label)
-    with pytest.raises(ContradictoryAnswerError) as exc:
-        b.apply_yn_answer("color", "green", yes)
-    assert str(exc.value) == message
+def widgets():
+    return init_belief(small_world(), "widget")
+
+
+NOT_IN_DOMAIN = "value 'mauve' not in domain of property 'color'"
+EMPTIED = "answer {} to color='green' eliminates all candidates"
+
+
+@refusals({
+    "test_mask_beyond_the_world_is_named": (
+        lambda: Belief(spacecraft_world(), 1 << 18), ValueError,
+        "candidate mask 0x40000 has bits beyond the world's 18 entities"),
+    # a stray bit beside a real candidate is named too, not read as resolved
+    "test_mask_beyond_the_world_is_named-stray": (
+        lambda: Belief(spacecraft_world(), (1 << 18) | 1), ValueError,
+        "candidate mask 0x40001 has bits beyond the world's 18 entities"),
+    "test_init_belief_unknown_label": (lambda: init_belief(small_world(), "flux widget"),
+                                       UnknownReferentError, "no entity labelled 'flux widget'"),
+    "test_wh_answer_contradiction": (
+        lambda: widgets().apply_wh_answer("color", "green"), ContradictoryAnswerError,
+        "no candidate has color='green' (answer contradicts evidence)"),
+    "test_value_outside_domain_rejected-wh": (
+        lambda: widgets().apply_wh_answer("color", "mauve"), KeyError, NOT_IN_DOMAIN),
+    "test_value_outside_domain_rejected-yn": (
+        lambda: widgets().apply_yn_answer("color", "mauve", False), KeyError, NOT_IN_DOMAIN),
+    "test_unknown_property_rejected-wh": (
+        lambda: widgets().apply_wh_answer("colour", "red"), KeyError, "unknown property 'colour'"),
+    "test_unknown_property_rejected-yn": (lambda: widgets().apply_yn_answer("colour", "red", True),
+                                          KeyError, "unknown property 'colour'"),
+    "test_unknown_property_rejected-distribution": (
+        lambda: widgets().distribution("colour"), KeyError, "unknown property 'colour'"),
+    "test_confirm_that_empties_the_candidates_is_refused-no": (
+        lambda: init_belief(small_world(), "gadget").apply_yn_answer("color", "green", False),
+        ContradictoryAnswerError, EMPTIED.format("no")),
+    "test_confirm_that_empties_the_candidates_is_refused-yes": (
+        lambda: widgets().apply_yn_answer("color", "green", True),
+        ContradictoryAnswerError, EMPTIED.format("yes")),
+})
+def test_refused_word_for_word(call, error, message):
+    assert_refused(call, error, message)

@@ -27,7 +27,7 @@ from refquest.bench import (
 from refquest.dialogue import BaselineAgent, ModelAgent, run_episode
 from refquest.worlds import spacecraft_world
 
-from checks import recorded_calls
+from checks import assert_refused, recorded_calls, refusals
 from reference import sample_variance
 
 
@@ -35,19 +35,6 @@ def small_spec(**overrides):
     base = dict(environment="spacecraft", iterations=3, base_seed=11)
     base.update(overrides)
     return BenchmarkSpec(**base)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        BenchmarkSpec(systems=())
-    with pytest.raises(ValueError):
-        BenchmarkSpec(systems=("warp-drive",))
-    with pytest.raises(ValueError):
-        BenchmarkSpec(environment="moonbase")
-    with pytest.raises(ValueError):
-        BenchmarkSpec(iterations=0)
-    with pytest.raises(ValueError, match="duplicate systems"):
-        BenchmarkSpec(systems=("model-entropy", "model-entropy"))
 
 
 def test_report_counts_episodes():
@@ -150,20 +137,9 @@ def test_table_format_bolds_minimum():
     assert "1.72" in text  # human reference footnote
 
 
-def test_unknown_format_rejected():
-    report = run_benchmark(small_spec(systems=("model-entropy",)))
-    with pytest.raises(ValueError):
-        emit_report(report, "pdf")
-
-
-def test_spacecraft_refuses_a_trials_count_it_would_ignore():
-    message = ("trials sets the size of a random world; spacecraft always runs its 18"
-               " tools, so leave trials at 20, got {}")
-    for trials in (3, 18, 21):
-        with pytest.raises(ValueError) as exc:
-            BenchmarkSpec(environment="spacecraft", trials=trials)
-        assert str(exc.value) == message.format(trials)
-    # the default, which the spacecraft reports record, and any count for a random world
+def test_spacecraft_keeps_the_default_trials_and_a_random_world_takes_any():
+    # the default, which the spacecraft reports record, and any count for a
+    # random world; spacecraft refuses any other (test_refused_word_for_word)
     assert BenchmarkSpec(environment="spacecraft").trials == 20
     assert BenchmarkSpec(environment="random-low", trials=3).trials == 3
 
@@ -236,16 +212,37 @@ def test_spacecraft_networks_do_not_grow_with_iterations(networks, monkeypatch):
     assert (len(networks), len(world.model_questions)) == (12, 24)
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda: refquest.bench.make_agent("warp-drive", 0), "unknown system 'warp-drive'"),
-    (lambda: refquest.bench.world_for("moonbase", 0, 20),
-     "unknown environment 'moonbase'; expected one of "
-     "('spacecraft', 'random-low', 'random-high')"),
-], ids=["make_agent", "world_for"])
-def test_unknown_names_rejected(build, message):
-    with pytest.raises(ValueError) as exc:
-        build()
-    assert str(exc.value) == message
+UNKNOWN_ENVIRONMENT = ("unknown environment 'moonbase'; expected one of"
+                       " ('spacecraft', 'random-low', 'random-high')")
+
+
+@refusals({
+    "test_spec_validation-no-systems": (lambda: BenchmarkSpec(systems=()), ValueError,
+                                        "at least one system required"),
+    "test_spec_validation-unknown-system": (
+        lambda: BenchmarkSpec(systems=("warp-drive",)), ValueError,
+        "unknown system 'warp-drive'; expected one of ('model-entropy', 'model-data', 'baseline')"),
+    "test_spec_validation-unknown-environment": (
+        lambda: BenchmarkSpec(environment="moonbase"), ValueError, UNKNOWN_ENVIRONMENT),
+    "test_spec_validation-no-iterations": (lambda: BenchmarkSpec(iterations=0), ValueError,
+                                           "iterations and trials must be at least 1"),
+    "test_spec_validation-duplicate-systems": (
+        lambda: BenchmarkSpec(systems=("model-entropy", "model-entropy")), ValueError,
+        "duplicate systems in ('model-entropy', 'model-entropy')"),
+    "test_unknown_format_rejected": (
+        lambda: emit_report(run_benchmark(small_spec(systems=("model-entropy",))), "pdf"),
+        ValueError, "unknown report format 'pdf'"),
+    "test_unknown_names_rejected-make_agent": (lambda: make_agent("warp-drive", 0), ValueError,
+                                               "unknown system 'warp-drive'"),
+    "test_unknown_names_rejected-world_for": (lambda: world_for("moonbase", 0, 20), ValueError,
+                                              UNKNOWN_ENVIRONMENT),
+    **{f"test_spacecraft_refuses_a_trials_count_it_would_ignore-{trials}": (
+        lambda trials=trials: BenchmarkSpec(environment="spacecraft", trials=trials), ValueError,
+        "trials sets the size of a random world; spacecraft always runs its 18 tools, so leave"
+        f" trials at 20, got {trials}") for trials in (3, 18, 21)},
+})
+def test_refused_word_for_word(call, error, message):
+    assert_refused(call, error, message)
 
 
 def test_one_iteration_has_zero_sd():

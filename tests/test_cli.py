@@ -61,20 +61,6 @@ def test_bench_out_file(capsys, tmp_path):
     assert out_path.read_text().startswith("system,environment,")
 
 
-def test_bench_unknown_system_exits_1(capsys):
-    code, _, err = run_cli(capsys, "bench", "--env", "spacecraft",
-                           "--systems", "oracle-cheat")
-    assert code == 1
-    assert "oracle-cheat" in err
-
-
-def test_bench_spacecraft_with_trials_exits_1(capsys):
-    code, out, err = run_cli(capsys, "bench", "--env", "spacecraft", "--trials", "3")
-    assert (code, out) == (1, "")
-    assert err == ("refquest: error: trials sets the size of a random world; spacecraft"
-                   " always runs its 18 tools, so leave trials at 20, got 3\n")
-
-
 def test_episode_sim(capsys):
     code, out, _ = run_cli(
         capsys, "episode", "--world", "spacecraft", "--target", "emitter_2",
@@ -111,13 +97,6 @@ def test_episode_on_a_deeply_nested_world_file_exits_1(tmp_path):
     assert (proc.returncode, proc.stderr) == (
         1, "refquest: error: world config nests deeper than 256 levels on line 1\n"
     )
-
-
-def test_episode_unknown_target_exits_1(capsys):
-    code, _, err = run_cli(capsys, "episode", "--world", "spacecraft",
-                           "--target", "flux_widget_9")
-    assert code == 1
-    assert "no entity with id 'flux_widget_9'" in err
 
 
 def test_episode_human_oracle(capsys, monkeypatch):
@@ -169,17 +148,6 @@ def test_episode_human_oracle_gives_a_value_written_with_a_trailing_space(
     assert [t["answer"] for t in summary["transcript"]] == ["red "]
 
 
-def test_episode_human_oracle_eof_exits_1(capsys, monkeypatch):
-    def closed_input(prompt):
-        raise EOFError
-
-    monkeypatch.setattr("builtins.input", closed_input)
-    code, _, err = run_cli(capsys, "episode", "--world", "spacecraft",
-                           "--target", "optimizer_3", "--oracle", "human")
-    assert code == 1
-    assert "input ended before the referent was resolved" in err
-
-
 def test_genworld_round_trips(capsys):
     code, out, _ = run_cli(capsys, "genworld", "--variance", "low", "--seed", "3")
     assert code == 0
@@ -202,13 +170,6 @@ def test_genworld_high_variance(capsys):
     assert len(varying) >= 6
 
 
-def test_genworld_infeasible_exits_1(capsys):
-    code, _, err = run_cli(capsys, "genworld", "--variance", "low",
-                           "--seed", "1", "--entities", "100")
-    assert code == 1
-    assert "unique" in err or "combinations" in err
-
-
 def test_genworld_seed_env_var(capsys, monkeypatch):
     monkeypatch.setenv("REFQUEST_SEED", "3")
     _, out_env, _ = run_cli(capsys, "genworld", "--variance", "low")
@@ -222,13 +183,6 @@ def test_genworld_seed_defaults_to_0(capsys, monkeypatch):
     _, out_0, _ = run_cli(capsys, "genworld", "--variance", "low", "--seed", "0")
     _, out_1, _ = run_cli(capsys, "genworld", "--variance", "low", "--seed", "1")
     assert out_default == out_0 != out_1
-
-
-def test_non_integer_seed_env_var_exits_1(capsys, monkeypatch):
-    monkeypatch.setenv("REFQUEST_SEED", "abc")
-    code, _, err = run_cli(capsys, "genworld", "--variance", "low")
-    assert code == 1
-    assert "REFQUEST_SEED must be an integer, got 'abc'" in err
 
 
 def test_every_seed_entry_refuses_a_negative_seed(capsys, monkeypatch):
@@ -256,6 +210,56 @@ def test_every_seed_entry_refuses_a_negative_seed(capsys, monkeypatch):
     monkeypatch.setenv("REFQUEST_SEED", "-1")
     for command in commands:
         assert run_cli(capsys, *command) == (1, "", f"refquest: error: {refused}\n")
+
+
+def typed(text):
+    """Stands in for input(): each call returns the next line of `text`,
+    with the prompt unechoed, and once they run out raises EOFError, as
+    input() does when stdin ends."""
+    lines = iter(text.splitlines())
+
+    def reply(prompt):
+        for line in lines:
+            return line
+        raise EOFError
+
+    return reply
+
+
+# each refused command: (argv, environment, stdin or None, the one stderr
+# line), under an id as `refusals` names its rows
+REFUSED = {
+    "test_bench_unknown_system_exits_1": (
+        "bench --env spacecraft --systems oracle-cheat", {}, None,
+        "unknown system 'oracle-cheat'; expected one of ('model-entropy', 'model-data',"
+        " 'baseline')"),
+    "test_bench_spacecraft_with_trials_exits_1": (
+        "bench --env spacecraft --trials 3", {}, None,
+        "trials sets the size of a random world; spacecraft always runs its 18 tools, so leave"
+        " trials at 20, got 3"),
+    "test_episode_unknown_target_exits_1": (
+        "episode --world spacecraft --target flux_widget_9", {}, None,
+        "no entity with id 'flux_widget_9'"),
+    "test_episode_human_oracle_eof_exits_1": (
+        "episode --world spacecraft --target optimizer_3 --oracle human", {}, "",
+        "input ended before the referent was resolved"),
+    "test_genworld_infeasible_exits_1": (
+        "genworld --variance low --seed 1 --entities 100", {}, None,
+        "4^3 < 100: not enough combinations for unique entities"),
+    "test_non_integer_seed_env_var_exits_1": (
+        "genworld --variance low", {"REFQUEST_SEED": "abc"}, None,
+        "REFQUEST_SEED must be an integer, got 'abc'"),
+}
+
+
+@pytest.mark.parametrize("argv, env, stdin, line", list(REFUSED.values()), ids=list(REFUSED))
+def test_refused_commands_exit_1_in_one_line(capsys, monkeypatch, argv, env, stdin, line):
+    monkeypatch.delenv("REFQUEST_SEED", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if stdin is not None:
+        monkeypatch.setattr("builtins.input", typed(stdin))
+    assert run_cli(capsys, *argv.split()) == (1, "", f"refquest: error: {line}\n")
 
 
 def test_help_available(capsys):

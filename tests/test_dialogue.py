@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -30,7 +31,7 @@ from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
 
 import reference as ref
-from checks import assert_built_as_constructed, recorded_calls
+from checks import assert_built_as_constructed, assert_refused, recorded_calls, refusals
 from strategies import random_world_specs, worlds
 
 
@@ -446,18 +447,11 @@ def test_baseline_reads_no_distribution(monkeypatch):
         build_network(init_belief(worlds[1], worlds[1].entities[0].label))
 
 
-def test_budget_exceeded_raises():
-    # emitter_1 takes 2 questions: a budget of 2 allows them, 1 or 0 does not
+def test_a_budget_of_two_resolves_emitter_1():
+    # emitter_1 takes 2 questions: a budget of 2 allows them, 1 or 0 does
+    # not (test_refused_word_for_word)
     w = spacecraft_world()
     assert run_episode(w, "emitter_1", ModelAgent(), max_questions=2).question_count == 2
-    for budget in (0, 1):
-        with pytest.raises(BudgetExceededError):
-            run_episode(w, "emitter_1", ModelAgent(), max_questions=budget)
-
-
-def test_negative_budget_rejected():
-    with pytest.raises(ValueError, match="max_questions must be 0 or more, got -3"):
-        run_episode(spacecraft_world(), "emitter_1", ModelAgent(), max_questions=-3)
 
 
 def test_truthful_oracle_never_contradicts():
@@ -529,20 +523,15 @@ def test_human_oracle_quotes_the_values_it_expects():
     assert said == ["unknown color; expected one of: 'red ', 'blue'"]
 
 
-@pytest.mark.parametrize("word", ["Yes", "maybe", "y", "red"])
-def test_a_confirm_answered_other_than_yes_or_no_is_refused(word):
-    w = spacecraft_world()
-    belief = init_belief(w, w.by_id("optimizer_1").label)
-    refusal = f"^a confirm is answered 'yes' or 'no', got '{word}'$"
-    with pytest.raises(ValueError, match=refusal):
-        apply_answer(belief, Question("color", "red"), word)
-
-    class Says:
-        def answer(self, q):
-            return word
-
-    with pytest.raises(ValueError, match=refusal):
-        run_episode(w, "emitter_2", BaselineAgent(seed=5), oracle=Says())
+def test_human_oracle_expects_every_domain_value_carried_or_not():
+    # no entity is green, but green is a color of the schema's
+    schema = PropertySchema((("color", ("red", "blue", "green")),))
+    w = World(schema, tuple(Entity(c, "w", "w", {"color": c}) for c in ("red", "blue")))
+    replies = iter(["purple", "Green"])
+    said = []
+    oracle = HumanOracle(w, ask=lambda prompt: next(replies), say=said.append)
+    assert oracle.answer(Question("color")) == "green"
+    assert said == ["unknown color; expected one of: 'red', 'blue', 'green'"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -613,14 +602,6 @@ def test_a_model_agent_asks_what_its_network_selects_and_builds_none_for_one_que
     assert len(built) == len(set(built))
     assert set(built) == {(policy, mask) for policy, mask in visited
                           if len(compute_min_set(w, mask)) >= 2}
-
-
-@pytest.mark.parametrize("policy", ["entropy", "data"])
-def test_a_model_agent_asks_nothing_of_one_candidate(policy):
-    # an empty min-set takes the network path, whose selection refuses it
-    w = dataclasses.replace(spacecraft_world())
-    with pytest.raises(NoInformativeQuestionError):
-        ModelAgent(policy).choose(Belief(w, 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -728,7 +709,35 @@ def test_human_oracle_accepts_y_after_a_reprompt():
     assert said == ["please answer yes or no"]
 
 
-@pytest.mark.parametrize("policy", ["maybe", "Entropy"])
-def test_model_agent_rejects_unknown_policy(policy):
-    with pytest.raises(ValueError, match=f"^unknown model policy '{policy}'$"):
-        ModelAgent(policy)
+def unconfirmed(word):
+    """A confirm answered `word`: applied to a fresh belief ("apply_answer")
+    and said by an episode's oracle ("run_episode")."""
+    w = spacecraft_world()
+    return {"apply_answer": lambda: apply_answer(init_belief(w, w.by_id("optimizer_1").label),
+                                                 Question("color", "red"), word),
+            "run_episode": lambda: run_episode(w, "emitter_2", BaselineAgent(seed=5),
+                                               oracle=SimpleNamespace(answer=lambda q: word))}
+
+
+@refusals({
+    **{f"test_budget_exceeded_raises-{budget}": (
+        lambda budget=budget: run_episode(spacecraft_world(), "emitter_1", ModelAgent(),
+                                          max_questions=budget), BudgetExceededError,
+        f"no resolution after {budget} questions for target 'emitter_1'") for budget in (0, 1)},
+    "test_negative_budget_rejected": (
+        lambda: run_episode(spacecraft_world(), "emitter_1", ModelAgent(), max_questions=-3),
+        ValueError, "max_questions must be 0 or more, got -3"),
+    **{f"test_a_confirm_answered_other_than_yes_or_no_is_refused-{half}-{word}": (
+        call, ValueError, f"a confirm is answered 'yes' or 'no', got {word!r}")
+       for word in ("Yes", "maybe", "y", "red") for half, call in unconfirmed(word).items()},
+    **{f"test_model_agent_rejects_unknown_policy-{policy}": (
+        lambda policy=policy: ModelAgent(policy), ValueError, f"unknown model policy {policy!r}")
+       for policy in ("maybe", "Entropy")},
+    # an empty min-set takes the network path, whose selection refuses it
+    **{f"test_a_model_agent_asks_nothing_of_one_candidate-{policy}": (
+        lambda policy=policy: ModelAgent(policy).choose(
+            Belief(dataclasses.replace(spacecraft_world()), 1)),
+        NoInformativeQuestionError, "network has no questions") for policy in ("entropy", "data")},
+})
+def test_refused_word_for_word(call, error, message):
+    assert_refused(call, error, message)

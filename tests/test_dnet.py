@@ -18,6 +18,7 @@ from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import spacecraft_world
 
 import reference as ref
+from checks import assert_refused, refusals
 
 
 def dist(**weights):
@@ -61,14 +62,6 @@ def test_yn_expected_entropy_uniform_four():
 
 def test_yn_expected_entropy_degenerate():
     assert yn_expected_entropy(dist(a=1.0)) == 0.0
-
-
-@pytest.mark.parametrize("utility", [wh_entropy, yn_expected_entropy])
-@pytest.mark.parametrize("d", [dist(), dist(a=0, b=2), dist(a=-1, b=2), dist(a=0, b=1, c=2),
-                               Belief(spacecraft_world(), 0).distribution("color")])
-def test_entropies_refuse_a_distribution_without_positive_weights(utility, d):
-    with pytest.raises(ValueError, match=f"property {d.property!r} .*; weights must be positive"):
-        utility(d)
 
 
 @given(st.integers(0, 10_000))
@@ -279,14 +272,6 @@ def test_select_question_argmax_by_entropy():
     assert select_question(net).property == "color"
 
 
-def test_select_question_no_informative():
-    w = pair_world()
-    b = init_belief(w, "w").apply_wh_answer("color", "red")
-    net = build_network(b)
-    with pytest.raises(NoInformativeQuestionError):
-        select_question(net)
-
-
 def test_select_question_deterministic():
     w = spacecraft_world()
     b = init_belief(w, "megaband module")
@@ -320,8 +305,29 @@ def test_rebuild_shrinks_active_set():
             b = b.apply_wh_answer(q.property, target.value(q.property))
 
 
-@pytest.mark.parametrize("policy", ["maybe", "Entropy"])
-def test_build_network_rejects_unknown_policy(policy):
-    b = init_belief(spacecraft_world(), "megaband module")
-    with pytest.raises(ValueError, match=f"^unknown utility policy '{policy}'$"):
-        build_network(b, policy)
+# the distributions an entropy refuses, each holding no weight or a weight
+# <= 0, and the weights its refusal lists, in ascending order
+WEIGHTLESS = {"empty": (dist(), []), "zero": (dist(a=0, b=2), [0, 2]),
+              "negative": (dist(a=-1, b=2), [-1, 2]),
+              "zero-of-three": (dist(a=0, b=1, c=2), [0, 1, 2]),
+              "no-candidates": (Belief(spacecraft_world(), 0).distribution("color"), [])}
+
+
+@refusals({
+    "test_select_question_no_informative": (
+        lambda: select_question(build_network(
+            init_belief(pair_world(), "w").apply_wh_answer("color", "red"))),
+        NoInformativeQuestionError, "network has no questions"),
+    **{f"test_build_network_rejects_unknown_policy-{policy}": (
+        lambda policy=policy: build_network(init_belief(spacecraft_world(), "megaband module"),
+                                            policy),
+        ValueError, f"unknown utility policy {policy!r}") for policy in ("maybe", "Entropy")},
+    **{f"test_entropies_refuse_a_distribution_without_positive_weights-{utility.__name__}-{case}": (
+        lambda utility=utility, d=d: utility(d), ValueError,
+        f"distribution of property {d.property!r} has weights {weights};"
+        " weights must be positive, one or more")
+       for utility in (wh_entropy, yn_expected_entropy)
+       for case, (d, weights) in WEIGHTLESS.items()},
+})
+def test_refused_word_for_word(call, error, message):
+    assert_refused(call, error, message)

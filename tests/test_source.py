@@ -75,3 +75,41 @@ def test_only_dnet_py_calls_compute_min_set():
               if isinstance(node, ast.Call) and "compute_min_set" in (
                   getattr(node.func, "id", None), getattr(node.func, "attr", None))}
     assert called == {"dnet.py"}
+
+
+# the public names that no src or perfbench code calls, each under the
+# acceptance criterion that calls it: tests/test_acceptance.py keeps them
+CALLED_BY_A_CRITERION = {"yn_expected_entropy": 7}
+
+
+def _public_definitions(module):
+    """Each public function and class at the top of `module`, and each
+    public method of its public classes: (qualified name, name)."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{m.name}", m.name) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def test_every_public_name_has_a_caller_in_src_or_perfbench():
+    # no API that only a test calls: a name counts as used where src or
+    # perfbench reads it as a name or an attribute, which its definition, an
+    # import or a docstring does not. An allowlisted name must be one the
+    # check would flag, and its criterion must call it
+    perfbench = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
+    assert perfbench
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in SOURCES + perfbench
+            for node in ast.walk(ast.parse(path.read_text("utf-8")))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    uncalled = [qualified for path in SOURCES
+                for qualified, name in _public_definitions(ast.parse(path.read_text("utf-8")))
+                if name not in used]
+    assert sorted(uncalled) == sorted(CALLED_BY_A_CRITERION)
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text("utf-8"))
+    for name, n in CALLED_BY_A_CRITERION.items():
+        (criterion,) = [node for node in acceptance.body if isinstance(node, ast.FunctionDef)
+                        and node.name.startswith(f"test_criterion_{n}_")]
+        assert name in {node.id for node in ast.walk(criterion) if isinstance(node, ast.Name)}

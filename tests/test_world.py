@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 import time
@@ -27,7 +28,7 @@ from refquest.world import (
 from refquest.worlds import spacecraft_world
 
 import reference
-from checks import assert_built_as_constructed, assert_tabled
+from checks import assert_built_as_constructed, assert_refused, assert_tabled, refusals
 from strategies import worlds
 
 SCHEMA = PropertySchema((("color", ("red", "blue")), ("shape", ("tall", "short"))))
@@ -43,8 +44,7 @@ def test_valid_world_passes():
     assert w.by_id("b") is w.entities[1]
     assert init_belief(w, "widget").candidate_ids == ("a", "b")
     assert_tabled(w)
-    with pytest.raises(KeyError):
-        w.by_id("z")
+    assert_refused(lambda: w.by_id("z"), KeyError, "z")
 
 
 def test_world_codes_align_with_entities():
@@ -70,19 +70,12 @@ def test_entity_assignment_is_a_read_only_copy():
         spacecraft_world().by_id("emitter_2").assignment["size"] = "large"
 
 
-def test_same_entity_listed_twice_is_refused():
-    a = ent("a", "red", "tall")
-    with pytest.raises(WorldFormatError, match="duplicate entity id 'a'"):
-        World(SCHEMA, (a, ent("b", "blue", "tall"), a))
-
-
 def test_duplicate_assignment_names_both_ids():
     # also when the two assignments list their properties in different orders
     swapped = Entity("b", "widget", "widget", {"shape": "tall", "color": "red"})
     for b in (ent("b", "red", "tall"), swapped):
-        with pytest.raises(WorldFormatError,
-                           match="^invalid world: entities 'a' and 'b' share an identical assignment$"):
-            World(SCHEMA, (ent("a", "red", "tall"), b))
+        assert_refused(lambda: World(SCHEMA, (ent("a", "red", "tall"), b)), WorldFormatError,
+                       "invalid world: entities 'a' and 'b' share an identical assignment")
 
 
 def test_duplicate_assignments_reported_pairwise_in_world_order():
@@ -125,11 +118,9 @@ def test_a_world_of_many_identical_entities_is_refused_at_once():
     with pytest.raises(WorldFormatError) as exc:
         load_world(doc)
     assert time.perf_counter() - began < 1
-    message = str(exc.value)
-    assert len(message) < 2000
-    assert message.startswith("invalid world: entities 'e0000' and 'e0001' share")
-    assert message.endswith("entities 'e0000' and 'e0010' share an identical assignment;"
-                            " and 1998990 more identical pairs")
+    assert str(exc.value) == "invalid world: " + "; ".join(
+        [f"entities 'e0000' and 'e{i:04d}' share an identical assignment" for i in range(1, 11)]
+        + ["and 1998990 more identical pairs"])
 
 
 def test_violations_listed_by_entity_then_identical_pairs():
@@ -148,15 +139,6 @@ def test_violations_listed_by_entity_then_identical_pairs():
     ])
 
 
-def test_entity_missing_a_property_is_refused_at_construction():
-    # b has no color, which every episode on this world would need to read
-    entities = (ent("a", "red", "tall"), Entity("b", "widget", "widget", {"shape": "short"}),
-                ent("c", "blue", "short"))
-    with pytest.raises(WorldFormatError,
-                       match=r"entity 'b': incomplete assignment, missing \['color'\]"):
-        run_episode(World(SCHEMA, entities), "a", ModelAgent())
-
-
 def test_importing_world_loads_no_other_refquest_module():
     code = ("import sys, refquest.world; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'refquest'))")
@@ -168,9 +150,6 @@ def test_importing_world_loads_no_other_refquest_module():
 
 def test_schema_lookups():
     assert SCHEMA.names == ("color", "shape")
-    assert SCHEMA.domain("color") == ("red", "blue")
-    with pytest.raises(KeyError):
-        SCHEMA.domain("size")
     # a missing property differs from every domain value; equal assignments
     # give equal codes, whatever the entity
     def code(e):
@@ -256,52 +235,6 @@ def test_load_world_round_trip():
     assert load_world(text) == w
 
 
-def test_load_world_rejects_empty_entities():
-    with pytest.raises(WorldFormatError, match="empty entity list"):
-        load_world("schema:\n  - {name: color, values: [red]}\nentities: []\n")
-
-
-def test_load_world_rejects_bad_value():
-    doc = """
-schema:
-  - {name: color, values: [red, blue]}
-entities:
-  - {id: a, label: w, type: w, assignment: {color: mauve}}
-  - {id: b, label: w, type: w, assignment: {color: red}}
-"""
-    with pytest.raises(WorldFormatError, match="color"):
-        load_world(doc)
-
-
-def test_load_world_rejects_non_yaml():
-    with pytest.raises(WorldFormatError):
-        load_world("{unbalanced")
-
-
-def test_load_world_rejects_scalar_values():
-    with pytest.raises(WorldFormatError, match="must be a list"):
-        load_world("schema:\n  - {name: color, values: red}\n"
-                   "entities:\n  - {id: a, label: w, type: w, assignment: {color: red}}\n")
-
-
-@pytest.mark.parametrize("doc, message", [
-    ("schema: 5\nentities: []\n", "'schema' must be a list, got '5'"),
-    ("schema: []\nentities: abc\n", "'entities' must be a list, got 'abc'"),
-], ids=["schema", "entities"])
-def test_load_world_rejects_non_list_sections(doc, message):
-    with pytest.raises(WorldFormatError, match=message):
-        load_world(doc)
-
-
-def test_load_world_rejects_nested_values():
-    with pytest.raises(WorldFormatError, match=r"expected a single value, got \['x'\]"):
-        load_world("schema:\n  - {name: color, values: [r, [x]]}\n"
-                   "entities:\n  - {id: a, label: w, type: w, assignment: {color: r}}\n")
-    with pytest.raises(WorldFormatError, match="entity 'a' label: expected a single value"):
-        load_world("schema:\n  - {name: color, values: [r]}\n"
-                   "entities:\n  - {id: a, label: {w: 1}, type: w, assignment: {color: r}}\n")
-
-
 _QUOTE_IT = "is not allowed; quote it to keep it as text"
 
 
@@ -313,12 +246,10 @@ _QUOTE_IT = "is not allowed; quote it to keep it as text"
 def test_load_world_rejects_unquoted_booleans_and_nulls(schema_values, assigned, refused):
     doc = (f"schema:\n  - {{name: lit, values: {schema_values}}}\n"
            f"entities:\n  - {{id: a, label: w, type: w, assignment: {{lit: {assigned}}}}}\n")
-    with pytest.raises(WorldFormatError) as exc:
-        load_world(doc)
-    assert str(exc.value) == f"{refused} {_QUOTE_IT}"
+    assert_refused(lambda: load_world(doc), WorldFormatError, f"{refused} {_QUOTE_IT}")
     quoted = load_world("schema:\n  - {name: lit, values: ['yes', 'no']}\n"
                         "entities:\n  - {id: a, label: w, type: w, assignment: {lit: 'yes'}}\n")
-    assert quoted.schema.domain("lit") == ("yes", "no")
+    assert dict(quoted.schema.properties)["lit"] == ("yes", "no")
 
 
 def _one_entity_doc(name="lit", id="a", label="w", type="w", key=None):
@@ -335,9 +266,8 @@ def _one_entity_doc(name="lit", id="a", label="w", type="w", key=None):
     ("plain 'on' on line 4", {"key": "on", "name": "'on'"}),
 ], ids=["name", "id", "label", "type", "key"])
 def test_load_world_rejects_unquoted_booleans_and_nulls_in_names(refused, fields):
-    with pytest.raises(WorldFormatError) as exc:
-        load_world(_one_entity_doc(**fields))
-    assert str(exc.value) == f"{refused} {_QUOTE_IT}"
+    assert_refused(lambda: load_world(_one_entity_doc(**fields)), WorldFormatError,
+                   f"{refused} {_QUOTE_IT}")
 
 
 def test_load_world_keeps_quoted_names_as_text():
@@ -362,21 +292,6 @@ TWO_ENTITY_SCHEMA = ("schema:\n  - {name: color, values: [red, blue]}\n"
                      "  - {name: shape, values: [tall, short]}\n")
 
 
-@pytest.mark.parametrize("doc, message", [
-    (TWO_ENTITY_SCHEMA
-     + "entities:\n  - {id: a, label: w, type: w, assignment: {color: red, shape: tall}}\n"
-     + "entities:\n  - {id: b, label: w, type: w, assignment: {color: blue, shape: tall}}\n",
-     "duplicate key 'entities' on line 6"),
-    (TWO_ENTITY_SCHEMA
-     + "entities:\n  - {id: a, label: w, type: w,\n"
-     + "     assignment: {color: red, shape: tall, color: blue}}\n",
-     "duplicate key 'color' on line 6"),
-], ids=["section", "assignment"])
-def test_load_world_rejects_repeated_keys(yaml_parser, doc, message):
-    with pytest.raises(WorldFormatError, match=message):
-        load_world(doc)
-
-
 def test_load_world_refuses_a_merge_key(yaml_parser):
     # YAML 1.1's merge key, which YAML 1.2 dropped, is refused with its line
     # whatever it merges, as << written as a value is; the reference agrees
@@ -387,9 +302,8 @@ def test_load_world_refuses_a_merge_key(yaml_parser):
                + "  - {id: a, label: w, type: w, assignment: {color: red, shape: tall}}\n"
                + f"  - {{id: b, label: w, type: w, assignment: {assignment}}}\n")
         for load in (load_world, lambda doc: reference.load_world(doc, yaml_parser)):
-            with pytest.raises(WorldFormatError) as exc:
-                load(doc)
-            assert str(exc.value) == "tag 'tag:yaml.org,2002:merge' on line 6 is not allowed"
+            assert_refused(lambda: load(doc), WorldFormatError,
+                           "tag 'tag:yaml.org,2002:merge' on line 6 is not allowed")
 
 
 def test_spacecraft_config_shape():
@@ -437,7 +351,7 @@ def test_load_world_keeps_numbers_and_dates_as_written(yaml_parser):
     w = load_world("schema:\n  - {name: ratio, values: [1:2, 0x10, 010, 1.50, 2001-12-14]}\n"
                    "entities:\n  - {id: 007, label: w, type: w, assignment: {ratio: 1:2}}\n"
                    "  - {id: 7, label: w, type: w, assignment: {ratio: 010}}\n")
-    assert w.schema.domain("ratio") == ("1:2", "0x10", "010", "1.50", "2001-12-14")
+    assert dict(w.schema.properties)["ratio"] == ("1:2", "0x10", "010", "1.50", "2001-12-14")
     assert [(e.id, e.assignment["ratio"]) for e in w.entities] == [("007", "1:2"), ("7", "010")]
     assert load_world(serialize_world(w)) == w
 
@@ -449,34 +363,97 @@ def test_load_world_keeps_numbers_and_dates_as_written(yaml_parser):
 def test_load_world_refuses_other_tags(yaml_parser, value, tag):
     doc = ("schema:\n  - {name: p, values: [x, y]}\n"
            f"entities:\n  - id: a\n    label: w\n    type: w\n    assignment: {{p: {value}}}\n")
-    with pytest.raises(WorldFormatError) as exc:
-        load_world(doc)
-    assert str(exc.value) == f"tag 'tag:yaml.org,2002:{tag}' on line 7 is not allowed"
+    assert_refused(lambda: load_world(doc), WorldFormatError,
+                   f"tag 'tag:yaml.org,2002:{tag}' on line 7 is not allowed")
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda: load_world("- schema\n- entities\n"), "world config must be a key/value tree"),
-    (lambda: load_world("schema: []\n"), "world config missing top-level key 'entities'"),
-    (lambda: load_world("schema: [{name: color}]\nentities: []\n"),
-     "bad schema entry {'name': 'color'}: needs name/values"),
-    (lambda: load_world("schema: [{name: color, values: [red]}]\n"
-                        "entities: [{id: a, label: w, type: w}]\n"),
-     "bad entity entry {'id': 'a', 'label': 'w', 'type': 'w'}: needs id/label/type/assignment"),
-    (lambda: PropertySchema((("color", ("red", "blue", "red")),)),
-     "property 'color' has duplicate values"),
-    (lambda: PropertySchema((("color", ("red",)), ("color", ("blue",)))),
-     "duplicate property names in schema: ['color', 'color']"),
-    (lambda: PropertySchema((("color", ()),)), "property 'color' has an empty domain"),
-    (lambda: World(SCHEMA, (Entity("a", "w", "w", {"color": "red"}), ent("b", "blue", "tall"))),
-     "invalid world: entity 'a': incomplete assignment, missing ['shape']"),
-    (lambda: World(SCHEMA, (ent("a", "green", "tall"), ent("b", "blue", "tall"))),
-     "invalid world: entity 'a': value 'green' not in domain of property 'color'"),
-], ids=["not-a-mapping", "missing-key", "schema-entry", "entity-entry", "duplicate-values",
-        "duplicate-properties", "empty-domain", "incomplete-assignment", "unknown-value"])
-def test_malformed_worlds_are_refused_by_name(build, message):
-    with pytest.raises(WorldFormatError) as exc:
-        build()
-    assert str(exc.value) == message
+def _one_list_doc(schema_values, assignment, label="w"):
+    """A world of one property, color, whose values are written
+    `schema_values`, and one entity, a, written with `label` and `assignment`."""
+    return (f"schema:\n  - {{name: color, values: {schema_values}}}\n"
+            f"entities:\n  - {{id: a, label: {label}, type: w, assignment: {assignment}}}\n")
+
+
+# each refused world: a document either loader reads, or a schema or World
+# built by hand
+@refusals({
+    "not-a-mapping": (lambda: load_world("- schema\n- entities\n"), WorldFormatError,
+                      "world config must be a key/value tree"),
+    "missing-key": (lambda: load_world("schema: []\n"), WorldFormatError,
+                    "world config missing top-level key 'entities'"),
+    "schema-entry": (lambda: load_world("schema: [{name: color}]\nentities: []\n"),
+                     WorldFormatError, "bad schema entry {'name': 'color'}: needs name/values"),
+    "entity-entry": (lambda: load_world("schema: [{name: color, values: [red]}]\n"
+                                        "entities: [{id: a, label: w, type: w}]\n"),
+                     WorldFormatError, "bad entity entry {'id': 'a', 'label': 'w', 'type': 'w'}:"
+                     " needs id/label/type/assignment"),
+    "duplicate-values": (lambda: PropertySchema((("color", ("red", "blue", "red")),)),
+                         WorldFormatError, "property 'color' has duplicate values"),
+    "duplicate-properties": (lambda: PropertySchema((("color", ("red",)), ("color", ("blue",)))),
+                             WorldFormatError,
+                             "duplicate property names in schema: ['color', 'color']"),
+    "empty-domain": (lambda: PropertySchema((("color", ()),)), WorldFormatError,
+                     "property 'color' has an empty domain"),
+    "incomplete-assignment": (
+        lambda: World(SCHEMA, (Entity("a", "w", "w", {"color": "red"}), ent("b", "blue", "tall"))),
+        WorldFormatError, "invalid world: entity 'a': incomplete assignment, missing ['shape']"),
+    "unknown-value": (lambda: World(SCHEMA, (ent("a", "green", "tall"), ent("b", "blue", "tall"))),
+                      WorldFormatError,
+                      "invalid world: entity 'a': value 'green' not in domain of property 'color'"),
+    "test_same_entity_listed_twice_is_refused": (
+        lambda: World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall"),
+                               ent("a", "red", "tall"))), WorldFormatError,
+        "invalid world: duplicate entity id 'a';"
+        " entities 'a' and 'a' share an identical assignment"),
+    # b has no color, which every episode on this world would need to read
+    "test_entity_missing_a_property_is_refused_at_construction": (
+        lambda: run_episode(World(SCHEMA, (ent("a", "red", "tall"),
+                                           Entity("b", "widget", "widget", {"shape": "short"}),
+                                           ent("c", "blue", "short"))), "a", ModelAgent()),
+        WorldFormatError, "invalid world: entity 'b': incomplete assignment, missing ['color']"),
+    "test_load_world_rejects_empty_entities": (
+        lambda: load_world("schema:\n  - {name: color, values: [red]}\nentities: []\n"),
+        WorldFormatError, "world config has an empty entity list"),
+    "test_load_world_rejects_bad_value": (
+        lambda: load_world(_one_list_doc("[red, blue]", "{color: mauve}")
+                           + "  - {id: b, label: w, type: w, assignment: {color: red}}\n"),
+        WorldFormatError,
+        "invalid world: entity 'a': value 'mauve' not in domain of property 'color'"),
+    # the mapping's value is missing before it is unclosed, so the empty value
+    # is refused first: on line 1 by PyYAML's own parser, on line 2 by libyaml's
+    "test_load_world_rejects_non_yaml": (
+        lambda: load_world("{unbalanced"), WorldFormatError,
+        re.compile(r"plain '' on line [12] is not allowed; quote it to keep it as text")),
+    "test_load_world_rejects_non_yaml-unclosed-list": (
+        lambda: load_world("schema: [a, b\n"), WorldFormatError,
+        re.compile(r"world config does not parse: .+", re.DOTALL)),
+    "test_load_world_rejects_scalar_values": (
+        lambda: load_world(_one_list_doc("red", "{color: red}")), WorldFormatError,
+        "property 'color': values must be a list, got 'red'"),
+    "test_load_world_rejects_non_list_sections-schema": (
+        lambda: load_world("schema: 5\nentities: []\n"), WorldFormatError,
+        "world config key 'schema' must be a list, got '5'"),
+    "test_load_world_rejects_non_list_sections-entities": (
+        lambda: load_world("schema: []\nentities: abc\n"), WorldFormatError,
+        "world config key 'entities' must be a list, got 'abc'"),
+    "test_load_world_rejects_nested_values-value": (
+        lambda: load_world(_one_list_doc("[r, [x]]", "{color: r}")), WorldFormatError,
+        "property 'color': expected a single value, got ['x']"),
+    "test_load_world_rejects_nested_values-label": (
+        lambda: load_world(_one_list_doc("[r]", "{color: r}", label="{w: 1}")),
+        WorldFormatError, "entity 'a' label: expected a single value, got {'w': '1'}"),
+    "test_load_world_rejects_repeated_keys-section": (lambda: load_world(
+        TWO_ENTITY_SCHEMA
+        + "entities:\n  - {id: a, label: w, type: w, assignment: {color: red, shape: tall}}\n"
+        + "entities:\n  - {id: b, label: w, type: w, assignment: {color: blue, shape: tall}}\n"),
+        WorldFormatError, "duplicate key 'entities' on line 6"),
+    "test_load_world_rejects_repeated_keys-assignment": (
+        lambda: load_world(TWO_ENTITY_SCHEMA + "entities:\n  - {id: a, label: w, type: w,\n"
+                           "     assignment: {color: red, shape: tall, color: blue}}\n"),
+        WorldFormatError, "duplicate key 'color' on line 6"),
+})
+def test_malformed_worlds_are_refused_by_name(yaml_parser, call, error, message):
+    assert_refused(call, error, message)
 
 
 def test_empty_schema_with_one_entity_resolves_at_once():
@@ -532,13 +509,12 @@ def test_the_refused_plain_scalars_are_those_yaml_1_1_reads_as_other_than_text(y
             refused[word] = f"tag {tag!r} on line 3 is not allowed"
     assert sorted(refused) == sorted(_NOT_TEXT_SPELLINGS)
     for word, message in refused.items():
-        with pytest.raises(WorldFormatError) as exc:
-            load_world(f"schema: []\nentities:\n- {word}\n")
-        assert str(exc.value) == message
+        assert_refused(lambda: load_world(f"schema: []\nentities:\n- {word}\n"), WorldFormatError,
+                       message)
     texts = sorted(words - refused.keys())
     doc = ("schema:\n- name: p\n  values:\n" + "".join(f"  - {text}\n" for text in texts)
            + "entities:\n- {id: a, label: w, type: w, assignment: {p: '0'}}\n")
-    assert load_world(doc).schema.domain("p") == tuple(texts)
+    assert dict(load_world(doc).schema.properties)["p"] == tuple(texts)
 
 
 def _nested_value_doc(depth):
@@ -554,17 +530,14 @@ def _nested_value_doc(depth):
     (1000, "world config nests deeper than 256 levels on line 2"),
 ])
 def test_load_world_refuses_deep_nesting_before_composing(yaml_parser, depth, message):
-    with pytest.raises(WorldFormatError) as exc:
-        load_world(_nested_value_doc(depth))
-    assert str(exc.value) == message
+    assert_refused(lambda: load_world(_nested_value_doc(depth)), WorldFormatError, message)
 
 
 def test_load_world_refuses_deep_flow_mapping_nesting(yaml_parser):
     # braces open levels just as brackets do
     doc = "schema: " + "{a: " * 300 + "x" + "}" * 300 + "\nentities: []\n"
-    with pytest.raises(WorldFormatError) as exc:
-        load_world(doc)
-    assert str(exc.value) == "world config nests deeper than 256 levels on line 1"
+    assert_refused(lambda: load_world(doc), WorldFormatError,
+                   "world config nests deeper than 256 levels on line 1")
 
 
 def test_load_world_refuses_deep_block_nesting_on_short_lines(yaml_parser):
@@ -573,8 +546,8 @@ def test_load_world_refuses_deep_block_nesting_on_short_lines(yaml_parser):
     lines = ["-"]
     for i in range(1, 200):
         lines += [" " * i + "a:", " " * i + "-"]
-    with pytest.raises(WorldFormatError, match="nests deeper than 256 levels on line 257$"):
-        load_world("\n".join(lines) + "\n" + " " * 200 + "x\n")
+    assert_refused(lambda: load_world("\n".join(lines) + "\n" + " " * 200 + "x\n"),
+                   WorldFormatError, "world config nests deeper than 256 levels on line 257")
 
 
 # text that YAML reads specially: indicators, reserved words, numbers and
@@ -875,16 +848,12 @@ def test_a_value_branching_through_aliases_is_shown_briefly(yaml_parser):
     # shown in full, the 216 leaves take 1,164 characters
     value = "x"
     for _ in range(3):
-        value = "[" + ", ".join([value] * 6) + "]"
-    doc = "schema:\n  - name: p\n    values: [" + value + "]\nentities: []\n"
-    with pytest.raises(WorldFormatError) as exc:
-        load_world(doc)
-    prefix = "property 'p': expected a single value, got "
-    shown = str(exc.value).removeprefix(prefix)
-    assert shown != str(exc.value)
-    assert len(shown) == refquest.world._SHOWN_MAX
-    assert shown.startswith("[[['x', 'x', 'x', 'x', 'x', 'x'], ['x', 'x', 'x', 'x', 'x', 'x'],")
-    assert shown.endswith("...")
+        value = [value] * 6
+    doc = ("schema:\n  - name: p\n    values: [" + repr(value).replace("'", "")
+           + "]\nentities: []\n")
+    shown = repr(value)[:refquest.world._SHOWN_MAX - 3] + "..."
+    assert_refused(lambda: load_world(doc), WorldFormatError,
+                   "property 'p': expected a single value, got " + shown)
 
 
 @settings(max_examples=100, deadline=None,

@@ -163,7 +163,7 @@ def test_the_generator_draws_as_random_randbelow(monkeypatch, seed):
             spec = RandomWorldSpec(n_entities=1, n_properties=3, n_varying=2,
                                    values_per_property=n, seed=seed)
             w = generate_random_world(spec)
-            drawn = [w.schema.domain(p).index(w.entities[0].value(p))
+            drawn = [dict(w.schema.properties)[p].index(w.entities[0].value(p))
                      for p in ("prop3", "prop1", "prop2")]
             expected = random.Random(seed)
             assert drawn == [expected._randbelow(n) for _ in range(3)]
