@@ -232,7 +232,8 @@ def run_episode(
     while (mask := belief.mask) & (mask - 1):
         if len(transcript) >= max_questions:
             raise BudgetExceededError(
-                f"no resolution after {max_questions} questions for target {target_id!r}"
+                f"no resolution after {max_questions} question{'s' * (max_questions != 1)}"
+                f" for target {target_id!r}"
             )
         q = choose(belief)
         word = answer(q)

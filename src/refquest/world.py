@@ -64,13 +64,18 @@ def _read(text: str):
     documents = container = []
     key = _NO_KEY
     stack = []  # the enclosing collections' (container, key)
-    for event in yaml.parse(text, Loader=_Loader):
+    events = yaml.parse(text, Loader=_Loader)
+    for event in events:
         kind = event.__class__
         if kind is yaml.ScalarEvent:
             if event.anchor is not None or event.tag is not None:
                 raise _property_refused(event)
             value = event.value
             if event.implicit[0] and value in _NOT_TEXT:  # plain
+                if not value:
+                    # the parser gives a missing value before the fault after
+                    # it, as in "{a": a parse error at the next event wins
+                    next(events, None)
                 raise WorldFormatError(_NOT_TEXT[value].format(event.start_mark.line + 1))
         elif kind is yaml.AliasEvent:
             raise _not_allowed(f"alias *{event.anchor}", event)

@@ -1,20 +1,26 @@
 """The checks that several test modules share, each stated once: how a
 World is tabled, how an engine object is built, how a refusal is worded,
-and a recorder of the calls a test watches. A change to a table's shape,
-a constructor or a probe point edits the one helper here, not every test
+how a worked example is tabled, how a child interpreter is started, and
+a recorder of the calls a test watches. A change to a table's shape, a
+constructor or a probe point edits the one helper here, not every test
 that relies on it.
 Every engine object built as a value is a slotted dataclass, frozen for
 the world types (World, Entity, PropertySchema, Question), so none holds
 a __dict__."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from collections import namedtuple
 from contextlib import contextmanager
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
+import refquest
 from refquest.world import Entity
 
 
@@ -117,6 +123,19 @@ def refusals(rows):
     return pytest.mark.parametrize("call, error, message", list(rows.values()), ids=list(rows))
 
 
+def examples(rows):
+    """Parametrize a test over `rows`, {id: (call, expected)}, ids as
+    `refusals` names them: one worked-example table per layer, each row
+    pinned to the whole value its call returns."""
+    return pytest.mark.parametrize("call, expected", list(rows.values()), ids=list(rows))
+
+
+def bits(x):
+    """An entropy of `x` bits to 1e-9: it equals each float that close,
+    wherever it stands in a value compared with ==."""
+    return pytest.approx(x, abs=1e-9)
+
+
 def assert_refused(call, error, message):
     """`call()` raises `error` itself, not a subclass, with the one argument
     `message`, compared whole: equal to it when a str, else a compiled
@@ -130,6 +149,17 @@ def assert_refused(call, error, message):
         assert message.fullmatch(said), said
     else:
         assert said == message
+
+
+def run_python(*args, timeout=None):
+    """Run `sys.executable` on `args` with this package's source put in
+    front of the caller's PYTHONPATH, so that the child imports this
+    refquest and still finds whatever else the caller's path holds;
+    return the finished process, its output captured as text."""
+    path = os.pathsep.join(filter(None, [str(Path(refquest.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": path})
 
 
 # one call that returned: its arguments as passed, and its result

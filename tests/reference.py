@@ -174,12 +174,6 @@ def sample_variance(means) -> Fraction:
     return sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
 
 
-def exact_baseline_mean(world, target_id) -> float:
-    """The expected number of questions the baseline asks to resolve
-    `target_id`, exactly, over its random draws (`exact_baseline_moments`)."""
-    return exact_baseline_moments(world, target_id)[0]
-
-
 def exact_baseline_moments(world, target_id) -> tuple[float, float]:
     """The mean and variance of the number of questions the baseline asks to
     resolve `target_id`, exactly, over its random draws: a dynamic program
@@ -263,6 +257,8 @@ class StrictComposer(yaml.composer.Composer):
         if isinstance(event, yaml.ScalarEvent):
             node = yaml.composer.Composer.compose_node(self, parent, index)
             if node.tag in (_YAML + "null", _YAML + "bool"):
+                if not node.value:  # a parse error at the next event wins, as in refquest
+                    self.peek_event()
                 raise WorldFormatError(f"plain {node.value!r} on line {node.start_mark.line + 1}"
                                        " is not allowed; quote it to keep it as text")
             if node.tag in (_YAML + "merge", _YAML + "value"):

@@ -24,9 +24,7 @@ def worlds(draw, kinds=KINDS):
     - small: 1-6 free properties, 1-24 entities;
     - large: 4-6 free properties of 4 or more values, 65-130 entities,
       past one machine word;
-    - wide: 17-20 free properties, 8-24 entities, past EXACT_LIMIT_DEFAULT;
-    - tiny: 1-4 free properties, 1-8 entities, few enough for an exact
-      expectation over every baseline episode (not among the default kinds).
+    - wide: 17-20 free properties, 8-24 entities, past EXACT_LIMIT_DEFAULT.
 
     Domain sizes come from DOMAIN_SIZES, each property its own. Up to two
     constant decoys are added, and a property named color, free or
@@ -44,12 +42,9 @@ def worlds(draw, kinds=KINDS):
     elif kind == "large":
         free = draw(st.lists(st.sampled_from(DOMAIN_SIZES[3:]), min_size=4, max_size=6))
         n_entities = draw(st.integers(65, 130))
-    elif kind == "wide":
+    else:
         free = draw(st.lists(st.sampled_from(DOMAIN_SIZES[1:3]), min_size=17, max_size=20))
         n_entities = draw(st.integers(8, 24))
-    else:
-        free = draw(st.lists(st.sampled_from(DOMAIN_SIZES), min_size=1, max_size=4))
-        n_entities = draw(st.integers(1, 8))
     decoys = draw(st.lists(st.sampled_from(DOMAIN_SIZES), max_size=2))
     color = draw(st.sampled_from((None, "free", "constant")))
     if color == "constant" and not decoys:

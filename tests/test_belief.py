@@ -1,13 +1,14 @@
 from hypothesis import given, settings, strategies as st
 
-from refquest.belief import Belief, ContradictoryAnswerError, UnknownReferentError, init_belief
+from refquest.belief import (
+    Belief, ContradictoryAnswerError, PropertyDistribution, UnknownReferentError, init_belief)
 from refquest.dialogue import apply_answer
 from refquest.dnet import Question, wh_entropy
 from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import spacecraft_world
 
 import reference as ref
-from checks import assert_built_as_constructed, assert_refused, refusals
+from checks import assert_built_as_constructed, assert_refused, examples, refusals
 from strategies import worlds
 
 
@@ -23,54 +24,40 @@ def small_world():
     return World(schema, ents)
 
 
-def test_init_belief_spacecraft_emitter():
-    b = init_belief(spacecraft_world(), "temporal emitter")
-    assert len(b.candidate_ids) == 3
+def widgets():
+    return init_belief(small_world(), "widget")
 
 
-def test_init_belief_unique_label_already_resolved():
-    b = init_belief(small_world(), "gadget")
-    assert ref.referent(b) == "d"
+def gadgets():
+    return init_belief(small_world(), "gadget")
 
 
-def test_a_mask_of_the_last_entity_is_its_referent():
-    w = spacecraft_world()
-    assert ref.referent(Belief(w, 1 << 17)) == w.entities[17].id
-
-
-def test_distribution_counts():
-    b = init_belief(small_world(), "widget")
-    d = b.distribution("color")
-    assert d.counts == {"red": 2, "blue": 1}
-
-
-def test_distribution_degenerate_and_uniform():
-    b = init_belief(small_world(), "widget")
-    b2 = b.apply_wh_answer("color", "red")
-    assert b2.distribution("color").counts == {"red": 2}
-    d = b2.distribution("shape")
-    assert d.counts == {"tall": 1, "short": 1}
-
-
-def test_wh_answer_filters():
-    b = init_belief(small_world(), "widget")
-    assert b.apply_wh_answer("color", "red").candidate_ids == ("a", "b")
-
-
-def test_wh_answer_matching_all_keeps_set():
-    b = init_belief(small_world(), "widget").apply_wh_answer("color", "red")
-    assert b.apply_wh_answer("color", "red").candidate_ids == b.candidate_ids
-
-
-def test_yn_answers():
-    b = init_belief(small_world(), "widget")
-    assert b.apply_yn_answer("color", "red", True).candidate_ids == ("a", "b")
-    assert b.apply_yn_answer("color", "red", False).candidate_ids == ("c",)
-
-
-def test_yn_confirming_own_value_unchanged():
-    b = init_belief(small_world(), "gadget")
-    assert b.apply_yn_answer("color", "green", True).candidate_ids == ("d",)
+@examples({
+    "test_init_belief_spacecraft_emitter": (
+        lambda: init_belief(spacecraft_world(), "temporal emitter").candidate_ids,
+        ("emitter_1", "emitter_2", "emitter_3")),
+    "test_init_belief_unique_label_already_resolved": (lambda: gadgets().candidate_ids, ("d",)),
+    "test_a_mask_of_the_last_entity_is_its_referent": (
+        lambda: ref.referent(Belief(spacecraft_world(), 1 << 17)), "emitter_3"),
+    "test_distribution_counts": (lambda: widgets().distribution("color"),
+                                 PropertyDistribution("color", {"red": 2, "blue": 1})),
+    **{f"test_distribution_degenerate_and_uniform-{prop}": (
+        lambda prop=prop: widgets().apply_wh_answer("color", "red").distribution(prop),
+        PropertyDistribution(prop, counts))
+       for prop, counts in (("color", {"red": 2}), ("shape", {"tall": 1, "short": 1}))},
+    "test_wh_answer_filters": (lambda: widgets().apply_wh_answer("color", "red").candidate_ids,
+                               ("a", "b")),
+    "test_wh_answer_matching_all_keeps_set": (
+        lambda: widgets().apply_wh_answer("color", "red").apply_wh_answer("color", "red")
+        .candidate_ids, ("a", "b")),
+    **{f"test_yn_answers-{word}": (
+        lambda yes=yes: widgets().apply_yn_answer("color", "red", yes).candidate_ids, ids)
+       for word, yes, ids in (("yes", True, ("a", "b")), ("no", False, ("c",)))},
+    "test_yn_confirming_own_value_unchanged": (
+        lambda: gadgets().apply_yn_answer("color", "green", True).candidate_ids, ("d",)),
+})
+def test_worked_example(call, expected):
+    assert call() == expected
 
 
 def test_updates_never_grow_candidates():
@@ -129,10 +116,6 @@ def test_mask_belief_matches_tuple_filter_reference(w, data):
                    f" {len(w.entities)} entities")
 
 
-def widgets():
-    return init_belief(small_world(), "widget")
-
-
 NOT_IN_DOMAIN = "value 'mauve' not in domain of property 'color'"
 EMPTIED = "answer {} to color='green' eliminates all candidates"
 
@@ -161,7 +144,7 @@ EMPTIED = "answer {} to color='green' eliminates all candidates"
     "test_unknown_property_rejected-distribution": (
         lambda: widgets().distribution("colour"), KeyError, "unknown property 'colour'"),
     "test_confirm_that_empties_the_candidates_is_refused-no": (
-        lambda: init_belief(small_world(), "gadget").apply_yn_answer("color", "green", False),
+        lambda: gadgets().apply_yn_answer("color", "green", False),
         ContradictoryAnswerError, EMPTIED.format("no")),
     "test_confirm_that_empties_the_candidates_is_refused-yes": (
         lambda: widgets().apply_yn_answer("color", "green", True),

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +11,7 @@ from refquest.world import load_world
 from refquest.worlds import InfeasibleSpecError, RandomWorldSpec, generate_random_world
 
 import reference
+from checks import run_python
 
 
 def run_cli(capsys, *argv):
@@ -89,14 +87,22 @@ def test_episode_on_a_deeply_nested_world_file_exits_1(tmp_path):
     # take pytest down with
     path = tmp_path / "deep.yaml"
     path.write_text("[" * 30_000 + "]" * 30_000)
-    src = Path(refquest.cli.__file__).parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "refquest.cli", "episode", "--world", str(path), "--target", "a"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
-    )
+    proc = run_python("-m", "refquest.cli", "episode", "--world", str(path), "--target", "a",
+                      timeout=60)
     assert (proc.returncode, proc.stderr) == (
         1, "refquest: error: world config nests deeper than 256 levels on line 1\n"
     )
+
+
+def test_a_child_interpreter_keeps_the_callers_path(tmp_path, monkeypatch):
+    # an interpreter may find PyYAML only on the caller's PYTHONPATH, so the
+    # child keeps it, behind the source it is to import
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    proc = run_python("-c", "import json, sys, refquest; print(json.dumps(sys.path))", timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    path = json.loads(proc.stdout)
+    src = str(Path(refquest.cli.__file__).parents[1])
+    assert path.index(src) < path.index(str(tmp_path))
 
 
 def test_episode_human_oracle(capsys, monkeypatch):

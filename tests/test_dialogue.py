@@ -1,12 +1,9 @@
 import dataclasses
 import gc
 import hashlib
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +12,7 @@ from hypothesis import Phase, find, given, settings, strategies as st
 from refquest.dialogue import (
     BaselineAgent,
     BudgetExceededError,
+    EpisodeRecord,
     HumanOracle,
     ModelAgent,
     SimOracle,
@@ -24,60 +22,158 @@ from refquest.dialogue import (
 import refquest.dialogue
 from refquest.bench import ENVIRONMENTS, SYSTEMS, make_agent, world_for
 from refquest.dnet import (
-    NoInformativeQuestionError, Question, build_network, select_question)
+    DecisionNetwork, NoInformativeQuestionError, Question, build_network, select_question)
 from refquest.minset import compute_min_set
 from refquest.belief import Belief, init_belief
 from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import RandomWorldSpec, generate_random_world, spacecraft_world
 
 import reference as ref
-from checks import assert_built_as_constructed, assert_refused, recorded_calls, refusals
+from checks import (
+    assert_built_as_constructed, assert_refused, bits, examples, recorded_calls, refusals,
+    run_python)
 from strategies import random_world_specs, worlds
 
-
-def test_oracle_wh_answer_is_ground_truth():
-    w = spacecraft_world()
-    oracle = SimOracle(w.by_id("optimizer_1"))
-    assert oracle.answer(Question("color")) == "red"
-
-
-def test_oracle_yn_answers():
-    w = spacecraft_world()
-    oracle = SimOracle(w.by_id("optimizer_1"))
-    assert oracle.answer(Question("color", "red")) == "yes"
-    assert oracle.answer(Question("color", "blue")) == "no"
-
-
-def test_model_resolves_emitter_within_three_questions():
-    w = spacecraft_world()
-    for target in ("emitter_1", "emitter_2", "emitter_3"):
-        record = run_episode(w, target, ModelAgent())
-        assert record.resolved_id == target
-        assert record.question_count <= 3
-
-
-def test_unique_label_needs_zero_questions():
-    spec = RandomWorldSpec(n_entities=4, n_varying=3, group_size=1, seed=1)
-    w = generate_random_world(spec)
-    record = run_episode(w, w.entities[0].id, ModelAgent())
-    assert record.question_count == 0
-    assert record.resolved_id == w.entities[0].id
+# the paper's spacecraft world, turn by turn: each label group's root
+# min-set, its data utilities, and each target's words said in answer to
+# the min-set's questions in turn. Both model policies ask alike, and under
+# entropy every root question scores a 2:1 split's bits
+SPACECRAFT = {
+    "sonic optimizer": (("color", "texture"), (2.0, 1.0), {
+        "optimizer_1": ("red", "wood"), "optimizer_2": ("red", "coarse"),
+        "optimizer_3": ("blue",)}),
+    "quantum calibrator": (("shape", "size"), (1.0, 1.0), {
+        "calibrator_1": ("tall", "small"), "calibrator_2": ("tall", "medium"),
+        "calibrator_3": ("wide",)}),
+    "megaband module": (("shape", "symbol"), (1.0, 1.0), {
+        "module_1": ("narrow", "o"), "module_2": ("narrow", "-"), "module_3": ("short",)}),
+    "flux synthesizer": (("color", "shape"), (2.0, 1.0), {
+        "synthesizer_1": ("green", "wide"), "synthesizer_2": ("green", "short"),
+        "synthesizer_3": ("yellow",)}),
+    "tesla capacitor": (("color", "texture"), (2.0, 1.0), {
+        "capacitor_1": ("blue", "smooth"), "capacitor_2": ("blue", "wood"),
+        "capacitor_3": ("red",)}),
+    "temporal emitter": (("size", "symbol"), (1.0, 1.0), {
+        "emitter_1": ("medium", "+"), "emitter_2": ("medium", "x"), "emitter_3": ("large",)}),
+}
+H = bits(0.9182958340544896)
+RECORDS = {target: EpisodeRecord(label, target, target, tuple(zip(map(Question, root), words)))
+           for label, (root, _, targets) in SPACECRAFT.items() for target, words in targets.items()}
+EMITTERS = ("emitter_1", "emitter_2", "emitter_3")
 
 
-def test_model_spacecraft_mean_questions():
-    w = spacecraft_world()
-    counts = [run_episode(w, e.id, ModelAgent()).question_count for e in w.entities]
-    assert sum(counts) / len(counts) == pytest.approx(1.75, abs=0.25)
+def test_the_spacecraft_pins_keep_the_bounds_their_tests_asserted():
+    # every target resolves, in no more WH questions than its root min-set
+    # holds, and an emitter in at most 3; the mean, 30/18, is within 0.25 of 1.75
+    counts = [record.question_count for record in RECORDS.values()]
+    assert all(record.resolved_id == target for target, record in RECORDS.items())
+    assert all(len(words) <= len(root) for root, _, targets in SPACECRAFT.values()
+               for words in targets.values())
+    assert max(RECORDS[target].question_count for target in EMITTERS) <= 3
+    assert Fraction(sum(counts), len(counts)) == Fraction(30, 18)
+    assert abs(sum(counts) / len(counts) - 1.75) <= 0.25
 
 
-def test_model_wh_count_bounded_by_initial_minset():
-    w = spacecraft_world()
-    for e in w.entities:
-        belief = init_belief(w, e.label)
-        bound = len(compute_min_set(w, belief.mask))
-        record = run_episode(w, e.id, ModelAgent())
-        wh = sum(1 for q, _ in record.transcript if q.kind == "wh")
-        assert wh <= bound
+def spacecraft_rows(policy):
+    """The spacecraft table's rows under `policy`, each on a fresh world."""
+    def episodes(targets, **kwargs):
+        w = spacecraft_world()
+        return {target: run_episode(w, target, ModelAgent(policy), **kwargs) for target in targets}
+
+    def root_networks():
+        w = spacecraft_world()
+        return {label: build_network(init_belief(w, label), policy) for label in w.label_masks}
+
+    return {
+        f"test_model_wh_count_bounded_by_initial_minset-{policy}": (root_networks, {
+            label: DecisionNetwork(tuple(map(Question, root)), dict(zip(
+                map(Question, root), (H, H) if policy == "entropy" else data)))
+            for label, (root, data, _) in SPACECRAFT.items()}),
+        f"test_model_spacecraft_mean_questions-{policy}": (lambda: episodes(RECORDS), RECORDS),
+        f"test_model_resolves_emitter_within_three_questions-{policy}": (
+            lambda: episodes(EMITTERS), {target: RECORDS[target] for target in EMITTERS}),
+        # a budget of 2 allows emitter_1's 2 questions, 1 or 0 does not
+        # (test_refused_word_for_word)
+        f"test_a_budget_of_two_resolves_emitter_1-{policy}": (
+            lambda: episodes(["emitter_1"], max_questions=2), {"emitter_1": RECORDS["emitter_1"]}),
+    }
+
+
+def one_property_world(values, domain=None):
+    """One entity per color value, all under one label; the colors are
+    `domain`, or else `values`."""
+    schema = PropertySchema((("color", tuple(domain or values)),))
+    return World(schema, tuple(
+        Entity(id=f"e{i}", label="w", type_name="w", assignment={"color": v})
+        for i, v in enumerate(values)
+    ))
+
+
+def heard(world, replies, *questions):
+    """Each word a HumanOracle on `world` returns for `questions`, asked in
+    turn and answered by `replies`, and every line it says."""
+    replies, said = iter(replies), []
+    oracle = HumanOracle(world, ask=lambda prompt: next(replies), say=said.append)
+    return [oracle.answer(q) for q in questions], said
+
+
+def optimizer_1_says(q):
+    return SimOracle(spacecraft_world().by_id("optimizer_1")).answer(q)
+
+
+COLOR = Question("color")
+UNKNOWN = "unknown color; expected one of: "
+
+
+@examples({
+    **spacecraft_rows("entropy"), **spacecraft_rows("data"),
+    "test_unique_label_needs_zero_questions": (
+        lambda: run_episode(generate_random_world(RandomWorldSpec(
+            n_entities=4, n_varying=3, group_size=1, seed=1)), "e01", ModelAgent()),
+        EpisodeRecord("type1 widget", "e01", "e01", ())),
+    # a prompt reads "What size is it? ", and the reply is the target's value
+    "test_run_episode_with_scripted_human_oracle": (
+        lambda: run_episode(w := spacecraft_world(), "emitter_2", ModelAgent(), oracle=HumanOracle(
+            w, ask=lambda prompt: w.by_id("emitter_2").value(prompt.split()[1]), say=pytest.fail)),
+        RECORDS["emitter_2"]),
+    "test_oracle_wh_answer_is_ground_truth": (lambda: optimizer_1_says(COLOR), "red"),
+    **{f"test_oracle_yn_answers-{value}": (
+        lambda value=value: optimizer_1_says(Question("color", value)), word)
+       for value, word in (("red", "yes"), ("blue", "no"))},
+    "test_human_oracle_parses_and_reprompts": (
+        lambda: heard(spacecraft_world(), ["purple", "red", "maybe", "no"],
+                      COLOR, Question("color", "blue")),
+        (["red", "no"], [UNKNOWN + "'red', 'yellow', 'blue', 'green'", "please answer yes or no"])),
+    # "Green" matches two values ignoring case, so it is asked again
+    "test_human_oracle_matches_case_and_keeps_domain_spelling": (
+        lambda: heard(one_property_world(["Red", "Blue", "green", "GREEN"]),
+                      ["blue", "RED", "Green", "GREEN"], COLOR, COLOR, COLOR),
+        (["Blue", "Red", "GREEN"], ["ambiguous color 'Green'; it matches: 'green', 'GREEN'"])),
+    "test_human_oracle_matches_values_stripped_and_keeps_their_spelling": (
+        lambda: heard(one_property_world(["red ", "blue"]), ["red", "Blue "], COLOR, COLOR),
+        (["red ", "blue"], [])),
+    # stripped, "Red" matches one value, before it matches two ignoring case
+    "test_human_oracle_matches_values_stripped_and_keeps_their_spelling-before-case": (
+        lambda: heard(one_property_world(["Red ", "red"]), ["Red"], COLOR), (["Red "], [])),
+    "test_human_oracle_reply_as_typed_picks_one_of_two_values_equal_when_stripped": (
+        lambda: heard(one_property_world(["red", "red "]), ["red ", "red", " red", "red"],
+                      COLOR, COLOR, COLOR),
+        (["red ", "red", "red"], ["ambiguous color 'red'; it matches: 'red', 'red '"])),
+    "test_human_oracle_quotes_the_values_it_expects": (
+        lambda: heard(one_property_world(["red ", "blue"]), ["red", "purple", "blue"],
+                      COLOR, COLOR),
+        (["red ", "blue"], [UNKNOWN + "'red ', 'blue'"])),
+    # no entity is green, but green is a color of the schema's
+    "test_human_oracle_expects_every_domain_value_carried_or_not": (
+        lambda: heard(one_property_world(["red", "blue"], domain=["red", "blue", "green"]),
+                      ["purple", "Green"], COLOR),
+        (["green"], [UNKNOWN + "'red', 'blue', 'green'"])),
+    "test_human_oracle_accepts_y_after_a_reprompt": (
+        lambda: heard(spacecraft_world(), ["sure", "Y"], Question("color", "red")),
+        (["yes"], ["please answer yes or no"])),
+})
+def test_worked_example(call, expected):
+    assert call() == expected
 
 
 def test_model_agent_asks_each_world_its_own_first_question():
@@ -447,13 +543,6 @@ def test_baseline_reads_no_distribution(monkeypatch):
         build_network(init_belief(worlds[1], worlds[1].entities[0].label))
 
 
-def test_a_budget_of_two_resolves_emitter_1():
-    # emitter_1 takes 2 questions: a budget of 2 allows them, 1 or 0 does
-    # not (test_refused_word_for_word)
-    w = spacecraft_world()
-    assert run_episode(w, "emitter_1", ModelAgent(), max_questions=2).question_count == 2
-
-
 def test_truthful_oracle_never_contradicts():
     spec = RandomWorldSpec(n_entities=12, n_varying=5, n_properties=5, group_size=6, seed=3)
     w = generate_random_world(spec)
@@ -461,77 +550,6 @@ def test_truthful_oracle_never_contradicts():
         for agent in (ModelAgent(), ModelAgent(policy="data"), BaselineAgent(seed=5)):
             record = run_episode(w, e.id, agent)
             assert record.resolved_id == e.id
-
-
-def test_human_oracle_parses_and_reprompts():
-    w = spacecraft_world()
-    replies = iter(["purple", "red", "maybe", "no"])
-    said = []
-    oracle = HumanOracle(w, ask=lambda prompt: next(replies), say=said.append)
-    assert oracle.answer(Question("color")) == "red"
-    assert oracle.answer(Question("color", "blue")) == "no"
-    assert len(said) == 2  # one reprompt for each bad reply
-
-
-def one_property_world(values):
-    """One entity per color value, all under one label."""
-    schema = PropertySchema((("color", tuple(values)),))
-    return World(schema, tuple(
-        Entity(id=f"e{i}", label="w", type_name="w", assignment={"color": v})
-        for i, v in enumerate(values)
-    ))
-
-
-def test_human_oracle_matches_case_and_keeps_domain_spelling():
-    replies = iter(["blue", "RED", "Green", "GREEN"])
-    said = []
-    oracle = HumanOracle(one_property_world(["Red", "Blue", "green", "GREEN"]),
-                         ask=lambda prompt: next(replies), say=said.append)
-    q = Question("color")
-    assert oracle.answer(q) == "Blue"
-    assert oracle.answer(q) == "Red"
-    # "Green" matches two values ignoring case, so it is asked again
-    assert oracle.answer(q) == "GREEN"
-    assert said == ["ambiguous color 'Green'; it matches: 'green', 'GREEN'"]
-
-
-def test_human_oracle_matches_values_stripped_and_keeps_their_spelling():
-    replies = iter(["red", "Blue "])
-    oracle = HumanOracle(one_property_world(["red ", "blue"]), ask=lambda prompt: next(replies))
-    assert oracle.answer(Question("color")) == "red "
-    assert oracle.answer(Question("color")) == "blue"
-
-
-def test_human_oracle_reply_as_typed_picks_one_of_two_values_equal_when_stripped():
-    replies = iter(["red ", "red", " red", "red"])
-    said = []
-    oracle = HumanOracle(one_property_world(["red", "red "]), ask=lambda prompt: next(replies),
-                         say=said.append)
-    assert oracle.answer(Question("color")) == "red "
-    assert oracle.answer(Question("color")) == "red"
-    assert oracle.answer(Question("color")) == "red"
-    assert said == ["ambiguous color 'red'; it matches: 'red', 'red '"]
-
-
-def test_human_oracle_quotes_the_values_it_expects():
-    replies = iter(["red", "purple", "blue"])
-    said = []
-    oracle = HumanOracle(one_property_world(["red ", "blue"]), ask=lambda prompt: next(replies),
-                         say=said.append)
-    assert oracle.answer(Question("color")) == "red "
-    assert oracle.answer(Question("color")) == "blue"
-    assert said == ["unknown color; expected one of: 'red ', 'blue'"]
-
-
-def test_human_oracle_expects_every_domain_value_carried_or_not():
-    # no entity is green, but green is a color of the schema's
-    schema = PropertySchema((("color", ("red", "blue", "green")),))
-    w = World(schema, tuple(Entity(c, "w", "w", {"color": c}) for c in ("red", "blue")))
-    replies = iter(["purple", "Green"])
-    said = []
-    oracle = HumanOracle(w, ask=lambda prompt: next(replies), say=said.append)
-    assert oracle.answer(Question("color")) == "green"
-    assert said == ["unknown color; expected one of: 'red', 'blue', 'green'"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -679,34 +697,10 @@ def test_a_baseline_with_nothing_to_draw_from_raises_instead_of_hanging():
         # no candidates: a WH draw asks, a confirm has no value to draw
         print(sorted({outcome(BaselineAgent(seed), Belief(w, 0)) for seed in range(20)}))
     """
-    src = Path(refquest.dialogue.__file__).parents[1]
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=30, env={**os.environ, "PYTHONPATH": str(src)})
+    proc = run_python("-c", code, timeout=30)
     assert (proc.returncode, proc.stderr) == (0, "")
     empty = "IndexError: Cannot choose from an empty sequence"
     assert proc.stdout.splitlines() == [empty, repr(sorted([empty, "wh"]))]
-
-
-def test_run_episode_with_scripted_human_oracle():
-    w = spacecraft_world()
-    target = w.by_id("emitter_2")
-
-    def truthful(prompt):
-        # prompts look like "What size is it? "
-        prop = prompt.split()[1]
-        return target.value(prop)
-
-    oracle = HumanOracle(w, ask=truthful, say=lambda *a: None)
-    record = run_episode(w, "emitter_2", ModelAgent(), oracle=oracle)
-    assert record.resolved_id == "emitter_2"
-
-
-def test_human_oracle_accepts_y_after_a_reprompt():
-    replies = iter(["sure", "Y"])
-    said = []
-    oracle = HumanOracle(spacecraft_world(), ask=lambda prompt: next(replies), say=said.append)
-    assert oracle.answer(Question("color", "red")) == "yes"
-    assert said == ["please answer yes or no"]
 
 
 def unconfirmed(word):
@@ -723,7 +717,8 @@ def unconfirmed(word):
     **{f"test_budget_exceeded_raises-{budget}": (
         lambda budget=budget: run_episode(spacecraft_world(), "emitter_1", ModelAgent(),
                                           max_questions=budget), BudgetExceededError,
-        f"no resolution after {budget} questions for target 'emitter_1'") for budget in (0, 1)},
+        f"no resolution after {asked} for target 'emitter_1'")
+       for budget, asked in ((0, "0 questions"), (1, "1 question"))},
     "test_negative_budget_rejected": (
         lambda: run_episode(spacecraft_world(), "emitter_1", ModelAgent(), max_questions=-3),
         ValueError, "max_questions must be 0 or more, got -3"),

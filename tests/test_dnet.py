@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from refquest.belief import Belief, PropertyDistribution, init_belief
 from refquest.dnet import (
+    DecisionNetwork,
     NoInformativeQuestionError,
     Question,
     build_network,
@@ -18,7 +19,7 @@ from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import spacecraft_world
 
 import reference as ref
-from checks import assert_refused, refusals
+from checks import assert_refused, bits, examples, refusals
 
 
 def dist(**weights):
@@ -33,36 +34,6 @@ def random_dist(rng, max_support=6):
 
 
 # --- entropy utilities -------------------------------------------------
-
-def test_wh_entropy_uniform_four():
-    assert wh_entropy(dist(a=0.25, b=0.25, c=0.25, d=0.25)) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_wh_entropy_degenerate():
-    assert wh_entropy(dist(red=1.0)) == 0.0
-
-
-def test_wh_entropy_two_thirds():
-    # -(2/3)log2(2/3) - (1/3)log2(1/3), computed by hand
-    assert wh_entropy(dist(red=2 / 3, blue=1 / 3)) == pytest.approx(
-        0.9182958340544896, abs=1e-9
-    )
-
-
-def test_yn_expected_entropy_even_split():
-    assert yn_expected_entropy(dist(a=0.5, b=0.5)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_yn_expected_entropy_uniform_four():
-    # 4 * 0.25 * H_bin(0.25); H_bin(0.25) = 0.8112781244591328
-    assert yn_expected_entropy(dist(a=0.25, b=0.25, c=0.25, d=0.25)) == pytest.approx(
-        0.8112781244591328, abs=1e-9
-    )
-
-
-def test_yn_expected_entropy_degenerate():
-    assert yn_expected_entropy(dist(a=1.0)) == 0.0
-
 
 @given(st.integers(0, 10_000))
 def test_yn_never_exceeds_wh(seed):
@@ -116,30 +87,67 @@ def grid_world(*names, constant=()):
     return World(schema, ents)
 
 
-# --- network construction and selection --------------------------------
+# --- worked examples; network construction and selection --------------
 
-def test_question_invariants():
+UNIFORM_FOUR = dist(a=0.25, b=0.25, c=0.25, d=0.25)
+SPLIT_2_1 = bits(0.9182958340544896)  # -(2/3)log2(2/3) - (1/3)log2(1/3), computed by hand
+
+
+def network_and_choice(belief, policy):
+    """The network built for `belief` under `policy`, and the question it
+    selects, or None when it holds none (test_refused_word_for_word)."""
+    net = build_network(belief, policy)
+    return net, select_question(net) if net.questions else None
+
+
+def three_colors():
+    """Three entities, each its own color; shape splits them 2:1."""
+    schema = PropertySchema((("color", ("r", "g", "b")), ("shape", ("t", "s"))))
+    return World(schema, tuple(Entity(id, "w", "w", {"color": c, "shape": s})
+                               for id, c, s in (("a", "r", "t"), ("b", "g", "t"), ("c", "b", "s"))))
+
+
+# each network row, under both policies: its belief, each question's
+# (property, entropy utility, data utility), and the question selected
+NETWORKS = {
+    "test_build_network_single_candidate_is_empty": (
+        lambda: init_belief(pair_world(), "w").apply_wh_answer("color", "red"), (), None),
+    "test_build_network_spacecraft_emitters": (
+        lambda: init_belief(spacecraft_world(), "temporal emitter"),
+        (("size", SPLIT_2_1, 1.0), ("symbol", SPLIT_2_1, 1.0)), "size"),
+    "test_select_question_color_only_difference": (
+        lambda: init_belief(pair_world(), "w"), (("color", 1.0, 2.0),), "color"),
+    # color alone tells all three apart, so the network holds no shape question
+    "test_select_question_argmax_by_entropy": (
+        lambda: init_belief(three_colors(), "w"), (("color", bits(math.log2(3)), 2.0),), "color"),
+}
+
+
+@examples({
+    "test_wh_entropy_uniform_four": (lambda: wh_entropy(UNIFORM_FOUR), bits(2.0)),
+    "test_wh_entropy_degenerate": (lambda: wh_entropy(dist(red=1.0)), 0.0),
+    "test_wh_entropy_two_thirds": (lambda: wh_entropy(dist(red=2 / 3, blue=1 / 3)), SPLIT_2_1),
+    "test_yn_expected_entropy_even_split": (lambda: yn_expected_entropy(dist(a=0.5, b=0.5)),
+                                            bits(1.0)),
+    # 4 * 0.25 * H_bin(0.25); H_bin(0.25) = 0.8112781244591328
+    "test_yn_expected_entropy_uniform_four": (lambda: yn_expected_entropy(UNIFORM_FOUR),
+                                              bits(0.8112781244591328)),
+    "test_yn_expected_entropy_degenerate": (lambda: yn_expected_entropy(dist(a=1.0)), 0.0),
     # the kind follows from the value, so no question can carry the wrong one
-    assert (Question("color").kind, Question("color", "red").kind) == ("wh", "yn")
-    assert Question("color").surface == "What color is it?"
-    assert Question("color", "red").surface == "Is it red?"
-
-
-def test_build_network_single_candidate_is_empty():
-    w = pair_world()
-    b = init_belief(w, "w").apply_wh_answer("color", "red")
-    net = build_network(b)
-    assert net.questions == ()
-
-
-def test_build_network_spacecraft_emitters():
-    w = spacecraft_world()
-    b = init_belief(w, "temporal emitter")
-    net = build_network(b)
-    varying = {"size", "symbol", "pattern"}
-    assert {q.property for q in net.questions} <= varying
-    for q in net.questions:
-        assert net.utilities[q] > 0
+    **{f"test_question_invariants-{value}": (
+        lambda value=value: (Question("color", value).kind, Question("color", value).surface),
+        expected) for value, expected in ((None, ("wh", "What color is it?")),
+                                          ("red", ("yn", "Is it red?")))},
+    **{f"{name}-{policy}": (
+        lambda belief=belief, policy=policy: network_and_choice(belief(), policy),
+        (DecisionNetwork(tuple(Question(p) for p, *_ in scores),
+                         {Question(p): utilities[k] for p, *utilities in scores}),
+         chosen and Question(chosen)))
+       for name, (belief, scores, chosen) in NETWORKS.items()
+       for k, policy in enumerate(("entropy", "data"))},
+})
+def test_worked_example(call, expected):
+    assert call() == expected
 
 
 def test_one_wh_question_per_active_property():
@@ -249,27 +257,6 @@ def test_two_valued_properties_tie_and_the_first_is_asked():
     for c in range(1, 40):
         d = dist(a=c / 40, b=(40 - c) / 40)
         assert yn_expected_entropy(d) == wh_entropy(d)
-
-
-def test_select_question_color_only_difference():
-    w = pair_world()
-    b = init_belief(w, "w")
-    q = select_question(build_network(b))
-    assert q == Question("color")
-
-
-def test_select_question_argmax_by_entropy():
-    schema = PropertySchema((("color", ("r", "g", "b")), ("shape", ("t", "s"))))
-    ents = (
-        Entity("a", "w", "w", {"color": "r", "shape": "t"}),
-        Entity("b", "w", "w", {"color": "g", "shape": "t"}),
-        Entity("c", "w", "w", {"color": "b", "shape": "s"}),
-    )
-    w = World(schema, ents)
-    b = init_belief(w, "w")
-    net = build_network(b)
-    # color entropy log2(3) = 1.58 beats shape 0.92
-    assert select_question(net).property == "color"
 
 
 def test_select_question_deterministic():

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from refquest.dialogue import ModelAgent, run_episode
 from refquest.dnet import build_network
 from refquest.minset import EXACT_LIMIT_DEFAULT, compute_min_set
-from refquest.world import Entity, PropertySchema, World, WorldFormatError
+from refquest.world import Entity, PropertySchema, World
 from refquest.worlds import spacecraft_world
 
 import reference as ref
+from checks import examples
 from strategies import EXACT_LIMITS, worlds
 
 
@@ -38,69 +39,58 @@ def injective(entities, props):
     return len(set(projections)) == len(projections)
 
 
-def test_single_differing_property_clause():
-    s = schema_of("color", "shape")
-    assert min_set(s, [ent("1", s, "a", "b"), ent("2", s, "b", "b")]) == ["color"]
+S1, S2, S3 = schema_of("color"), schema_of("color", "shape"), schema_of("color", "shape", "size")
+S17 = schema_of(*(f"p{i}" for i in range(17)))
 
 
-def test_three_entity_clauses_enumerated_by_hand():
+def three_entities():
     # pairs differ on {color}, {shape} and {color, shape}
-    s = schema_of("color", "shape")
-    w = World(s, (ent("1", s, "a", "b"), ent("2", s, "b", "b"), ent("3", s, "a", "c")))
-    assert compute_min_set(w, 0b011) == ["color"]
-    assert compute_min_set(w, 0b101) == ["shape"]
-    assert compute_min_set(w, 0b110) == ["color"]
-    assert compute_min_set(w, 0b111) == ["color", "shape"]
+    return World(S2, (ent("1", S2, "a", "b"), ent("2", S2, "b", "b"), ent("3", S2, "a", "c")))
 
 
-def test_duplicate_entities_raise():
-    # no question can split identical entities, so no World holds them
-    s = schema_of("color")
-    with pytest.raises(WorldFormatError,
-                       match="^invalid world: entities '1' and '2' share an identical assignment$"):
-        World(s, (ent("1", s, "a"), ent("2", s, "a")))
-    with pytest.raises(WorldFormatError,
-                       match="^invalid world: entities '1' and '3' share an identical assignment$"):
-        World(s, (ent("1", s, "a"), ent("2", s, "b"), ent("3", s, "a")))
-
-
-def test_unit_clauses_force_both_properties():
+@examples({
+    "test_single_differing_property_clause": (
+        lambda: min_set(S2, [ent("1", S2, "a", "b"), ent("2", S2, "b", "b")]), ["color"]),
+    **{f"test_three_entity_clauses_enumerated_by_hand-{mask:#05b}": (
+        lambda mask=mask: compute_min_set(three_entities(), mask), expected)
+       for mask, expected in ((0b011, ["color"]), (0b101, ["shape"]), (0b110, ["color"]),
+                              (0b111, ["color", "shape"]))},
     # "2" differs from "1" only in color and "3" only in shape, so both are
     # needed even though "4" also differs in size
-    s = schema_of("color", "shape", "size")
-    es = [ent("1", s, "a", "a", "a"), ent("2", s, "b", "a", "a"),
-          ent("3", s, "a", "b", "a"), ent("4", s, "b", "b", "b")]
-    assert min_set(s, es) == ["color", "shape"]
-
-
-def test_shared_property_wins():
+    "test_unit_clauses_force_both_properties": (
+        lambda: min_set(S3, [ent("1", S3, "a", "a", "a"), ent("2", S3, "b", "a", "a"),
+                             ent("3", S3, "a", "b", "a"), ent("4", S3, "b", "b", "b")]),
+        ["color", "shape"]),
     # color separates every pair on its own; shape and size each miss one
-    s = schema_of("color", "shape", "size")
-    es = [ent("1", s, "a", "a", "a"), ent("2", s, "b", "b", "a"), ent("3", s, "c", "a", "b")]
-    assert min_set(s, es) == ["color"]
-
-
-def test_value_outside_the_domain_is_named():
-    s = schema_of("color", "shape")
-    stray = Entity("x", "w", "w", {"color": "purple", "shape": "a"})
-    with pytest.raises(WorldFormatError,
-                       match=r"entity 'x': value 'purple' not in domain of property 'color'"):
-        World(s, (ent("1", s, "a", "a"), stray))
-
-
-def test_property_outside_the_schema_is_named():
-    s = schema_of("color", "shape")
-    stray = Entity("x", "w", "w", {"color": "b", "shape": "a", "size": "big"})
-    with pytest.raises(WorldFormatError,
-                       match=r"entity 'x': unknown property 'size' \(value 'big'\)"):
-        World(s, (ent("1", s, "a", "a"), stray))
-
-
-def test_empty_clause_set_gives_empty_minset():
-    s = schema_of("color")
-    w = World(s, (ent("1", s, "a"), ent("2", s, "b")))
-    assert compute_min_set(w, 0b01) == compute_min_set(w, 0b10) == []
-    assert compute_min_set(w, 0) == []
+    "test_shared_property_wins": (
+        lambda: min_set(S3, [ent("1", S3, "a", "a", "a"), ent("2", S3, "b", "b", "a"),
+                             ent("3", S3, "c", "a", "b")]), ["color"]),
+    **{f"test_empty_clause_set_gives_empty_minset-{mask:#04b}": (
+        lambda mask=mask: compute_min_set(World(S1, (ent("1", S1, "a"), ent("2", S1, "b"))), mask),
+        []) for mask in (0b01, 0b10, 0)},
+    # two objects with the same shape and size but different colors
+    "test_color_only_difference": (
+        lambda: min_set(S3, [ent("1", S3, "a", "b", "c"), ent("2", S3, "d", "b", "c")]),
+        ["color"]),
+    "test_spacecraft_synthesizers_within_varying_features": (
+        lambda: compute_min_set(w := spacecraft_world(), w.label_masks["flux synthesizer"]),
+        ["color", "shape"]),
+    # 17 varying properties put the four entities past the exact limit;
+    # p0-p14 each split them in two, p15 and p16 each split them fully
+    "test_greedy_takes_the_most_refining_property_earliest_first": (
+        lambda: min_set(S17, [ent(str(i), S17, *("ab"[(i >> (j % 2)) & 1] for j in range(15)),
+                                  "abcd"[i], "abcd"[i]) for i in range(4)]), ["p15"]),
+    # the engine and the reference alike
+    "test_exact_minset_pinned_on_200_entities": (
+        lambda: (compute_min_set(w := unique_world(200, 10, seed=2024), (1 << 200) - 1),
+                 ref.min_set(w.schema.properties, w.entities)),
+        (["p00", "p01", "p03", "p04", "p06", "p09"],) * 2),
+    "test_greedy_minset_pinned_on_100_entities_and_20_properties": (
+        lambda: compute_min_set(unique_world(100, 20, seed=2024), (1 << 100) - 1),
+        ["p00", "p01", "p04", "p05", "p10", "p13"]),
+})
+def test_worked_example(call, expected):
+    assert call() == expected
 
 
 @pytest.mark.parametrize("mask", [1 << 18, 1 | 1 << 18, 0b111 | 1 << 18 | 1 << 23],
@@ -111,22 +101,6 @@ def test_mask_beyond_the_world_is_refused(mask):
     with pytest.raises(ValueError) as exc:
         compute_min_set(spacecraft_world(), mask)
     assert str(exc.value) == f"candidate mask {mask:#x} has bits beyond the world's 18 entities"
-
-
-def test_color_only_difference():
-    # two objects with the same shape and size but different colors
-    s = schema_of("color", "shape", "size")
-    es = [ent("1", s, "a", "b", "c"), ent("2", s, "d", "b", "c")]
-    assert min_set(s, es) == ["color"]
-
-
-def test_spacecraft_synthesizers_within_varying_features():
-    w = spacecraft_world()
-    mask = sum(1 << i for i, e in enumerate(w.entities) if e.type_name == "synthesizer")
-    assert mask.bit_count() == 3
-    result = set(compute_min_set(w, mask))
-    assert result <= {"color", "size", "shape"}
-    assert result
 
 
 def test_determinism():
@@ -147,15 +121,6 @@ def test_greedy_mode_hits_all_clauses(w, data):
     greedy = compute_min_set(w, mask, exact_limit=2)
     assert injective(members(w, mask), greedy)
     assert len(greedy) >= len(compute_min_set(w, mask))
-
-
-def test_greedy_takes_the_most_refining_property_earliest_first():
-    # 17 varying properties put the four entities past the exact limit;
-    # p0-p14 each split them in two, p15 and p16 each split them fully
-    s = schema_of(*(f"p{i}" for i in range(17)))
-    es = [ent(str(i), s, *("ab"[(i >> (j % 2)) & 1] for j in range(15)), "abcd"[i], "abcd"[i])
-          for i in range(4)]
-    assert min_set(s, es) == ["p15"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -249,15 +214,3 @@ def unique_world(n_entities, n_props, seed):
     while len(rows) < n_entities:
         rows.setdefault(tuple(rng.choice("abcd") for _ in range(n_props)))
     return World(s, tuple(ent(str(i), s, *row) for i, row in enumerate(rows)))
-
-
-def test_exact_minset_pinned_on_200_entities():
-    w = unique_world(200, 10, seed=2024)
-    expected = ["p00", "p01", "p03", "p04", "p06", "p09"]
-    assert compute_min_set(w, (1 << 200) - 1) == expected
-    assert ref.min_set(w.schema.properties, w.entities) == expected
-
-
-def test_greedy_minset_pinned_on_100_entities_and_20_properties():
-    w = unique_world(100, 20, seed=2024)
-    assert compute_min_set(w, (1 << 100) - 1) == ["p00", "p01", "p04", "p05", "p10", "p13"]

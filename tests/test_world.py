@@ -1,11 +1,7 @@
 import itertools
-import os
 import re
-import subprocess
-import sys
 import time
 from importlib import resources
-from pathlib import Path
 
 import pytest
 import yaml
@@ -28,7 +24,8 @@ from refquest.world import (
 from refquest.worlds import spacecraft_world
 
 import reference
-from checks import assert_built_as_constructed, assert_refused, assert_tabled, refusals
+from checks import (
+    assert_built_as_constructed, assert_refused, assert_tabled, refusals, run_python)
 from strategies import worlds
 
 SCHEMA = PropertySchema((("color", ("red", "blue")), ("shape", ("tall", "short"))))
@@ -142,10 +139,8 @@ def test_violations_listed_by_entity_then_identical_pairs():
 def test_importing_world_loads_no_other_refquest_module():
     code = ("import sys, refquest.world; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'refquest'))")
-    src = Path(refquest.world.__file__).parents[1]
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out.strip() == "['refquest', 'refquest.world']"
+    proc = run_python("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "['refquest', 'refquest.world']\n")
 
 
 def test_schema_lookups():
@@ -397,9 +392,23 @@ def _one_list_doc(schema_values, assignment, label="w"):
     "incomplete-assignment": (
         lambda: World(SCHEMA, (Entity("a", "w", "w", {"color": "red"}), ent("b", "blue", "tall"))),
         WorldFormatError, "invalid world: entity 'a': incomplete assignment, missing ['shape']"),
-    "unknown-value": (lambda: World(SCHEMA, (ent("a", "green", "tall"), ent("b", "blue", "tall"))),
-                      WorldFormatError,
-                      "invalid world: entity 'a': value 'green' not in domain of property 'color'"),
+    # no question can split identical entities, so no World holds them
+    "test_duplicate_entities_raise-adjacent": (
+        lambda: World(SCHEMA, (ent("1", "red", "tall"), ent("2", "red", "tall"))),
+        WorldFormatError, "invalid world: entities '1' and '2' share an identical assignment"),
+    "test_duplicate_entities_raise-apart": (
+        lambda: World(SCHEMA, (ent("1", "red", "tall"), ent("2", "blue", "tall"),
+                               ent("3", "red", "tall"))),
+        WorldFormatError, "invalid world: entities '1' and '3' share an identical assignment"),
+    "test_value_outside_the_domain_is_named": (
+        lambda: World(SCHEMA, (ent("1", "red", "tall"),
+                               Entity("x", "w", "w", {"color": "purple", "shape": "tall"}))),
+        WorldFormatError,
+        "invalid world: entity 'x': value 'purple' not in domain of property 'color'"),
+    "test_property_outside_the_schema_is_named": (
+        lambda: World(SCHEMA, (ent("1", "red", "tall"), Entity(
+            "x", "w", "w", {"color": "blue", "shape": "tall", "size": "big"}))),
+        WorldFormatError, "invalid world: entity 'x': unknown property 'size' (value 'big')"),
     "test_same_entity_listed_twice_is_refused": (
         lambda: World(SCHEMA, (ent("a", "red", "tall"), ent("b", "blue", "tall"),
                                ent("a", "red", "tall"))), WorldFormatError,
@@ -419,11 +428,19 @@ def _one_list_doc(schema_values, assignment, label="w"):
                            + "  - {id: b, label: w, type: w, assignment: {color: red}}\n"),
         WorldFormatError,
         "invalid world: entity 'a': value 'mauve' not in domain of property 'color'"),
-    # the mapping's value is missing before it is unclosed, so the empty value
-    # is refused first: on line 1 by PyYAML's own parser, on line 2 by libyaml's
+    # each parser gives the mapping's missing value before its unclosed end,
+    # whose parse error is refused, not the empty value
     "test_load_world_rejects_non_yaml": (
         lambda: load_world("{unbalanced"), WorldFormatError,
-        re.compile(r"plain '' on line [12] is not allowed; quote it to keep it as text")),
+        re.compile(r"world config does not parse: while parsing a flow mapping\n"
+                   r'  in "<unicode string>", line 1, column 1\b.*'
+                   r"expected ',' or '}'.*", re.DOTALL)),
+    # a missing value in a document that parses is refused as written
+    **{f"test_load_world_rejects_non_yaml-{case}": (
+        lambda doc=doc: load_world(doc), WorldFormatError,
+        "plain '' on line 1 is not allowed; quote it to keep it as text")
+       for case, doc in (("flow-key", "{color}"), ("flow-value", "{color: }"),
+                         ("block-value", "a:"))},
     "test_load_world_rejects_non_yaml-unclosed-list": (
         lambda: load_world("schema: [a, b\n"), WorldFormatError,
         re.compile(r"world config does not parse: .+", re.DOTALL)),
